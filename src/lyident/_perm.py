@@ -6,7 +6,6 @@ A permutation p of degree n is the tuple (p(1), ..., p(n)).
 from __future__ import annotations
 
 import itertools
-from functools import cache
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -16,13 +15,6 @@ def identity(n: int) -> tuple[int, ...]:
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """(p o q)(i) = p(q(i))."""
     return tuple(p[j - 1] for j in q)
-
-
-def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p, start=1):
-        inv[j - 1] = i
-    return tuple(inv)
 
 
 def sign(p: tuple[int, ...]) -> int:
@@ -54,28 +46,3 @@ def from_transpositions(n: int, swaps) -> tuple[int, ...]:
 def all_perms(n: int):
     """All of S_n in lexicographic order of image tuples."""
     return itertools.permutations(range(1, n + 1))
-
-
-@cache
-def perm_index(n: int) -> dict[tuple[int, ...], int]:
-    """Lexicographic rank lookup for S_n."""
-    return {p: i for i, p in enumerate(all_perms(n))}
-
-
-def cycle_notation(p: tuple[int, ...]) -> str:
-    """Render in cycle notation, e.g. (13)(24); identity renders as ()."""
-    sep = "" if len(p) <= 9 else ","
-    seen = [False] * len(p)
-    parts = []
-    for i in range(len(p)):
-        if seen[i] or p[i] == i + 1:
-            seen[i] = True
-            continue
-        cyc = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j + 1)
-            j = p[j] - 1
-        parts.append("(" + sep.join(str(x) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"

@@ -21,9 +21,9 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from . import evallab, freealg, liftgen, pipeline, symrep
+from . import evallab, freealg, liftgen, pipeline
 from ._data import data_text
-from .exactla import QQ, ExactMatrix, FieldSpec, IncrementalReducer
+from .exactla import QQ, FieldSpec
 
 __all__ = [
     "main",
@@ -136,24 +136,14 @@ def bundled_report(degree: int, characteristic: int, selector, filtered: bool) -
 
 
 def bundled_identity() -> pipeline.ExplicitIdentity:
-    """The stored degree-8 identity (derived from the bundled consequence and
-    skew tables; the analysis pipeline reproduces it from scratch)."""
+    """The stored degree-8 identity, read from identity_d8.txt.
+
+    `lyident identity --recompute` and the test suite derive it again from
+    scratch through the analysis pipeline.
+    """
     identity = parse_identity_text(data_text("identity_d8.txt"))
     assert isinstance(identity, pipeline.ExplicitIdentity)
     return identity
-
-
-def _identity_from_matrices() -> pipeline.ExplicitIdentity:
-    """Recover the identity from the bundled degree-8 sign-representation
-    matrices: the unique consequence row outside the skew row space."""
-    a = ExactMatrix.load(data_text("sign8_lifted_rcf.txt"))
-    b = ExactMatrix.load(data_text("sign8_skew_rcf.txt"))
-    red = IncrementalReducer(b.cols, QQ)
-    red.append(b)
-    new = [row for row in a.entries if any(row) and not red.contains(row)]
-    if len(new) != 1:
-        raise RuntimeError(f"expected exactly one new row, found {len(new)}")
-    return pipeline.reconstruct_identity(new[0], 8)
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -252,7 +242,7 @@ def _cmd_identity(args) -> int:
     if args.degree > 8:
         print("error: degrees above 8 are out of scope", file=sys.stderr)
         return 1
-    identity = _identity_from_matrices()
+    identity = bundled_identity()
     if args.recompute:
         reports = pipeline.analyze_degree(8, QQ, "sign")
         rows = reports[0].new_rows

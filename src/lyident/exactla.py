@@ -10,7 +10,7 @@ reduces whole batches with one matrix product per append; entries stay below
 p**2 * cols, far inside int64 range for every matrix this package builds.
 Over the rationals each basis row is kept as a primitive integer vector
 (content stripped, positive leading entry), which avoids fraction blowup
-during elimination; leading 1s appear only in snapshots.
+during elimination; leading 1s appear only in tail_rows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,10 +25,7 @@ __all__ = [
     "FieldSpec",
     "QQ",
     "GF101",
-    "ExactMatrix",
-    "rcf",
     "IncrementalReducer",
-    "row_space_contains",
 ]
 
 
@@ -56,9 +52,20 @@ class FieldSpec:
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
 
     def element(self, x):
-        if self.characteristic:
-            return int(x) % self.characteristic
-        return x if isinstance(x, Fraction) else Fraction(x)
+        """x in this field: a Fraction over Q; over GF(p) an int in [0, p),
+        numerator times the inverse of the denominator mod p.
+
+        Raises ValueError when p divides the denominator.
+        """
+        p = self.characteristic
+        if p and isinstance(x, int):
+            return x % p
+        f = x if isinstance(x, Fraction) else Fraction(x)
+        if not p:
+            return f
+        if f.denominator % p == 0:
+            raise ValueError(f"{f} has no image in GF({p}): its denominator is divisible by {p}")
+        return f.numerator * pow(f.denominator, -1, p) % p
 
     def __repr__(self):
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
@@ -66,73 +73,6 @@ class FieldSpec:
 
 QQ = FieldSpec(0)
 GF101 = FieldSpec(101)
-
-
-class ExactMatrix:
-    """Immutable dense matrix snapshot with exact entries."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field: FieldSpec, cols: int, entries: Iterable[Sequence]):
-        data = tuple(tuple(field.element(x) for x in row) for row in entries)
-        for row in data:
-            if len(row) != cols:
-                raise ValueError(f"row of length {len(row)} in a {cols}-column matrix")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.field == other.field
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"ExactMatrix({self.field}, {self.rows}x{self.cols})"
-
-    def dump(self) -> str:
-        """Serialize as 'rows cols characteristic' plus whitespace-separated entries."""
-        lines = [f"{self.rows} {self.cols} {self.field.characteristic}"]
-        for row in self.entries:
-            lines.append(" ".join(_render_entry(x) for x in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def load(cls, text: str) -> "ExactMatrix":
-        tokens = text.split()
-        if len(tokens) < 3:
-            raise ValueError("matrix dump needs a 'rows cols characteristic' header")
-        nrows, ncols, char = (int(t) for t in tokens[:3])
-        body = tokens[3:]
-        if len(body) != nrows * ncols:
-            raise ValueError(f"expected {nrows * ncols} entries, got {len(body)}")
-        field = FieldSpec(char)
-        it = iter(body)
-        entries = [[_parse_entry(next(it)) for _ in range(ncols)] for _ in range(nrows)]
-        return cls(field, ncols, entries)
-
-
-def _render_entry(x) -> str:
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
-
-
-def _parse_entry(tok: str):
-    if "/" in tok:
-        num, den = tok.split("/")
-        return Fraction(int(num), int(den))
-    return int(tok)
 
 
 # -- incremental row reduction -------------------------------------------------
@@ -161,10 +101,6 @@ class _ModReducer:
         self.pivots: list[int] = []
         # chunk rows so the float64 staging buffer stays around 256 MB
         self._chunk = max(256, (1 << 25) // max(cols, 1))
-
-    @property
-    def basis_bytes(self) -> int:
-        return self.basis.nbytes
 
     def _minus_combination(self, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """rows - coeffs @ basis, exactly, staging int8 chunks through float64."""
@@ -331,15 +267,15 @@ class IncrementalReducer:
 
     def append(self, rows) -> int:
         """Add rows (any iterable of row sequences); returns the rank increase."""
-        if isinstance(rows, ExactMatrix):
-            rows = rows.entries
         if self.field.characteristic:
             p = self.field.characteristic
-            if isinstance(rows, np.ndarray) and rows.dtype != object:
+            # integer arrays are exact as they are; every other entry goes
+            # through FieldSpec.element
+            if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
                 if rows.ndim != 2 or rows.shape[1] != self.cols:
                     raise ValueError(f"array shape {rows.shape} does not fit {self.cols} columns")
                 return self._impl.append(rows % p)
-            data = [[int(x) % p for x in r] for r in rows]
+            data = [[self.field.element(x) for x in r] for r in rows]
             for r in data:
                 self._check_width(r)
             if not data:
@@ -355,27 +291,16 @@ class IncrementalReducer:
         """True iff the row lies in the current row space."""
         self._check_width(row)
         if self.field.characteristic:
-            p = self.field.characteristic
-            reduced = self._impl.reduce_row([int(x) % p for x in row])
+            reduced = self._impl.reduce_row([self.field.element(x) for x in row])
             return not reduced.any()
         return not any(self._impl.reduce_only(row))
-
-    def snapshot(self) -> ExactMatrix:
-        """The current RCF (leading 1s, pivot columns cleared, by pivot order)."""
-        if self.field.characteristic:
-            return ExactMatrix(self.field, self.cols, self._impl.basis.astype(np.int64).tolist())
-        rows = [
-            [Fraction(x, base[c]) for x in base]
-            for c, base in zip(self._impl.pivots, self._impl.basis)
-        ]
-        return ExactMatrix(self.field, self.cols, rows)
 
     def tail_rows(self, start: int) -> list[list]:
         """Exact basis rows with pivot column >= start, restricted to start:.
 
         Echelon rows vanish left of their pivot, so the restriction loses
-        nothing; this avoids materializing a full snapshot of a wide basis.
-        Rows come back in pivot order with leading coefficient 1.
+        nothing; tail_rows(0) is the whole RCF (leading 1s, pivot columns
+        cleared). Rows come back in pivot order.
         """
         if not 0 <= start <= self.cols:
             raise ValueError(f"start {start} out of range for {self.cols} columns")
@@ -390,40 +315,3 @@ class IncrementalReducer:
             [Fraction(x, impl.basis[i][impl.pivots[i]]) for x in impl.basis[i][start:]]
             for i in sel
         ]
-
-
-def rcf(matrix, field: FieldSpec | None = None) -> tuple[ExactMatrix, int]:
-    """Unique reduced row echelon form and rank."""
-    if isinstance(matrix, ExactMatrix):
-        field = matrix.field
-        rows = matrix.entries
-        cols = matrix.cols
-    else:
-        if field is None:
-            raise ValueError("field required when the input is not an ExactMatrix")
-        rows = [list(r) for r in matrix]
-        cols = len(rows[0]) if rows else 0
-    red = IncrementalReducer(cols, field)
-    red.append(rows)
-    snap = red.snapshot()
-    pad = len(rows) - snap.rows
-    if pad > 0:
-        zero = [field.element(0)] * cols
-        snap = ExactMatrix(field, cols, list(snap.entries) + [zero] * pad)
-    return snap, red.rank
-
-
-def row_space_contains(A, B, field: FieldSpec | None = None) -> bool:
-    """True iff every row of A lies in the row space of B."""
-    if isinstance(B, ExactMatrix):
-        field = B.field
-        cols = B.cols
-    else:
-        if field is None:
-            raise ValueError("field required when B is not an ExactMatrix")
-        B = list(B)
-        cols = len(B[0]) if B else 0
-    rows_a = A.entries if isinstance(A, ExactMatrix) else list(A)
-    red = IncrementalReducer(cols, field)
-    red.append(B)
-    return all(red.contains(r) for r in rows_a)

@@ -5,7 +5,9 @@ one d x d representation block per association type, binary types rightmost.
 A row of RCF(L_pi) whose leading 1 falls in a binary block is zero everywhere
 left of it, so it is an identity involving the bilinear operation alone; the
 submatrix A_pi of such rows is measured against B_pi, the reduced
-skew-symmetry relations of the binary types. A row of A_pi outside the row
+skew-symmetry relations of the binary types. reduce_identities keeps
+RCF(L_pi) without ever holding L_pi, and A_pi is read off it with
+tail_rows from the first binary column. A row of A_pi outside the row
 space of B_pi is an identity the bilinear operation satisfies beyond
 anticommutativity. In the sign representation the blocks are 1 x 1 and rows
 are alternating sums, which is where the degree-8 identity appears.
@@ -21,17 +23,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import _perm, freealg, liftgen, symrep
-from .exactla import GF101, QQ, ExactMatrix, FieldSpec, IncrementalReducer
+from .exactla import GF101, QQ, FieldSpec, IncrementalReducer
 
 __all__ = [
     "ExplicitIdentity",
     "PartitionReport",
     "ResourceCaps",
     "CertifyResult",
-    "build_L_pi",
     "reduce_identities",
-    "extract_A_pi",
-    "build_B_pi",
     "analyze_partition",
     "select_partitions",
     "analyze_degree",
@@ -127,18 +126,6 @@ def _column_split(degree: int, d: int) -> tuple[int, int, int]:
     return m * d, (m - b) * d, b * d
 
 
-def build_L_pi(gen: liftgen.GenerationSet, pi: symrep.Partition, field: FieldSpec) -> ExactMatrix:
-    """Stacked block rows of every identity; binary types rightmost."""
-    if pi.n != gen.degree:
-        raise ValueError(f"partition of {pi.n} against degree-{gen.degree} identities")
-    table = symrep.RepTable(pi, field)
-    cols, _, _ = _column_split(gen.degree, table.dim)
-    rows: list[list[int]] = []
-    for ident in gen.identities:
-        rows.extend(liftgen.identity_rows(ident, table).tolist())
-    return ExactMatrix(field, cols, rows)
-
-
 def reduce_identities(
     gen: liftgen.GenerationSet,
     pi: symrep.Partition,
@@ -176,23 +163,8 @@ def reduce_identities(
     return red, "ok"
 
 
-def extract_A_pi(l_rcf: ExactMatrix, degree: int) -> ExactMatrix:
-    """Rows of RCF(L_pi) whose leading 1 sits in a binary block, restricted
-    to the binary columns (echelon rows are zero left of their pivot)."""
-    m = freealg.count_types(degree).all
-    if l_rcf.cols % m:
-        raise ValueError(f"{l_rcf.cols} columns do not split into {m} type blocks")
-    d = l_rcf.cols // m
-    _, first_binary, bcols = _column_split(degree, d)
-    rows = []
-    for row in l_rcf.entries:
-        lead = next((i for i, x in enumerate(row) if x), None)
-        if lead is not None and lead >= first_binary:
-            rows.append(row[first_binary:])
-    return ExactMatrix(l_rcf.field, bcols, rows)
-
-
 def _skew_reducer(pi: symrep.Partition, degree: int, field: FieldSpec) -> IncrementalReducer:
+    """B_pi: the binary skew-symmetry relations iota + sigma, reduced."""
     table = symrep.RepTable(pi, field)
     d = table.dim
     btypes = freealg.binary_types(degree)
@@ -204,11 +176,6 @@ def _skew_reducer(pi: symrep.Partition, degree: int, field: FieldSpec) -> Increm
             rows[:, j * d : (j + 1) * d] = eye + table.matrix(g.perm).astype(np.int64)
             red.append(rows)
     return red
-
-
-def build_B_pi(pi: symrep.Partition, degree: int, field: FieldSpec) -> ExactMatrix:
-    """RCF'd nonzero rows of the binary skew-symmetry relations iota + sigma."""
-    return _skew_reducer(pi, degree, field).snapshot()
 
 
 def default_generation(n: int, filtered: bool = True) -> liftgen.GenerationSet:

@@ -20,9 +20,8 @@ representations. The two must agree (tested), since R is a homomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from math import factorial, gcd
+from math import factorial
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "clifton_a_matrix",
     "clifton_matrix",
     "RepTable",
-    "rep_of_element",
 ]
 
 
@@ -297,45 +295,15 @@ class RepTable:
         return self._memo[tuple(sigma)]
 
     def element(self, elt: dict[tuple[int, ...], object]) -> np.ndarray:
-        """Linear extension over integer coefficients; int64 result."""
+        """Linear extension over integer coefficients; int64 result.
+
+        A coefficient that is not an integer raises ValueError.
+        """
         p = self.field.characteristic
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for sigma, coeff in elt.items():
-            out += int(coeff) * self.matrix(sigma).astype(np.int64)
+            c = int(coeff)
+            if c != coeff:
+                raise ValueError(f"coefficient {coeff} of {sigma} is not an integer")
+            out += c * self.matrix(sigma).astype(np.int64)
         return out % p if p else out
-
-
-_TABLES: dict[tuple[Partition, FieldSpec], RepTable] = {}
-
-
-def _table(pi: Partition, field: FieldSpec) -> RepTable:
-    key = (pi, field)
-    tab = _TABLES.get(key)
-    if tab is None:
-        tab = _TABLES[key] = RepTable(pi, field)
-    return tab
-
-
-def rep_of_element(pi: Partition, elt: dict[tuple[int, ...], object], field: FieldSpec = QQ):
-    """Sum of coeff * R(sigma) as a list-of-lists matrix over the field.
-
-    Rational (or integer) coefficients are cleared through a common
-    denominator so the table's integer fast path applies, then restored.
-    """
-    if not elt:
-        d = dimension(pi)
-        return [[field.element(0)] * d for _ in range(d)]
-    den = 1
-    for c in elt.values():
-        f = Fraction(c)
-        den = den * f.denominator // gcd(den, f.denominator)
-    scaled = {s: int(Fraction(c) * den) for s, c in elt.items()}
-    m = _table(pi, field).element(scaled)
-    if field.characteristic:
-        if den % field.characteristic == 0:
-            raise ValueError("denominator vanishes in the working characteristic")
-        m = m * pow(den, field.characteristic - 2, field.characteristic) % field.characteristic
-        return [[int(x) for x in row] for row in m]
-    if den == 1:
-        return [[int(x) for x in row] for row in m]
-    return [[Fraction(int(x), den) for x in row] for row in m]

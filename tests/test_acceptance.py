@@ -28,7 +28,7 @@ import test_freealg
 import test_pipeline
 from lyident import _perm, cli, evallab, freealg, liftgen, pipeline, symrep
 from lyident._data import data_text
-from lyident.exactla import GF101, QQ, ExactMatrix, IncrementalReducer, rcf
+from lyident.exactla import GF101, QQ, IncrementalReducer
 
 F = Fraction
 
@@ -109,15 +109,16 @@ def test_05_degree7_nonexistence(reports7, gen7_filtered):
 def test_06_degree8_sign_representation(gen8):
     red, status = pipeline.reduce_identities(gen8, SIGN8, QQ, None)
     assert status == "ok"
-    a_matrix = pipeline.extract_A_pi(red.snapshot(), 8)
-    assert a_matrix == ExactMatrix.load(data_text("sign8_lifted_rcf.txt"))
-    assert a_matrix == test_pipeline.expected_A8()
-    assert a_matrix.rows == 11 and rcf(a_matrix, QQ)[1] == 11
+    a_rows = red.tail_rows(354 - 23)
+    assert a_rows == test_pipeline.load_golden("sign8_lifted_rcf.txt")
+    assert a_rows == test_pipeline.expected_A8()
+    assert len(a_rows) == 11 and len(test_exactla.rcf(a_rows, QQ)) == 11
 
-    b_matrix = pipeline.build_B_pi(SIGN8, 8, QQ)
-    assert b_matrix == ExactMatrix.load(data_text("sign8_skew_rcf.txt"))
-    assert b_matrix == test_pipeline.expected_B8()
-    assert b_matrix.rows == 10 and rcf(b_matrix, QQ)[1] == 10
+    skew = pipeline._skew_reducer(SIGN8, 8, QQ)
+    b_rows = skew.tail_rows(0)
+    assert b_rows == test_pipeline.load_golden("sign8_skew_rcf.txt")
+    assert b_rows == test_pipeline.expected_B8()
+    assert skew.rank == 10 and len(test_exactla.rcf(b_rows, QQ)) == 10
 
     rep = pipeline.analyze_partition(SIGN8, gen8, QQ, None)
     assert rep.a_rank == 11 and rep.contains is False
@@ -128,9 +129,10 @@ def test_06_degree8_sign_representation(gen8):
 
 
 def test_07_certification(gen8):
-    result = pipeline.certify_new(cli.bundled_identity(), 8, QQ, generation=gen8)
-    assert result.not_anticommutative_consequence is True
-    assert result.is_LY_consequence is True
+    for field in (QQ, GF101):
+        result = pipeline.certify_new(cli.bundled_identity(), 8, field, generation=gen8)
+        assert result.not_anticommutative_consequence is True, field
+        assert result.is_LY_consequence is True, field
 
 
 def test_08_redundancy_filter_spans(gen6_filtered, gen7_filtered):
@@ -191,9 +193,13 @@ def test_10_linear_algebra_properties():
         for _ in range(500):
             cols = rng.randint(1, 8)
             m = test_exactla.random_matrix(rng, rng.randint(1, 6), cols, field)
-            reduced, rank = rcf(m, field)
-            again, rank2 = rcf(reduced)
-            assert again == reduced and rank2 == rank
+            red = IncrementalReducer(cols, field)
+            red.append(m)
+            reduced = red.tail_rows(0)
+            if reduced:
+                test_exactla.assert_rcf(reduced)
+                assert test_exactla.rcf(reduced, field) == reduced
+            assert len(reduced) == red.rank
             # canonicality: same row space, same RCF (shuffle rows, repeat
             # one, rescale over the rationals)
             rows = [list(r) for r in m]
@@ -202,20 +208,16 @@ def test_10_linear_algebra_properties():
             if not field.characteristic:
                 scales = [rng.choice((1, 2, 3)) for _ in rows]
                 rows = [[x * c for x in row] for row, c in zip(rows, scales)]
-            assert rcf(rows, field)[0].entries[:rank] == reduced.entries[:rank]
-            red = IncrementalReducer(cols, field)
-            red.append(m)
-            assert red.rank == rank
-            assert red.snapshot() == ExactMatrix(field, cols, reduced.entries[:rank])
+            assert test_exactla.rcf(rows, field) == reduced
     # rank agreement across the fields on every pipeline matrix of degree <= 5
     for n in (3, 4, 5):
         gen = liftgen.generate(n)
         for pi in symrep.partitions(n):
-            l_qq = rcf(pipeline.build_L_pi(gen, pi, QQ), QQ)[1]
-            l_ff = rcf(pipeline.build_L_pi(gen, pi, GF101), GF101)[1]
+            l_qq = pipeline.reduce_identities(gen, pi, QQ)[0].rank
+            l_ff = pipeline.reduce_identities(gen, pi, GF101)[0].rank
             assert l_qq == l_ff, (n, pi)
-            b_qq = pipeline.build_B_pi(pi, n, QQ).rows
-            b_ff = pipeline.build_B_pi(pi, n, GF101).rows
+            b_qq = pipeline._skew_reducer(pi, n, QQ).rank
+            b_ff = pipeline._skew_reducer(pi, n, GF101).rank
             assert b_qq == b_ff, (n, pi)
 
 

@@ -1,10 +1,14 @@
-"""Command-line surface: output shapes, exit codes, file formats."""
+"""Command-line surface: output shapes, exit codes, file formats; and the
+names each module exports."""
 
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import lyident
 from lyident import cli, evallab, freealg, pipeline
 from lyident._data import data_text
 
@@ -277,3 +281,12 @@ class TestValidateAlgebra:
         path.write_text("{nope")
         code, _, err = run(capsys, "validate-algebra", str(path))
         assert code == 1 and "error" in err
+
+
+def test_every_exported_name_resolves():
+    # the benchmark's traced run wraps getattr(module, name) for every
+    # __all__ entry, so a name left behind by a deletion breaks it
+    for info in pkgutil.iter_modules(lyident.__path__):
+        mod = importlib.import_module(f"lyident.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"lyident.{info.name}.{name}"

@@ -1,19 +1,16 @@
-"""Tests for exact row reduction over the rationals and GF(101)."""
+"""Tests for exact row reduction over the rationals and GF(101).
+
+The reducer's tail_rows(0) is the row canonical form (RCF) of everything
+appended; the rcf tests state its properties there.
+"""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lyident.exactla import (
-    GF101,
-    QQ,
-    ExactMatrix,
-    FieldSpec,
-    IncrementalReducer,
-    rcf,
-    row_space_contains,
-)
+from lyident.exactla import GF101, QQ, FieldSpec, IncrementalReducer
 
 
 def test_fieldspec_validation():
@@ -24,24 +21,58 @@ def test_fieldspec_validation():
             FieldSpec(bad)
 
 
+def test_fieldspec_element_maps_rationals():
+    assert FieldSpec(101).element(Fraction(-3, 2)) == 49
+    assert GF101.element(-1) == 100
+    assert GF101.element(Fraction(202, 2)) == 0
+    assert QQ.element(3) == Fraction(3) and QQ.element(Fraction(-3, 2)) == Fraction(-3, 2)
+    with pytest.raises(ValueError, match="denominator"):
+        GF101.element(Fraction(1, 101))
+
+
+def test_gf_reducer_reads_fractions():
+    red = IncrementalReducer(2, GF101)
+    red.append([[2, -1]])
+    assert red.contains([1, Fraction(-1, 2)])
+    assert not red.contains([1, Fraction(1, 2)])
+    assert red.append([[Fraction(1, 3), Fraction(-1, 6)]]) == 0
+    # a float array is read exactly too, not truncated
+    assert red.append(np.array([[1.0, -0.5]])) == 0
+    assert red.append(np.array([[1.0, 0.5]])) == 1
+    with pytest.raises(ValueError, match="denominator"):
+        red.contains([1, Fraction(1, 101)])
+
+
+def rcf(rows, field):
+    """RCF of a nonempty list of rows: a fresh reducer's tail_rows(0)."""
+    red = IncrementalReducer(len(rows[0]), field)
+    red.append(rows)
+    return red.tail_rows(0)
+
+
+def assert_rcf(rows):
+    """Leading 1s in strictly increasing columns, each pivot column
+    zero outside its own row."""
+    leads = [next(i for i, x in enumerate(row) if x) for row in rows]
+    assert leads == sorted(set(leads))
+    for k, (row, c) in enumerate(zip(rows, leads)):
+        assert row[c] == 1
+        assert all(other[c] == 0 for i, other in enumerate(rows) if i != k)
+
+
 def test_rcf_identity():
     eye = [[int(i == j) for j in range(5)] for i in range(5)]
-    r, rank = rcf(eye, QQ)
-    assert rank == 5 and [list(row) for row in r.entries] == eye
-    r, rank = rcf(eye, GF101)
-    assert rank == 5 and [list(row) for row in r.entries] == eye
+    assert rcf(eye, QQ) == eye
+    assert rcf(eye, GF101) == eye
 
 
 def test_rcf_dependent_rows():
-    r, rank = rcf([[2, 4], [1, 2]], QQ)
-    assert rank == 1
-    assert r.entries == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(0)))
+    assert rcf([[2, 4], [1, 2]], QQ) == [[Fraction(1), Fraction(2)]]
 
 
 def test_rcf_fractions_normalize():
-    r, rank = rcf([[Fraction(1, 2), Fraction(1, 3)], [0, 5]], QQ)
-    assert rank == 2
-    assert r.entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert rcf([[Fraction(1, 2), Fraction(1, 3)], [0, 5]], QQ) == [
+        [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
 
 
 def random_matrix(rng, rows, cols, field):
@@ -55,11 +86,14 @@ def test_rcf_idempotent_and_span_preserving(field):
     rng = random.Random(7)
     for _ in range(5):
         m = random_matrix(rng, 20, 30, field)
-        r, rank = rcf(m, field)
-        r2, rank2 = rcf(r)
-        assert (r2, rank2) == (r, rank)
-        assert row_space_contains(m, r.entries, field)
-        assert row_space_contains(r.entries, m, field)
+        r = rcf(m, field)
+        assert_rcf(r)
+        assert rcf(r, field) == r
+        red_m, red_r = IncrementalReducer(30, field), IncrementalReducer(30, field)
+        red_m.append(m)
+        red_r.append(r)
+        assert all(red_m.contains(row) for row in r)
+        assert all(red_r.contains(row) for row in m)
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])
@@ -70,9 +104,7 @@ def test_rcf_unique_under_row_operations(field):
     rng.shuffle(shuffled)
     shuffled[0] = [a + 3 * b for a, b in zip(shuffled[0], shuffled[4])]
     shuffled.append([2 * a for a in shuffled[1]])
-    ra, _ = rcf(m, field)
-    rb, _ = rcf(shuffled, field)
-    assert ra.entries == rb.entries[: ra.rows]
+    assert rcf(m, field) == rcf(shuffled, field)
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])
@@ -85,10 +117,8 @@ def test_incremental_matches_batch(field):
         bulk = IncrementalReducer(cols, field)
         bulk.append(m)
         assert sum(deltas) == bulk.rank == one.rank
-        assert one.snapshot() == bulk.snapshot()
-        full, rank = rcf(m, field)
-        assert rank == bulk.rank
-        assert full.entries[:rank] == bulk.snapshot().entries
+        assert one.tail_rows(0) == bulk.tail_rows(0)
+        assert one.pivots == bulk.pivots
 
 
 def test_append_duplicate_row():
@@ -105,10 +135,10 @@ def test_append_row_in_span_keeps_snapshot(field):
     m = random_matrix(rng, 6, 9, field)
     red = IncrementalReducer(9, field)
     red.append(m)
-    snap = red.snapshot()
+    snap = red.tail_rows(0)
     combo = [sum(3 * row[j] - 2 * m[0][j] for row in m) for j in range(9)]
     assert red.append([combo]) == 0
-    assert red.snapshot() == snap
+    assert red.tail_rows(0) == snap
 
 
 def test_append_width_mismatch():
@@ -123,15 +153,14 @@ def test_append_width_mismatch():
 def test_row_space_contains(field):
     rng = random.Random(41)
     b = random_matrix(rng, 5, 8, field)
-    eye = [[int(i == j) for j in range(8)] for i in range(8)]
-    zero = [[0] * 8]
-    assert row_space_contains(b, b, field)
-    assert not row_space_contains(eye, zero, field)
-    combos = []
+    red = IncrementalReducer(8, field)
+    red.append(b)
+    assert all(red.contains(row) for row in b)
+    assert not any(IncrementalReducer(8, field).contains([int(i == j) for j in range(8)])
+                   for i in range(8))
     for _ in range(7):
         coeffs = [rng.randint(-4, 4) for _ in range(5)]
-        combos.append([sum(c * row[j] for c, row in zip(coeffs, b)) for j in range(8)])
-    assert row_space_contains(combos, b, field)
+        assert red.contains([sum(c * row[j] for c, row in zip(coeffs, b)) for j in range(8)])
 
 
 def test_contains_tracks_pivots():
@@ -145,44 +174,14 @@ def test_contains_tracks_pivots():
 def test_rational_entries_stay_exact():
     # a matrix that makes float pivoting drift: scaled Hilbert rows
     m = [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)]
-    r, rank = rcf(m, QQ)
-    assert rank == 5
-    eye = tuple(tuple(Fraction(int(i == j)) for j in range(5)) for i in range(5))
-    assert r.entries == eye
-
-
-def test_dump_load_roundtrip():
-    m = ExactMatrix(QQ, 3, [[1, Fraction(-3, 2), 0], [Fraction(7, 3), 2, -1]])
-    text = m.dump()
-    assert text.splitlines()[0] == "2 3 0"
-    assert "-3/2" in text
-    assert ExactMatrix.load(text) == m
-    mm = ExactMatrix(GF101, 2, [[100, 1], [55, 0]])
-    assert ExactMatrix.load(mm.dump()) == mm
-
-
-def test_load_rejects_malformed():
-    with pytest.raises(ValueError):
-        ExactMatrix.load("2 2")
-    with pytest.raises(ValueError):
-        ExactMatrix.load("2 2 0\n1 2 3")
-    with pytest.raises(ValueError):
-        ExactMatrix(QQ, 2, [[1, 2, 3]])
-
-
-def test_matrix_immutable():
-    m = ExactMatrix(QQ, 1, [[1]])
-    with pytest.raises(AttributeError):
-        m.cols = 2
+    assert rcf(m, QQ) == [[Fraction(int(i == j)) for j in range(5)] for i in range(5)]
 
 
 def test_rank_agreement_across_fields():
     rng = random.Random(97)
     for _ in range(10):
         m = [[rng.randint(-5, 5) for _ in range(12)] for _ in range(9)]
-        _, rank_q = rcf(m, QQ)
-        _, rank_p = rcf(m, GF101)
-        assert rank_q == rank_p
+        assert len(rcf(m, QQ)) == len(rcf(m, GF101))
 
 
 def test_wide_int8_basis_matches_regular(monkeypatch):
@@ -198,7 +197,7 @@ def test_wide_int8_basis_matches_regular(monkeypatch):
         block = random_matrix(rng, 7, 30, GF101)
         assert wide.append(block) == plain.append(block)
     assert wide.pivots == plain.pivots
-    assert wide.snapshot() == plain.snapshot()
+    assert wide.tail_rows(0) == plain.tail_rows(0)
     probe = random_matrix(rng, 1, 30, GF101)[0]
     assert list(wide._impl.reduce_row(probe)) == list(plain._impl.reduce_row(probe))
 

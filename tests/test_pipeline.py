@@ -3,15 +3,29 @@ agreement, and the degree-8 sign-representation identity."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from lyident import _perm, freealg, liftgen, pipeline, symrep
-from lyident.exactla import GF101, QQ, ExactMatrix, FieldSpec, IncrementalReducer, rcf
+from lyident import _perm, cli, freealg, liftgen, pipeline, symrep
+from lyident._data import data_text
+from lyident.exactla import GF101, QQ, IncrementalReducer
 from lyident.pipeline import ExplicitIdentity, ResourceCaps
 
 
 def frow(row):
     return [Fraction(x) for x in row]
+
+
+def stacked_rows(gen, pi, field) -> np.ndarray:
+    """L_pi: every identity's block rows, stacked in generation order."""
+    table = symrep.RepTable(pi, field)
+    return np.concatenate([liftgen.identity_rows(ident, table) for ident in gen.identities])
+
+
+def reduced(rows, cols: int, field) -> IncrementalReducer:
+    red = IncrementalReducer(cols, field)
+    red.append(rows)
+    return red
 
 
 # -- degree 3 by hand ----------------------------------------------------------
@@ -23,43 +37,37 @@ def frow(row):
 class TestDegree3:
     def test_sign_rep_matrix(self):
         gen = liftgen.generate(3)
-        L = pipeline.build_L_pi(gen, symrep.Partition((1, 1, 1)), QQ)
-        assert [frow(r) for r in L.entries] == [frow([3, 3])]
+        L = stacked_rows(gen, symrep.Partition((1, 1, 1)), QQ)
+        assert [frow(r) for r in L] == [frow([3, 3])]
 
     def test_standard_rep_matrix(self):
         gen = liftgen.generate(3)
-        L = pipeline.build_L_pi(gen, symrep.Partition((2, 1)), QQ)
-        assert [frow(r) for r in L.entries] == [frow([1, 0, 1, 0]), frow([-2, 0, -2, 0])]
-        reduced, rank = rcf(L, QQ)
-        assert rank == 1
-        assert [frow(r) for r in reduced.entries[:rank]] == [frow([1, 0, 1, 0])]
-        assert not any(reduced.entries[-1])
+        L = stacked_rows(gen, symrep.Partition((2, 1)), QQ)
+        assert [frow(r) for r in L] == [frow([1, 0, 1, 0]), frow([-2, 0, -2, 0])]
+        red = reduced(L, 4, QQ)
+        assert red.rank == 1
+        assert red.tail_rows(0) == [frow([1, 0, 1, 0])]
 
     def test_no_binary_pivot_rows(self):
         # the lone RCF row [1, 1] leads in the ternary column, so A is empty
         gen = liftgen.generate(3)
-        L = pipeline.build_L_pi(gen, symrep.Partition((1, 1, 1)), QQ)
-        reduced, _ = rcf(L, QQ)
-        A = pipeline.extract_A_pi(reduced, 3)
-        assert A.rows == 0 and A.cols == 1
+        red, _ = pipeline.reduce_identities(gen, symrep.Partition((1, 1, 1)), QQ)
+        assert red.tail_rows(0) == [frow([1, 1])]
+        assert red.tail_rows(1) == []
 
     def test_sign_skews_vanish(self):
         # [[a,b],c] has the single skew iota + (b a c); the sign rep sends the
         # odd transposition to -1, so the relation is identically zero
-        B = pipeline.build_B_pi(symrep.Partition((1, 1, 1)), 3, QQ)
-        assert B.rows == 0 and B.cols == 1
+        B = pipeline._skew_reducer(symrep.Partition((1, 1, 1)), 3, QQ)
+        assert B.rank == 0 and B.cols == 1
 
     def test_standard_skews(self):
         pi = symrep.Partition((2, 1))
         table = symrep.RepTable(pi, QQ)
         swap = table.matrix((2, 1, 3))
-        B = pipeline.build_B_pi(pi, 3, QQ)
-        expected, rank = rcf(
-            ExactMatrix(QQ, 2, [[1 + int(swap[0][0]), int(swap[0][1])],
-                                [int(swap[1][0]), 1 + int(swap[1][1])]]),
-            QQ,
-        )
-        assert B == ExactMatrix(QQ, 2, expected.entries[:rank])
+        B = pipeline._skew_reducer(pi, 3, QQ)
+        expected = reduced(np.eye(2, dtype=np.int64) + swap, 2, QQ)
+        assert B.tail_rows(0) == expected.tail_rows(0)
 
     def test_jacobi_not_a_consequence(self):
         # the alternating sum over [[a,b],c] is the Jacobi identity; the
@@ -130,47 +138,41 @@ class TestExplicitIdentity:
 
 
 class TestAgreement:
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_L_rank_QQ_matches_GF101(self, n):
-        gen = liftgen.generate(n)
-        for pi in symrep.partitions(n):
-            Lq = pipeline.build_L_pi(gen, pi, QQ)
-            Lp = pipeline.build_L_pi(gen, pi, GF101)
-            _, rank_q = rcf(Lq, QQ)
-            _, rank_p = rcf(Lp, GF101)
-            assert rank_q == rank_p, pi.render()
-
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5])
     def test_incremental_equals_batch(self, n):
+        # the chunked feed of reduce_identities against one append of the
+        # stacked rows, over both fields
         gen = liftgen.generate(n)
+        m = freealg.count_types(n).all
         for pi in symrep.partitions(n):
-            red, status = pipeline.reduce_identities(gen, pi, GF101)
-            assert status == "ok"
-            L = pipeline.build_L_pi(gen, pi, GF101)
-            batch, rank = rcf(L, GF101)
-            assert red.rank == rank
-            assert red.snapshot() == ExactMatrix(GF101, L.cols, batch.entries[:rank])
+            for field in (QQ, GF101):
+                red, status = pipeline.reduce_identities(gen, pi, field)
+                assert status == "ok"
+                batch = reduced(stacked_rows(gen, pi, field), m * pi.dimension, field)
+                assert red.tail_rows(0) == batch.tail_rows(0), (field, pi.render())
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_tail_rows_match_extraction(self, n):
+        # A_pi read off the whole RCF by hand: rows leading in a binary
+        # block, restricted to the binary columns
         gen = liftgen.generate(n)
         m = freealg.count_types(n).all
         b = len(freealg.binary_types(n))
         for pi in symrep.partitions(n):
-            d = pi.dimension
+            first_binary = (m - b) * pi.dimension
             red, _ = pipeline.reduce_identities(gen, pi, QQ)
-            reduced, _ = rcf(pipeline.build_L_pi(gen, pi, QQ), QQ)
-            A = pipeline.extract_A_pi(reduced, n)
-            assert [frow(r) for r in red.tail_rows((m - b) * d)] == [
-                frow(r) for r in A.entries
+            A = [
+                row[first_binary:] for row in red.tail_rows(0)
+                if next(i for i, x in enumerate(row) if x) >= first_binary
             ]
+            assert red.tail_rows(first_binary) == A
 
     def test_B_rank_QQ_matches_GF101(self):
         for n in (4, 5, 6):
             for pi in symrep.partitions(n):
-                Bq = pipeline.build_B_pi(pi, n, QQ)
-                Bp = pipeline.build_B_pi(pi, n, GF101)
-                assert Bq.rows == Bp.rows, (n, pi.render())
+                Bq = pipeline._skew_reducer(pi, n, QQ)
+                Bp = pipeline._skew_reducer(pi, n, GF101)
+                assert Bq.rank == Bp.rank, (n, pi.render())
 
 
 # -- no new identity below degree 8 ----------------------------------------------
@@ -320,7 +322,7 @@ def unit_row(pivot: int, cols: int = 23) -> list[Fraction]:
     return row
 
 
-def expected_A8() -> ExactMatrix:
+def expected_A8() -> list[list[Fraction]]:
     rows = []
     for p in A8_PIVOTS:
         if p == 4:
@@ -330,11 +332,22 @@ def expected_A8() -> ExactMatrix:
             rows.append(row)
         else:
             rows.append(unit_row(p))
-    return ExactMatrix(QQ, 23, rows)
+    return rows
 
 
-def expected_B8() -> ExactMatrix:
-    return ExactMatrix(QQ, 23, [unit_row(p) for p in B8_PIVOTS])
+def expected_B8() -> list[list[Fraction]]:
+    return [unit_row(p) for p in B8_PIVOTS]
+
+
+def load_golden(name: str) -> list[list[Fraction]]:
+    """A bundled matrix: a 'rows cols characteristic' header, then the
+    entries row by row."""
+    tokens = data_text(name).split()
+    rows, cols, char = (int(t) for t in tokens[:3])
+    assert char == 0
+    entries = [Fraction(t) for t in tokens[3:]]
+    assert len(entries) == rows * cols
+    return [entries[i * cols : (i + 1) * cols] for i in range(rows)]
 
 
 class TestDegree8Sign:
@@ -346,12 +359,11 @@ class TestDegree8Sign:
         sign = symrep.Partition((1,) * 8)
         red, status = pipeline.reduce_identities(gen8, sign, QQ)
         assert status == "ok"
-        A = ExactMatrix(QQ, 23, red.tail_rows(354 - 23))
-        assert A == expected_A8()
+        assert red.tail_rows(354 - 23) == expected_A8()
 
     def test_skew_matrix(self):
-        B = pipeline.build_B_pi(symrep.Partition((1,) * 8), 8, QQ)
-        assert B == expected_B8()
+        B = pipeline._skew_reducer(symrep.Partition((1,) * 8), 8, QQ)
+        assert B.tail_rows(0) == expected_B8()
 
     def test_one_new_identity(self, sign_reports):
         (rep,) = sign_reports
@@ -398,7 +410,13 @@ class TestDegree8Sign:
 
 class TestStoredMatrices:
     def test_matrix_files_match(self):
-        from lyident._data import data_text
+        assert load_golden("sign8_lifted_rcf.txt") == expected_A8()
+        assert load_golden("sign8_skew_rcf.txt") == expected_B8()
 
-        assert ExactMatrix.load(data_text("sign8_lifted_rcf.txt")) == expected_A8()
-        assert ExactMatrix.load(data_text("sign8_skew_rcf.txt")) == expected_B8()
+    def test_identity_is_the_new_row(self):
+        # the one consequence row outside the skew row space is the stored
+        # identity
+        skew = reduced(load_golden("sign8_skew_rcf.txt"), 23, QQ)
+        new = [row for row in load_golden("sign8_lifted_rcf.txt") if not skew.contains(row)]
+        assert len(new) == 1
+        assert pipeline.reconstruct_identity(new[0], 8) == cli.bundled_identity()

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from lyident import _perm, symrep
+from lyident import _perm, freealg, liftgen, symrep
 from lyident.exactla import GF101, QQ
 from lyident.symrep import Partition
 
@@ -149,17 +149,28 @@ def test_direct_and_composed_agree_spot_checks():
 
 def test_rep_of_element():
     ident = _perm.identity(4)
-    assert symrep.rep_of_element(Partition((2, 2)), {ident: 1}) == [[1, 0], [0, 1]]
+    assert symrep.RepTable(Partition((2, 2)), QQ).element({ident: 1}).tolist() == [[1, 0], [0, 1]]
     alt = {p: _perm.sign(p) for p in _perm.all_perms(4)}
-    assert symrep.rep_of_element(Partition((1, 1, 1, 1)), alt) == [[24]]
-    assert symrep.rep_of_element(Partition((4,)), {(2, 1, 3, 4): 1, (3, 4, 2, 1): -1}) == [[0]]
-    got = symrep.rep_of_element(Partition((2, 1)), {(1, 2, 3): Fraction(-3, 2)})
-    assert got == [[Fraction(-3, 2), 0], [0, Fraction(-3, 2)]]
-    # fractional coefficients survive the modular route when invertible
-    got = symrep.rep_of_element(Partition((3,)), {(1, 2, 3): Fraction(1, 2)}, GF101)
-    assert got == [[51]]
+    assert symrep.RepTable(Partition((1, 1, 1, 1)), QQ).element(alt).tolist() == [[24]]
+    trivial = symrep.RepTable(Partition((4,)), QQ)
+    assert trivial.element({(2, 1, 3, 4): 1, (3, 4, 2, 1): -1}).tolist() == [[0]]
+    # integral Fractions are integers; over GF(101) the result is reduced
+    got = symrep.RepTable(Partition((2, 1)), GF101).element({(1, 2, 3): Fraction(-6, 2)})
+    assert got.tolist() == [[98, 0], [0, 98]]
+
+
+@pytest.mark.parametrize("field", [QQ, GF101], ids=["QQ", "GF101"])
+def test_rep_of_element_rejects_fractions(field):
+    with pytest.raises(ValueError, match="not an integer"):
+        symrep.RepTable(Partition((1, 1)), field).element({(1, 2): Fraction(3, 2)})
+    with pytest.raises(ValueError, match="not an integer"):
+        symrep.RepTable(Partition((2, 1)), field).element({(1, 2, 3): 1, (2, 1, 3): Fraction(-1, 2)})
+    # the route a polynomial takes: 1/2 [[a,b],c] used to give zero rows
+    half = freealg.expand([(Fraction(1, 2), (2, (2, 1, 2), 3))])
+    with pytest.raises(ValueError, match="not an integer"):
+        liftgen.identity_rows(half, symrep.RepTable(Partition((2, 1)), field))
 
 
 def test_alternating_sum_in_sign_rep_degree8():
     alt = {p: _perm.sign(p) for p in _perm.all_perms(8)}
-    assert symrep.rep_of_element(Partition((1,) * 8), alt) == [[factorial(8)]]
+    assert symrep.RepTable(Partition((1,) * 8), QQ).element(alt).tolist() == [[factorial(8)]]
