@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import evallab, freealg, liftgen, pipeline
 from ._data import data_text
-from .exactla import QQ, FieldSpec
+from .exactla import _MAX_CHAR, QQ, FieldSpec
 
 __all__ = [
     "main",
@@ -190,6 +190,10 @@ def _cmd_analyze(args) -> int:
     if args.char != 0 and args.char <= degree:
         print(f"error: characteristic must be 0 or a prime > {degree}", file=sys.stderr)
         return 1
+    if args.char > _MAX_CHAR:
+        # checked before the generation set is built, which can take minutes
+        print(f"error: characteristic must be 0 or a prime <= {_MAX_CHAR}", file=sys.stderr)
+        return 1
     field = QQ if args.char == 0 else FieldSpec(args.char)
     selector = _parse_selector(args.partitions)
     caps = None
@@ -276,6 +280,10 @@ def _cmd_verify(args) -> int:
     if result.passed:
         print(f"PASS: zero on {result.assignments_checked} assignments "
               f"({args.trials} random, seed {args.seed}, plus basis tuples where feasible)")
+        n = item.degree
+        if isinstance(item, pipeline.ExplicitIdentity) and item.alternating and algebra.dimension < n:
+            print(f"note: the check is vacuous: every alternating {n}-linear map vanishes "
+                  f"in dimension {algebra.dimension}")
         return 0
     print(f"FAIL after {result.assignments_checked} assignments")
     for k, v in enumerate(result.witness, start=1):

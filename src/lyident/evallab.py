@@ -10,9 +10,10 @@ derivation identity {{a,b},c} = {{a,c},b} + {a,{b,c}} via the
 skew-symmetrization [a,b] = {a,b} - {b,a} and ⟨a,b,c⟩ = {c,{a,b}}.
 
 Identity checks substitute vectors for the variables and contract through
-the structure constants; alternating identities are evaluated through the
-determinant of the coordinate matrix, which keeps the n!-term alternation
-exact and cheap.
+the structure constants. Alternating identities are evaluated by a memoised
+recursion over variable subsets: the alternation of [A, B] is a signed sum
+over the shuffles of its variables, which keeps the n!-term sum exact and
+cheap.
 """
 
 from __future__ import annotations
@@ -396,26 +397,34 @@ def _eval_tree(tree, alg: AlgebraSC, vectors):
     )
 
 
-def _det(mat) -> Fraction:
-    """Determinant of a small square matrix by Gaussian elimination."""
-    m = [list(row) for row in mat]
-    n = len(m)
-    sign = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] / m[col][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= m[i][i]
-    return out
+def _alternation(t, variables, alg: AlgebraSC, vectors, memo) -> Vector:
+    """Signed sum over every placement of `variables` (sorted 0-based
+    indices) on the leaves of the binary type t: a node [L, R] sums over
+    the shuffles variables = S1 ⊔ S2 with |S1| = deg L, each signed by the
+    parity of the pairs (f in S1, r in S2) with r < f. memo is keyed by
+    (interned type, variables), so the types of one identity share subtrees.
+    """
+    if t.arity == 0:
+        return vectors[variables[0]]
+    key = (t, variables)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    left, right = t.children
+    out = [Fraction(0)] * alg.dimension
+    for chosen in itertools.combinations(range(len(variables)), left.degree):
+        rest = tuple(v for i, v in enumerate(variables) if i not in chosen)
+        val = alg.bracket(
+            _alternation(left, tuple(variables[i] for i in chosen), alg, vectors, memo),
+            _alternation(right, rest, alg, vectors, memo),
+        )
+        # the k-th chosen position is preceded by chosen[k] - k of the rest
+        odd = (sum(chosen) - len(chosen) * (len(chosen) - 1) // 2) % 2
+        for l, x in enumerate(val):
+            if x:
+                out[l] += -x if odd else x
+    memo[key] = tuple(out)
+    return memo[key]
 
 
 def _check_assignment(degree: int, alg: AlgebraSC, assignment):
@@ -432,49 +441,31 @@ def evaluate(item, alg: AlgebraSC, assignment) -> Vector:
     """Exact value of a polynomial or explicit identity at an assignment of
     one vector per variable.
 
-    Alternating identities expand over the basis: the alternation of the
-    coordinate products is the determinant of the selected coordinate
-    matrix, and tuples with a repeated basis index drop out (equal rows),
-    so only injective index tuples are walked.
+    Alternating identities are the signed sum over S_n of their terms,
+    computed per term by _alternation with one memo for the whole call. The
+    sum is zero outright when two vectors are equal or when n exceeds the
+    dimension.
     """
     from . import pipeline  # evaluation of ExplicitIdentity; late to avoid a cycle
 
+    n = item.degree
     if isinstance(item, pipeline.ExplicitIdentity):
-        n = item.degree
-        vectors = _check_assignment(n, alg, assignment)
         offset = freealg.count_types(n).all - len(freealg.binary_types(n))
-        trees = [
-            (coeff, freealg.labeled_tree(freealg.Monomial(n, offset + j, _perm.identity(n))))
-            for j, coeff in item.terms
-        ]
-        if not item.alternating:
-            out = alg.zero()
-            for coeff, tree in trees:
-                out = _vadd(out, tuple(coeff * x for x in _eval_tree(tree, alg, vectors)))
-            return out
-        out = list(alg.zero())
-        for idxs in itertools.permutations(range(alg.dimension), n):
-            basis_vectors = [alg.basis(i) for i in idxs]
-            det = None
-            for coeff, tree in trees:
-                val = _eval_tree(tree, alg, basis_vectors)
-                if not any(val):
-                    continue
-                if det is None:
-                    det = _det([[vectors[k][idxs[i]] for k in range(n)] for i in range(n)])
-                    if not det:
-                        break
-                scale = coeff * det
-                for l, x in enumerate(val):
-                    if x:
-                        out[l] += scale * x
-        return tuple(out)
-
-    poly: freealg.Polynomial = item
-    vectors = _check_assignment(poly.degree, alg, assignment)
+        terms = [(c, freealg.Monomial(n, offset + j, _perm.identity(n))) for j, c in item.terms]
+        alternating = item.alternating
+    else:
+        terms = [(c, mono) for mono, c in item.sorted_terms()]
+        alternating = False
+    vectors = _check_assignment(n, alg, assignment)
+    if not alternating:
+        values = [_eval_tree(freealg.labeled_tree(mono), alg, vectors) for _, mono in terms]
+    elif n > alg.dimension or len(set(vectors)) < n:
+        return alg.zero()  # an alternating map vanishes on dependent vectors
+    else:
+        memo: dict = {}
+        values = [_alternation(mono.type, tuple(range(n)), alg, vectors, memo) for _, mono in terms]
     out = alg.zero()
-    for mono, coeff in poly.sorted_terms():
-        val = _eval_tree(freealg.labeled_tree(mono), alg, vectors)
+    for (coeff, _), val in zip(terms, values):
         out = _vadd(out, tuple(coeff * x for x in val))
     return out
 

@@ -5,9 +5,10 @@ entries live in [0, p). The central object is IncrementalReducer, which keeps
 the unique row canonical form (RCF) of everything appended so far, so the rank
 of a long stream of rows is available without ever materializing the stream.
 
-Over a prime field the reducer stores its basis in a numpy int64 array and
-reduces whole batches with one matrix product per append; entries stay below
-p**2 * cols, far inside int64 range for every matrix this package builds.
+Over a prime field p <= 127 the reducer stores its basis in a numpy int8
+array and reduces whole batches with matrix products in float64, chunked by
+basis rows; intermediates stay below p**2 * rank, far inside the 2**53 range
+where float64 arithmetic on integers is exact.
 Over the rationals each basis row is kept as a primitive integer vector
 (content stripped, positive leading entry), which avoids fraction blowup
 during elimination; leading 1s appear only in tail_rows.
@@ -77,35 +78,33 @@ GF101 = FieldSpec(101)
 
 # -- incremental row reduction -------------------------------------------------
 
+# the largest characteristic whose residues fit an int8 entry; RepTable's
+# memoized matrices share the limit
+_MAX_CHAR = 127
+
 
 class _ModReducer:
     """RCF basis over GF(p), batch reduction via one matmul per append.
 
-    Matmuls run in float64 so they hit BLAS; every value is an integer in
-    [0, p), and the largest intermediate, p^2 * rank, stays far below 2^53,
-    so the arithmetic is exact. Wide bases (beyond _INT8_COLS columns) are
-    stored as int8 (p <= 127 there) and multiplied in row chunks, which keeps
-    a near-full-rank basis with tens of thousands of columns within memory.
+    The basis is stored as int8 (p <= _MAX_CHAR) and multiplied in row
+    chunks staged through float64, so the matmuls hit BLAS; every value is
+    an integer in [0, p), and the largest intermediate, p^2 * rank, stays
+    far below 2^53, so the arithmetic is exact. A near-full-rank basis with
+    tens of thousands of columns stays within memory this way.
     """
 
-    _INT8_COLS = 16384
-
     def __init__(self, cols: int, p: int):
+        if p > _MAX_CHAR:
+            raise ValueError(f"characteristic {p} too large for an int8 basis (at most {_MAX_CHAR})")
         self.p = p
         self.cols = cols
-        self._wide = cols >= self._INT8_COLS
-        if self._wide and p > 127:
-            raise ValueError(f"characteristic {p} too large for a wide int8 basis")
-        self._dtype = np.int8 if self._wide else np.float64
-        self.basis = np.zeros((0, cols), dtype=self._dtype)
+        self.basis = np.zeros((0, cols), dtype=np.int8)
         self.pivots: list[int] = []
         # chunk rows so the float64 staging buffer stays around 256 MB
         self._chunk = max(256, (1 << 25) // max(cols, 1))
 
     def _minus_combination(self, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
         """rows - coeffs @ basis, exactly, staging int8 chunks through float64."""
-        if not self._wide:
-            return (rows - coeffs @ self.basis) % self.p
         out = rows.copy()
         for i in range(0, self.basis.shape[0], self._chunk):
             out -= coeffs[:, i : i + self._chunk] @ self.basis[i : i + self._chunk].astype(np.float64)
@@ -123,17 +122,12 @@ class _ModReducer:
         if block.shape[0] == 0:
             return 0
         cs = [int(np.nonzero(r)[0][0]) for r in block]
-        if self.basis.shape[0]:
-            if self._wide:
-                for i in range(0, self.basis.shape[0], self._chunk):
-                    part = self.basis[i : i + self._chunk].astype(np.float64)
-                    part -= part[:, cs] @ block
-                    part %= p
-                    self.basis[i : i + self._chunk] = part.astype(np.int8)
-            else:
-                self.basis -= self.basis[:, cs] @ block
-                self.basis %= p
-        stacked = np.concatenate([self.basis, block.astype(self._dtype)])
+        for i in range(0, self.basis.shape[0], self._chunk):
+            part = self.basis[i : i + self._chunk].astype(np.float64)
+            part -= part[:, cs] @ block
+            part %= p
+            self.basis[i : i + self._chunk] = part.astype(np.int8)
+        stacked = np.concatenate([self.basis, block.astype(np.int8)])
         order = np.argsort(self.pivots + cs, kind="stable")
         self.pivots = sorted(self.pivots + cs)
         self.basis = stacked[order]

@@ -26,7 +26,7 @@ from math import factorial
 import numpy as np
 
 from . import _perm
-from .exactla import QQ, FieldSpec
+from .exactla import _MAX_CHAR, QQ, FieldSpec
 
 __all__ = [
     "Partition",
@@ -249,8 +249,8 @@ class RepTable:
         self.n = pi.n
         self.dim = dimension(pi)
         p = field.characteristic
-        if p > 127:
-            raise ValueError("RepTable supports characteristic 0 or p <= 127")
+        if p > _MAX_CHAR:
+            raise ValueError(f"RepTable supports characteristic 0 or p <= {_MAX_CHAR}")
         self._dtype = np.int8 if p else np.int64
         ident = _perm.identity(self.n)
         self._memo: dict[tuple[int, ...], np.ndarray] = {

@@ -127,6 +127,14 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--degree", "4", "--char", "100")
         assert code == 1 and "prime" in err
 
+    def test_large_characteristic_rejected_before_generation(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("generation ran for an unusable characteristic")
+
+        monkeypatch.setattr(pipeline, "default_generation", never)
+        code, _, err = run(capsys, "analyze", "--degree", "6", "--char", "131")
+        assert code == 1 and "error" in err and "127" in err
+
     def test_reference_match_and_mismatch(self, capsys, tmp_path, monkeypatch):
         report = tmp_path / "r.json"
         code, _, _ = run(capsys, "analyze", "--degree", "4", "--char", "101",
@@ -227,6 +235,22 @@ class TestVerify:
             code, out, _ = run(capsys, "verify", "--identity", theorem_file,
                                "--algebra", name, "--trials", "3", "--seed", "7")
             assert code == 0 and out.startswith("PASS"), name
+
+    def test_vacuous_check_is_noted(self, capsys, theorem_file):
+        code, out, _ = run(capsys, "verify", "--identity", theorem_file,
+                           "--algebra", "cross_product", "--trials", "2", "--seed", "0")
+        assert code == 0 and out.startswith("PASS")
+        assert "vacuous" in out and "alternating 8-linear map vanishes in dimension 3" in out
+
+    def test_alternating_check_in_full_dimension_has_no_note(self, capsys, tmp_path):
+        # the alternation of [[x1,x2],x3] is twice the Jacobi sum, zero on a Lie bracket
+        index = freealg.count_types(3).all
+        path = tmp_path / "jacobi.txt"
+        path.write_text(f"degree 3\nalternating true\nterm {index} 123 1\n")
+        code, out, _ = run(capsys, "verify", "--identity", str(path),
+                           "--algebra", "cross_product", "--trials", "3", "--seed", "0")
+        assert code == 0 and out.startswith("PASS")
+        assert "vacuous" not in out
 
     def test_fail_reports_witness(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

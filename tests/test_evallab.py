@@ -2,6 +2,7 @@
 construction, and exact evaluation of identities."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,20 @@ def matrix_semidirect():
             if d == a:
                 entries.append((4 + a, j, 4 + c, 1))
     return LeibnizSC.from_sparse(6, entries, name="matrix_semidirect")
+
+
+def random_bracket(dim, seed, density):
+    """A seeded random skew-symmetric bracket table with zero trilinear
+    operation; no axiom is imposed, evaluation needs none."""
+    rng = random.Random(seed)
+    entries = []
+    for i in range(1, dim + 1):
+        for j in range(i + 1, dim + 1):
+            for k in range(1, dim + 1):
+                if rng.random() < density:
+                    c = rng.choice((-2, -1, 1, 2))
+                    entries += [(i, j, k, c), (j, i, k, -c)]
+    return AlgebraSC.from_sparse(dim, bilinear=entries)
 
 
 class TestValidate:
@@ -272,7 +287,6 @@ class TestEvaluate:
 
     def test_multilinearity(self, cross):
         poly = freealg.expand([(1, (2, (2, 1, 2), 3))])
-        import random
         rng = random.Random(7)
         rv = lambda: vec(*(rng.randint(-5, 5) for _ in range(3)))
         for slot in range(3):
@@ -297,17 +311,53 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="length 2"):
             evaluate(poly, cross, (cross.basis(0), cross.basis(1), vec(1, 0)))
 
-    def test_alternating_matches_expanded_polynomial(self):
-        alg = from_leibniz(matrix_semidirect())
-        ident = pipeline.ExplicitIdentity(4, ((1, F(1)), (2, F(-2, 3))))
+    @pytest.mark.parametrize("degree", [4, 5, 6])
+    def test_alternating_matches_expanded_polynomial(self, degree):
+        b = len(freealg.binary_types(degree))
+        terms = tuple((j, F((-1) ** j * (j % 3 + 1), 2)) for j in range(1, b + 1))
+        ident = pipeline.ExplicitIdentity(degree, terms)
         poly = pipeline.alternation_polynomial(ident)
-        import random
         rng = random.Random(11)
-        for _ in range(3):
-            vs = tuple(
-                vec(*(rng.randint(-2, 2) for _ in range(6))) for _ in range(4)
-            )
-            assert evaluate(ident, alg, vs) == evaluate(poly, alg, vs)
+        # every binary alternation of degree 5 or 6 vanishes on
+        # matrix_semidirect; a random table gives nonzero values
+        semidirect = from_leibniz(matrix_semidirect())
+        for alg in (semidirect, random_bracket(6, 1, 0.3)):
+            for _ in range(3):
+                vs = tuple(
+                    vec(*(rng.randint(-2, 2) for _ in range(6))) for _ in range(degree)
+                )
+                value = evaluate(ident, alg, vs)
+                assert value == evaluate(poly, alg, vs)
+                assert any(value) or alg is semidirect
+
+    def test_degree8_alternation_is_alternating_and_linear(self):
+        alg = random_bracket(8, 8, 0.1)
+        ident = theorem_identity()
+        rng = random.Random(3)
+        vs = [vec(*(rng.randint(-2, 2) for _ in range(8))) for _ in range(8)]
+        value = evaluate(ident, alg, vs)
+        assert any(value)
+        swapped = list(vs)
+        swapped[2], swapped[5] = vs[5], vs[2]
+        assert evaluate(ident, alg, swapped) == tuple(-x for x in value)
+        scaled = list(vs)
+        scaled[4] = tuple(F(-3, 2) * x for x in vs[4])
+        assert evaluate(ident, alg, scaled) == tuple(F(-3, 2) * x for x in value)
+
+    def test_alternation_vanishes_on_dependent_vectors(self):
+        alg = random_bracket(6, 1, 0.3)
+        ident = pipeline.ExplicitIdentity(5, ((1, F(1)), (3, F(2))))
+        rng = random.Random(5)
+        vs = [vec(*(rng.randint(-2, 2) for _ in range(6))) for _ in range(5)]
+        assert any(evaluate(ident, alg, vs))
+        repeated = vs[:4] + [vs[1]]
+        assert evaluate(ident, alg, repeated) == alg.zero()
+        combined = vs[:4] + [tuple(x - 2 * y for x, y in zip(vs[0], vs[3]))]
+        assert evaluate(ident, alg, combined) == alg.zero()
+        # dimension 6 < degree 8
+        big = theorem_identity()
+        ws = [vec(*(rng.randint(-2, 2) for _ in range(6))) for _ in range(8)]
+        assert evaluate(big, alg, ws) == alg.zero()
 
     def test_phantom_type_alternation_vanishes(self):
         # [[a,b],[c,d]] has an even skew generator: its alternation is zero

@@ -184,27 +184,21 @@ def test_rank_agreement_across_fields():
         assert len(rcf(m, QQ)) == len(rcf(m, GF101))
 
 
-def test_wide_int8_basis_matches_regular(monkeypatch):
-    from lyident import exactla
-
+def test_chunked_basis_matches_single_chunk():
     rng = random.Random(11)
     plain = IncrementalReducer(30, GF101)
-    monkeypatch.setattr(exactla._ModReducer, "_INT8_COLS", 8)
-    wide = IncrementalReducer(30, GF101)
-    assert wide._impl._wide and wide._impl.basis.dtype.name == "int8"
-    wide._impl._chunk = 3  # force the chunked staging path
+    chunked = IncrementalReducer(30, GF101)
+    chunked._impl._chunk = 3  # stage the int8 basis through float64 three rows at a time
     for _ in range(8):
         block = random_matrix(rng, 7, 30, GF101)
-        assert wide.append(block) == plain.append(block)
-    assert wide.pivots == plain.pivots
-    assert wide.tail_rows(0) == plain.tail_rows(0)
+        assert chunked.append(block) == plain.append(block)
+    assert plain._impl.basis.dtype.name == "int8"
+    assert chunked.pivots == plain.pivots
+    assert chunked.tail_rows(0) == plain.tail_rows(0)
     probe = random_matrix(rng, 1, 30, GF101)[0]
-    assert list(wide._impl.reduce_row(probe)) == list(plain._impl.reduce_row(probe))
+    assert list(chunked._impl.reduce_row(probe)) == list(plain._impl.reduce_row(probe))
 
 
-def test_wide_int8_rejects_large_characteristic(monkeypatch):
-    from lyident import exactla
-
-    monkeypatch.setattr(exactla._ModReducer, "_INT8_COLS", 4)
+def test_int8_basis_rejects_large_characteristic():
     with pytest.raises(ValueError, match="int8"):
         IncrementalReducer(10, FieldSpec(131))
