@@ -5,10 +5,11 @@ entries live in [0, p). The central object is IncrementalReducer, which keeps
 the unique row canonical form (RCF) of everything appended so far, so the rank
 of a long stream of rows is available without ever materializing the stream.
 
-Over a prime field p <= 127 the reducer stores its basis in a numpy int8
-array and reduces whole batches with matrix products in float64, chunked by
-basis rows; intermediates stay below p**2 * rank, far inside the 2**53 range
-where float64 arithmetic on integers is exact.
+Over a prime field p <= 127 the reducer stores the non-pivot columns of its
+basis (the pivot columns hold the identity) in a numpy int8 array and reduces
+whole batches with matrix products in float64, chunked by basis rows;
+intermediates stay below p**2 * rank, far inside the 2**53 range where
+float64 arithmetic on integers is exact.
 Over the rationals each basis row is kept as a primitive integer vector
 (content stripped, positive leading entry), which avoids fraction blowup
 during elimination; leading 1s appear only in tail_rows.
@@ -86,11 +87,11 @@ _MAX_CHAR = 127
 class _ModReducer:
     """RCF basis over GF(p), batch reduction via one matmul per append.
 
-    The basis is stored as int8 (p <= _MAX_CHAR) and multiplied in row
-    chunks staged through float64, so the matmuls hit BLAS; every value is
-    an integer in [0, p), and the largest intermediate, p^2 * rank, stays
-    far below 2^53, so the arithmetic is exact. A near-full-rank basis with
-    tens of thousands of columns stays within memory this way.
+    The pivot columns of an RCF basis hold the identity, so only the other
+    columns are stored, as int8 (p <= _MAX_CHAR), and every product runs on
+    them alone, in row chunks staged through float64 so the matmuls hit BLAS.
+    Every value is an integer in [0, p) and the largest intermediate, p^2 *
+    rank, stays far below 2^53, so the arithmetic is exact.
     """
 
     def __init__(self, cols: int, p: int):
@@ -98,38 +99,43 @@ class _ModReducer:
             raise ValueError(f"characteristic {p} too large for an int8 basis (at most {_MAX_CHAR})")
         self.p = p
         self.cols = cols
-        self.basis = np.zeros((0, cols), dtype=np.int8)
         self.pivots: list[int] = []
+        self._free = np.arange(cols)  # the non-pivot columns, ascending
+        self.basis = np.zeros((0, cols), dtype=np.int8)  # restricted to _free
         # chunk rows so the float64 staging buffer stays around 256 MB
         self._chunk = max(256, (1 << 25) // max(cols, 1))
 
-    def _minus_combination(self, rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """rows - coeffs @ basis, exactly, staging int8 chunks through float64."""
-        out = rows.copy()
-        for i in range(0, self.basis.shape[0], self._chunk):
-            out -= coeffs[:, i : i + self._chunk] @ self.basis[i : i + self._chunk].astype(np.float64)
-        out %= self.p
-        return out
+    def _staged(self, i: int) -> np.ndarray:
+        return self.basis[i : i + self._chunk].astype(np.float64)
+
+    def _reduce(self, rows: np.ndarray) -> np.ndarray:
+        """Subtract from rows, in place and mod p, the basis combination clearing every pivot column."""
+        if self.pivots:
+            free = rows[:, self._free]
+            for i in range(0, len(self.pivots), self._chunk):
+                free -= rows[:, self.pivots[i : i + self._chunk]] @ self._staged(i)
+            free %= self.p
+            rows[:, self.pivots] = 0
+            rows[:, self._free] = free
+        return rows
 
     def append(self, rows: np.ndarray) -> int:
-        p = self.p
-        if rows.size == 0:
-            return 0
-        rows = np.asarray(rows, dtype=np.float64)
-        if self.pivots:
-            rows = self._minus_combination(rows, rows[:, self.pivots])
-        block = self._self_reduce(rows)
+        block = self._self_reduce(self._reduce(np.array(rows, dtype=np.float64)))
         if block.shape[0] == 0:
             return 0
         cs = [int(np.nonzero(r)[0][0]) for r in block]
-        for i in range(0, self.basis.shape[0], self._chunk):
-            part = self.basis[i : i + self._chunk].astype(np.float64)
-            part -= part[:, cs] @ block
-            part %= p
-            self.basis[i : i + self._chunk] = part.astype(np.int8)
-        stacked = np.concatenate([self.basis, block.astype(np.int8)])
+        # the block vanishes on the old pivot columns: clear its pivots from
+        # the old rows, then drop the new pivot columns from every row
+        at = np.searchsorted(self._free, cs)
+        tail = block[:, self._free]
+        for i in range(0, len(self.pivots), self._chunk):
+            part = self._staged(i)
+            part -= part[:, at] @ tail
+            self.basis[i : i + self._chunk] = part % self.p
+        stacked = np.delete(np.concatenate([self.basis, tail.astype(np.int8)]), at, axis=1)
         order = np.argsort(self.pivots + cs, kind="stable")
         self.pivots = sorted(self.pivots + cs)
+        self._free = np.delete(self._free, at)
         self.basis = stacked[order]
         return block.shape[0]
 
@@ -173,9 +179,7 @@ class _ModReducer:
 
     def reduce_row(self, row: np.ndarray) -> np.ndarray:
         row = np.asarray(row, dtype=np.float64) % self.p
-        if self.pivots:
-            row = self._minus_combination(row[None, :], row[None, self.pivots])[0]
-        return row
+        return self._reduce(row[None, :])[0]
 
 
 class _RatReducer:
@@ -303,8 +307,10 @@ class IncrementalReducer:
         if not sel:
             return []
         if self.field.characteristic:
-            arr = np.asarray(impl.basis)[sel][:, start:]
-            return arr.astype(np.int64).tolist()
+            arr = np.zeros((len(sel), self.cols), dtype=np.int8)
+            arr[:, impl._free] = impl.basis[sel]
+            arr[np.arange(len(sel)), [impl.pivots[i] for i in sel]] = 1
+            return arr[:, start:].tolist()
         return [
             [Fraction(x, impl.basis[i][impl.pivots[i]]) for x in impl.basis[i][start:]]
             for i in sel

@@ -189,10 +189,16 @@ def test_chunked_basis_matches_single_chunk():
     plain = IncrementalReducer(30, GF101)
     chunked = IncrementalReducer(30, GF101)
     chunked._impl._chunk = 3  # stage the int8 basis through float64 three rows at a time
-    for _ in range(8):
-        block = random_matrix(rng, 7, 30, GF101)
+    rows = []
+    for _ in range(4):
+        block = random_matrix(rng, 5, 30, GF101)
+        rows += block
         assert chunked.append(block) == plain.append(block)
+    assert plain.rank == 20
     assert plain._impl.basis.dtype.name == "int8"
+    # only the non-pivot columns are stored
+    assert plain._impl.basis.shape == (20, 10)
+    assert plain.tail_rows(0) == rcf(rows, GF101)
     assert chunked.pivots == plain.pivots
     assert chunked.tail_rows(0) == plain.tail_rows(0)
     probe = random_matrix(rng, 1, 30, GF101)[0]
