@@ -187,11 +187,16 @@ def _parse_selector(text: str):
 
 def _cmd_analyze(args) -> int:
     degree = args.degree
+    # the range and characteristic checks run before the generation set is
+    # built, which can take minutes
+    if degree not in pipeline._DEGREES:
+        print(f"error: analysis covers degrees {pipeline._DEGREES[0]} through "
+              f"{pipeline._DEGREES[-1]}", file=sys.stderr)
+        return 1
     if args.char != 0 and args.char <= degree:
         print(f"error: characteristic must be 0 or a prime > {degree}", file=sys.stderr)
         return 1
     if args.char > _MAX_CHAR:
-        # checked before the generation set is built, which can take minutes
         print(f"error: characteristic must be 0 or a prime <= {_MAX_CHAR}", file=sys.stderr)
         return 1
     field = QQ if args.char == 0 else FieldSpec(args.char)

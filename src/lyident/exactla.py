@@ -10,16 +10,22 @@ basis (the pivot columns hold the identity) in a numpy int8 array and reduces
 whole batches with matrix products in float64, chunked by basis rows;
 intermediates stay below p**2 * rank, far inside the 2**53 range where
 float64 arithmetic on integers is exact.
-Over the rationals each basis row is kept as a primitive integer vector
-(content stripped, positive leading entry), which avoids fraction blowup
-during elimination; leading 1s appear only in tail_rows.
+Over the rationals the reducer works in Python ints from end to end. An
+integer or boolean array enters row by row through tolist(); any other row
+is cleared of denominators in integer arithmetic (numerator * (lcm //
+denominator)), so no Fraction is built on the way in. Each basis row is kept
+as a primitive integer vector (content stripped, positive leading entry),
+which avoids fraction blowup during elimination, together with its nonzero
+columns, so a combination touches only those; Fractions and leading 1s
+appear only in tail_rows.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -42,6 +48,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _rational(x):
+    """x as a Python int or a Fraction; numpy integers and booleans become ints."""
+    return int(x) if isinstance(x, (np.integer, np.bool_)) else Fraction(x)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: characteristic 0 (exact rationals) or a prime p."""
@@ -60,14 +71,15 @@ class FieldSpec:
         Raises ValueError when p divides the denominator.
         """
         p = self.characteristic
-        if p and isinstance(x, int):
-            return x % p
-        f = x if isinstance(x, Fraction) else Fraction(x)
+        if not isinstance(x, (int, Fraction)):
+            x = _rational(x)
         if not p:
-            return f
-        if f.denominator % p == 0:
-            raise ValueError(f"{f} has no image in GF({p}): its denominator is divisible by {p}")
-        return f.numerator * pow(f.denominator, -1, p) % p
+            return Fraction(x)
+        if isinstance(x, int):
+            return x % p
+        if x.denominator % p == 0:
+            raise ValueError(f"{x} has no image in GF({p}): its denominator is divisible by {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
 
     def __repr__(self):
         return "QQ" if self.characteristic == 0 else f"GF({self.characteristic})"
@@ -182,62 +194,72 @@ class _ModReducer:
         return self._reduce(row[None, :])[0]
 
 
+def _cleared(row) -> list[int]:
+    """A rational row as Python ints spanning the same line: each entry is
+    numerator * (lcm // denominator), with lcm over the row's denominators."""
+    vals = [x if isinstance(x, (int, Fraction)) else _rational(x) for x in row]
+    den = lcm(*[v.denominator for v in vals])
+    return [v.numerator * (den // v.denominator) for v in vals]
+
+
 class _RatReducer:
-    """RCF basis over the rationals, rows kept as primitive integer vectors."""
+    """RCF basis over the rationals, rows kept as primitive integer vectors.
+
+    Rows arrive as lists of Python ints (IncrementalReducer clears their
+    denominators), so every entry grows as far as it needs to. Each basis
+    row is stored under its pivot column with its support (nonzero columns):
+    a combination touches only the support. An RCF row vanishes on every
+    other pivot column, so clearing one pivot never disturbs another.
+    """
 
     def __init__(self, cols: int):
         self.cols = cols
-        self.basis: list[list[int]] = []
-        self.pivots: list[int] = []
+        self.pivots: list[int] = []  # ascending
+        self.rows: dict[int, list[int]] = {}  # pivot column -> row
+        self._support: dict[int, list[int]] = {}
 
     @staticmethod
     def _primitive(row: list[int]) -> list[int]:
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-            if g == 1:
-                return row
-        if g in (0, 1):
-            return row
-        return [x // g for x in row]
+        g = gcd(*row)
+        return row if g <= 1 else [x // g for x in row]
 
-    def _to_int_row(self, row) -> list[int]:
-        fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-        lcm = 1
-        for f in fracs:
-            d = f.denominator
-            lcm = lcm * d // gcd(lcm, d)
-        return [int(f * lcm) for f in fracs]
+    @staticmethod
+    def _eliminate(row: list[int], c: int, base: list[int], support: list[int]) -> list[int]:
+        """row scaled by the least positive integer that lets it subtract a
+        multiple of base to clear column c (base[c] > 0); in place when no
+        scaling is needed."""
+        x, b = row[c], base[c]
+        g = gcd(x, b)
+        if b != g:
+            row = [u * (b // g) for u in row]
+        x //= g
+        for j in support:
+            row[j] -= x * base[j]
+        return row
 
-    def reduce_only(self, row) -> list[int]:
-        out = self._to_int_row(row)
-        for c, base in zip(self.pivots, self.basis):
-            x = out[c]
-            if x:
-                b = base[c]
-                out = [u * b - x * v for u, v in zip(out, base)]
-                out = self._primitive(out)
+    def reduce_only(self, row: list[int]) -> list[int]:
+        """A multiple of row minus the basis combination clearing every pivot column."""
+        out = list(row)
+        for c in [c for c in self.pivots if out[c]]:
+            out = self._eliminate(out, c, self.rows[c], self._support[c])
         return out
 
-    def append_one(self, row) -> bool:
+    def append_one(self, row: list[int]) -> bool:
         out = self.reduce_only(row)
-        c = next((i for i, x in enumerate(out) if x), None)
-        if c is None:
+        if not any(out):
             return False
-        if out[c] < 0:
-            out = [-x for x in out]
-        out = self._primitive(out)
-        for i, (pc, base) in enumerate(zip(self.pivots, self.basis)):
-            x = base[c]
-            if x:
-                b = out[c]
-                merged = [u * b - x * v for u, v in zip(base, out)]
-                self.basis[i] = self._primitive(merged)
-                if self.basis[i][pc] < 0:
-                    self.basis[i] = [-v for v in self.basis[i]]
-        at = next((i for i, pc in enumerate(self.pivots) if pc > c), len(self.pivots))
-        self.pivots.insert(at, c)
-        self.basis.insert(at, out)
+        support = [j for j, x in enumerate(out) if x]
+        c = support[0]
+        out = self._primitive([-x for x in out] if out[c] < 0 else out)
+        # the old rows vanish on c once out's multiples are taken off; their
+        # pivot entries only scale by positive factors (out[pc] == 0)
+        for pc in [pc for pc in self.pivots if self.rows[pc][c]]:
+            merged = self._primitive(self._eliminate(self.rows[pc], c, out, support))
+            self.rows[pc] = merged
+            self._support[pc] = [j for j, x in enumerate(merged) if x]
+        insort(self.pivots, c)
+        self.rows[c] = out
+        self._support[c] = support
         return True
 
 
@@ -263,35 +285,46 @@ class IncrementalReducer:
         if len(row) != self.cols:
             raise ValueError(f"row has {len(row)} entries, reducer has {self.cols} columns")
 
-    def append(self, rows) -> int:
-        """Add rows (any iterable of row sequences); returns the rank increase."""
-        if self.field.characteristic:
-            p = self.field.characteristic
-            # integer arrays are exact as they are; every other entry goes
-            # through FieldSpec.element
-            if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
-                if rows.ndim != 2 or rows.shape[1] != self.cols:
-                    raise ValueError(f"array shape {rows.shape} does not fit {self.cols} columns")
-                return self._impl.append(rows % p)
-            data = [[self.field.element(x) for x in r] for r in rows]
-            for r in data:
-                self._check_width(r)
-            if not data:
-                return 0
-            return self._impl.append(np.asarray(data, dtype=np.float64))
-        delta = 0
+    def _integer_rows(self, rows):
+        """Rows over Q, one at a time, as lists of Python ints spanning the
+        same lines: each row of an integer or boolean array is one tolist(),
+        any other row goes through _cleared. No Fraction is built for
+        integer input.
+        """
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
+            for r in rows.astype(np.int8) if rows.dtype.kind == "b" else rows:
+                yield r.tolist()
+            return
         for r in rows:
             self._check_width(r)
-            delta += bool(self._impl.append_one(r))
-        return delta
+            yield _cleared(r)
+
+    def append(self, rows) -> int:
+        """Add rows (any iterable of row sequences); returns the rank increase."""
+        if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != self.cols):
+            raise ValueError(f"array shape {rows.shape} does not fit {self.cols} columns")
+        p = self.field.characteristic
+        if not p:
+            return sum(self._impl.append_one(r) for r in self._integer_rows(rows))
+        # integer arrays are exact as they are; every other entry goes
+        # through FieldSpec.element
+        if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
+            return self._impl.append(rows % p)
+        data = [[self.field.element(x) for x in r] for r in rows]
+        for r in data:
+            self._check_width(r)
+        if not data:
+            return 0
+        return self._impl.append(np.asarray(data, dtype=np.float64))
 
     def contains(self, row) -> bool:
         """True iff the row lies in the current row space."""
-        self._check_width(row)
         if self.field.characteristic:
+            self._check_width(row)
             reduced = self._impl.reduce_row([self.field.element(x) for x in row])
             return not reduced.any()
-        return not any(self._impl.reduce_only(row))
+        (ints,) = self._integer_rows([row])
+        return not any(self._impl.reduce_only(ints))
 
     def tail_rows(self, start: int) -> list[list]:
         """Exact basis rows with pivot column >= start, restricted to start:.
@@ -312,6 +345,6 @@ class IncrementalReducer:
             arr[np.arange(len(sel)), [impl.pivots[i] for i in sel]] = 1
             return arr[:, start:].tolist()
         return [
-            [Fraction(x, impl.basis[i][impl.pivots[i]]) for x in impl.basis[i][start:]]
-            for i in sel
+            [Fraction(x, impl.rows[c][c]) for x in impl.rows[c][start:]]
+            for c in (impl.pivots[i] for i in sel)
         ]

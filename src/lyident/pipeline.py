@@ -178,22 +178,36 @@ def _skew_reducer(pi: symrep.Partition, degree: int, field: FieldSpec) -> Increm
     return red
 
 
+# the degrees analyze_degree covers
+_DEGREES = range(4, 9)
+
+# default_generation's sets, built once per process and keyed by (degree,
+# filtered); a GenerationSet is frozen, so every caller can share one
+_GENERATIONS: dict[tuple[int, bool], liftgen.GenerationSet] = {}
+
+
 def default_generation(n: int, filtered: bool = True) -> liftgen.GenerationSet:
     """The identities analyze_degree works from.
 
     Degrees 6 and 7 filter the full 252/2016 sets; degree 8 lifts the two
     filtered sets, giving the 1616 generators. filtered=False returns the
-    full lifting sets everywhere.
+    full lifting sets everywhere. Each set is built once per process, and
+    the degree-8 set reuses the degree-6 and degree-7 ones.
+
+    Raises ValueError above degree 8, where no filtered set is defined.
     """
-    if n <= 5 or not filtered:
-        return liftgen.generate(n)
-    f6 = liftgen.filter_redundant(liftgen.generate(6))
-    if n == 6:
-        return f6
-    f7 = liftgen.filter_redundant(liftgen.generate(7))
-    if n == 7:
-        return f7
-    return liftgen.generate(8, {6: f6, 7: f7})
+    if n > _DEGREES[-1]:
+        raise ValueError(f"no generation set above degree {_DEGREES[-1]}, got {n}")
+    key = (n, bool(filtered))
+    if key not in _GENERATIONS:
+        if n <= 5 or not filtered:
+            gen = liftgen.generate(n)
+        elif n == 8:
+            gen = liftgen.generate(8, {6: default_generation(6), 7: default_generation(7)})
+        else:
+            gen = liftgen.filter_redundant(liftgen.generate(n))
+        _GENERATIONS[key] = gen
+    return _GENERATIONS[key]
 
 
 def analyze_partition(
@@ -244,8 +258,8 @@ def analyze_degree(
     caps: ResourceCaps | None = None,
 ) -> list[PartitionReport]:
     """Run the A_pi against B_pi comparison for the requested partitions."""
-    if not 4 <= n <= 8:
-        raise ValueError("analysis covers degrees 4 through 8")
+    if n not in _DEGREES:
+        raise ValueError(f"analysis covers degrees {_DEGREES[0]} through {_DEGREES[-1]}")
     gen = generation if generation is not None else default_generation(n, filtered)
     if gen.degree != n:
         raise ValueError(f"degree-{gen.degree} generation set for a degree-{n} analysis")
@@ -316,9 +330,7 @@ def certify_new(
         vec[j - 1] = coeff
     skew = _skew_reducer(sign, degree, field)
     not_skew_consequence = not skew.contains(vec)
-    gen = generation if generation is not None else (
-        default_generation(degree) if degree >= 4 else liftgen.generate(degree)
-    )
+    gen = generation if generation is not None else default_generation(degree)
     red, status = reduce_identities(gen, sign, field)
     assert status == "ok"
     _, first_binary, _ = _column_split(degree, 1)

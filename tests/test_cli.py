@@ -135,6 +135,15 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--degree", "6", "--char", "131")
         assert code == 1 and "error" in err and "127" in err
 
+    @pytest.mark.parametrize("degree", ["3", "9"])
+    def test_degree_out_of_range_rejected_before_generation(self, capsys, monkeypatch, degree):
+        def never(*args, **kwargs):
+            raise AssertionError("generation ran for an unsupported degree")
+
+        monkeypatch.setattr(pipeline, "default_generation", never)
+        code, _, err = run(capsys, "analyze", "--degree", degree)
+        assert code == 1 and "error" in err and "degrees 4 through 8" in err
+
     def test_reference_match_and_mismatch(self, capsys, tmp_path, monkeypatch):
         report = tmp_path / "r.json"
         code, _, _ = run(capsys, "analyze", "--degree", "4", "--char", "101",

@@ -208,3 +208,47 @@ def test_chunked_basis_matches_single_chunk():
 def test_int8_basis_rejects_large_characteristic():
     with pytest.raises(ValueError, match="int8"):
         IncrementalReducer(10, FieldSpec(131))
+
+
+@pytest.mark.parametrize("field", [QQ, GF101])
+def test_array_shape_and_booleans(field):
+    red = IncrementalReducer(3, field)
+    for bad in (np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0]), np.zeros((2, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match="shape"):
+            red.append(bad)
+    assert red.rank == 0
+    # booleans read as 0/1
+    assert red.append(np.array([[True, False, True], [False, True, True]])) == 2
+    assert red.tail_rows(0) == rcf([[1, 0, 1], [0, 1, 1]], field)
+    assert red.contains(np.array([True, True, False])) is False
+    assert red.contains(np.array([True, True, True])) is False
+    assert red.contains([1, 1, 2]) and red.contains(np.array([1, 1, 2]))
+
+
+def test_rational_forms_agree_near_int64_limit():
+    # entries near 2**62: any product of two overflows int64, so a basis
+    # holding numpy integers would overflow during elimination
+    big = 2**62 + 11
+    r0 = [big, 1, 0, 3, big - 1, 5]
+    r1 = [1, big, 2, 0, 7, big - 3]
+    r2 = [a - b for a, b in zip(r0, r1)]
+    r3 = [0, 0, 1, big, 1, 1]
+    rows = [r0, r1, r2, r3]
+    forms = [
+        np.array(rows, dtype=np.int64),
+        [[Fraction(x) for x in r] for r in rows],
+        [[Fraction(x, 3) for x in r] for r in rows],
+    ]
+    reducers = []
+    for form in forms:
+        red = IncrementalReducer(6, QQ)
+        assert red.append(form) == 3
+        assert all(type(x) is int for row in red._impl.rows.values() for x in row)
+        reducers.append(red)
+    first = reducers[0]
+    assert_rcf(first.tail_rows(0))
+    assert all(first.contains(r) for r in rows)
+    assert not first.contains([1, 0, 0, 0, 0, 0])
+    for red in reducers[1:]:
+        assert (red.rank, red.pivots) == (first.rank, first.pivots)
+        assert red.tail_rows(0) == first.tail_rows(0)

@@ -265,6 +265,33 @@ class TestSelection:
         assert not pipeline.default_generation(5).filtered
         assert len(pipeline.default_generation(6, filtered=False)) == 252
 
+    def test_default_generation_above_degree8(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("generation ran above degree 8")
+
+        monkeypatch.setattr(liftgen, "generate", never)
+        monkeypatch.setattr(liftgen, "filter_redundant", never)
+        with pytest.raises(ValueError, match="above degree 8"):
+            pipeline.default_generation(9)
+
+    def test_default_generation_filters_once(self, monkeypatch):
+        # a stand-in filter keeps the first three identities, so the degree-8
+        # set stays small; each degree must still be filtered only once
+        calls = []
+
+        def first_three(gen, field=GF101):
+            calls.append(gen.degree)
+            return liftgen.GenerationSet(gen.degree, gen.identities[:3], filtered=True)
+
+        monkeypatch.setattr(pipeline, "_GENERATIONS", {})
+        monkeypatch.setattr(liftgen, "filter_redundant", first_three)
+        (report,) = pipeline.analyze_degree(8, QQ, "sign")
+        assert report.status == "ok"
+        pipeline.certify_new(cli.bundled_identity(), 8, QQ)
+        assert pipeline.analyze_degree(7, GF101, ["7"])[0].status == "ok"
+        assert sorted(calls) == [6, 7]
+        assert pipeline.default_generation(8) is pipeline.default_generation(8)
+
 
 # -- reports ------------------------------------------------------------------------
 
