@@ -53,10 +53,10 @@ __all__ = [
 
 def identity_text(identity: pipeline.ExplicitIdentity) -> str:
     n = identity.degree
-    offset = freealg.count_types(n).all - len(freealg.binary_types(n))
+    btypes = freealg.binary_types(n)
     perm = "".join(str(i) for i in range(1, n + 1))
     lines = [f"degree {n}", "characteristic 0", "alternating true"]
-    lines += [f"term {offset + j} {perm} {Fraction(c)}" for j, c in identity.terms]
+    lines += [f"term {btypes[j - 1].index} {perm} {Fraction(c)}" for j, c in identity.terms]
     return "\n".join(lines) + "\n"
 
 
@@ -74,16 +74,20 @@ def parse_identity_text(text: str):
         if not line:
             continue
         bits = line.split()
-        if bits[0] == "degree" and len(bits) == 2:
-            degree = int(bits[1])
-        elif bits[0] == "characteristic" and len(bits) == 2:
-            characteristic = int(bits[1])
-        elif bits[0] == "alternating" and len(bits) == 2:
-            alternating = {"true": True, "false": False}[bits[1]]
-        elif bits[0] == "term" and len(bits) == 4:
-            raw_terms.append((int(bits[1]), tuple(int(ch) for ch in bits[2]), Fraction(bits[3])))
-        else:
-            raise ValueError(f"line {lineno}: cannot parse {line!r}")
+        try:
+            if bits[0] == "degree" and len(bits) == 2 and int(bits[1]) >= 1:
+                degree = int(bits[1])
+            elif bits[0] == "characteristic" and len(bits) == 2:
+                characteristic = int(bits[1])
+            elif bits[0] == "alternating" and bits[1:] in (["true"], ["false"]):
+                alternating = bits[1] == "true"
+            elif bits[0] == "term" and len(bits) == 4:
+                perm = tuple(int(ch) for ch in bits[2])
+                raw_terms.append((int(bits[1]), perm, Fraction(bits[3])))
+            else:
+                raise ValueError
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {lineno}: cannot parse {line!r}") from None
     if degree is None:
         raise ValueError("missing degree header")
     if characteristic not in (None, 0):
@@ -91,7 +95,7 @@ def parse_identity_text(text: str):
     if not raw_terms:
         raise ValueError("no terms")
     total = freealg.count_types(degree).all
-    offset = total - len(freealg.binary_types(degree))
+    binary = {t.index: j for j, t in enumerate(freealg.binary_types(degree), start=1)}
     ident_perm = tuple(range(1, degree + 1))
     for index, perm, _ in raw_terms:
         if not 1 <= index <= total:
@@ -99,12 +103,12 @@ def parse_identity_text(text: str):
         if sorted(perm) != list(ident_perm):
             raise ValueError(f"bad permutation {''.join(map(str, perm))}")
     if alternating:
-        if any(perm != ident_perm or index <= offset for index, perm, _ in raw_terms):
+        if any(perm != ident_perm or index not in binary for index, perm, _ in raw_terms):
             raise ValueError(
                 "alternating identity files must use identity permutations on binary types"
             )
         return pipeline.ExplicitIdentity(
-            degree, tuple((index - offset, coeff) for index, perm, coeff in raw_terms)
+            degree, tuple((binary[index], coeff) for index, _, coeff in raw_terms)
         )
     terms = [
         (coeff, freealg.labeled_tree(freealg.Monomial(degree, index, perm)))

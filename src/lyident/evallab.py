@@ -24,8 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _perm, freealg
-from ._data import data_text
+from . import freealg
 
 __all__ = [
     "AlgebraSC",
@@ -39,7 +38,6 @@ __all__ = [
     "evaluate",
     "check_identity",
     "load_algebra",
-    "bundled_algebras",
 ]
 
 MAX_VALIDATE_DIM = 16
@@ -61,6 +59,44 @@ class Violation:
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _dense(dimension: int, entries, indices: int, what: str) -> list:
+    """The dense table of a list of 1-based sparse entries (i, ..., coeff)
+    with `indices` indices each.
+
+    Anything but a list or tuple of entries, an entry of the wrong length,
+    an index outside 1..dimension or a coefficient that is not an int, an
+    exact string or a Fraction raises ValueError naming the entry.
+    """
+
+    def zeros(depth):
+        if depth == 1:
+            return [Fraction(0)] * dimension
+        return [zeros(depth - 1) for _ in range(dimension)]
+
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{what} must be a list of entries")
+    table = zeros(indices)
+    for entry in entries:
+        where = f"{what} entry {entry!r}"
+        if not isinstance(entry, (list, tuple)) or len(entry) != indices + 1:
+            raise ValueError(f"{where}: expected {indices} indices and a coefficient")
+        *index, coeff = entry
+        if not all(type(i) is int and 1 <= i <= dimension for i in index):
+            raise ValueError(f"{where}: indices must be integers in 1..{dimension}")
+        bad_coeff = f"{where}: the coefficient must be an int or an exact string"
+        if type(coeff) is not int and not isinstance(coeff, (str, Fraction)):
+            raise ValueError(bad_coeff)
+        try:
+            value = Fraction(coeff)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(bad_coeff) from None
+        row = table
+        for i in index[:-1]:
+            row = row[i - 1]
+        row[index[-1] - 1] += value
+    return table
 
 
 class AlgebraSC:
@@ -124,13 +160,8 @@ class AlgebraSC:
     @classmethod
     def from_sparse(cls, dimension: int, bilinear=(), trilinear=(), name: str = "") -> "AlgebraSC":
         """Build from 1-based sparse entries (i, j, k, coeff) and (i, j, k, l, coeff)."""
-        d = dimension
-        c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        t = [[[[Fraction(0)] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
-        for i, j, k, coeff in bilinear:
-            c[i - 1][j - 1][k - 1] += _as_fraction(coeff)
-        for i, j, k, l, coeff in trilinear:
-            t[i - 1][j - 1][k - 1][l - 1] += _as_fraction(coeff)
+        c = _dense(dimension, bilinear, 3, "bilinear")
+        t = _dense(dimension, trilinear, 4, "trilinear")
         return cls(dimension, c, t, name=name)
 
     def zero(self) -> Vector:
@@ -212,11 +243,7 @@ class LeibnizSC:
 
     @classmethod
     def from_sparse(cls, dimension: int, product=(), name: str = "") -> "LeibnizSC":
-        d = dimension
-        p = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        for i, j, k, coeff in product:
-            p[i - 1][j - 1][k - 1] += _as_fraction(coeff)
-        return cls(dimension, p, name=name)
+        return cls(dimension, _dense(dimension, product, 3, "product"), name=name)
 
     def product(self, u, v) -> Vector:
         out = [Fraction(0)] * self.dimension
@@ -450,8 +477,11 @@ def evaluate(item, alg: AlgebraSC, assignment) -> Vector:
 
     n = item.degree
     if isinstance(item, pipeline.ExplicitIdentity):
-        offset = freealg.count_types(n).all - len(freealg.binary_types(n))
-        terms = [(c, freealg.Monomial(n, offset + j, _perm.identity(n))) for j, c in item.terms]
+        btypes = freealg.binary_types(n)
+        terms = [
+            (c, freealg.Monomial(n, btypes[j - 1].index, tuple(range(1, n + 1))))
+            for j, c in item.terms
+        ]
         alternating = item.alternating
     else:
         terms = [(c, mono) for mono, c in item.sorted_terms()]
@@ -516,40 +546,41 @@ def check_identity(item, alg: AlgebraSC, trials: int = 20, seed: int = 0) -> Che
 # -- the algebra file format -------------------------------------------------------
 
 
+# the tables each construction reads
+_TABLES = {"direct": ("bilinear", "trilinear"), "lie": ("bilinear",), "leibniz": ("product",)}
+
+
 def load_algebra(text: str) -> AlgebraSC:
     """Parse the JSON algebra format.
 
     Required fields: dimension, construction ("direct", "lie" or "leibniz").
-    Constants are sparse 1-based lists with exact string coefficients:
-    bilinear [i, j, k, "num/den"], trilinear [i, j, k, l, "num/den"], and
+    Constants are sparse 1-based lists with exact coefficients, strings or
+    ints: bilinear [i, j, k, "num/den"], trilinear [i, j, k, l, "num/den"], and
     for the leibniz construction a product table [i, j, k, "num/den"] from
-    which both operations are derived.
+    which both operations are derived. A missing field, a malformed entry
+    or a table the construction does not read raises ValueError.
     """
     doc = json.loads(text)
-    dim = doc["dimension"]
+    if not isinstance(doc, dict):
+        raise ValueError("an algebra file holds one JSON object")
+    for key in ("dimension", "construction"):
+        if key not in doc:
+            raise ValueError(f"missing required field {key!r}")
+    dim, construction = doc["dimension"], doc["construction"]
+    if not isinstance(construction, str) or construction not in _TABLES:
+        raise ValueError(f"unknown construction {construction!r}")
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+    unread = sorted(set(doc) - {"name", "dimension", "construction", *_TABLES[construction]})
+    if unread:
+        raise ValueError(f"the {construction} construction does not read {', '.join(unread)}")
     name = doc.get("name", "")
-    construction = doc["construction"]
+    tables = {key: doc.get(key, []) for key in _TABLES[construction]}
     if construction == "direct":
-        return AlgebraSC.from_sparse(
-            dim,
-            bilinear=[(i, j, k, Fraction(c)) for i, j, k, c in doc.get("bilinear", [])],
-            trilinear=[(i, j, k, l, Fraction(c)) for i, j, k, l, c in doc.get("trilinear", [])],
-            name=name,
-        )
+        return AlgebraSC.from_sparse(dim, name=name, **tables)
     if construction == "lie":
-        return from_lie(
-            dim,
-            bilinear=[(i, j, k, Fraction(c)) for i, j, k, c in doc.get("bilinear", [])],
-            name=name,
-        )
-    if construction == "leibniz":
-        lb = LeibnizSC.from_sparse(
-            dim,
-            product=[(i, j, k, Fraction(c)) for i, j, k, c in doc.get("product", [])],
-            name=name,
-        )
-        return from_leibniz(lb)
-    raise ValueError(f"unknown construction {construction!r}")
+        return from_lie(dim, name=name, **tables)
+    return from_leibniz(LeibnizSC.from_sparse(dim, name=name, **tables))
 
 
 BUNDLED = (
@@ -558,8 +589,3 @@ BUNDLED = (
     "nilpotent_leibniz",
     "nonlie_leibniz",
 )
-
-
-def bundled_algebras() -> dict[str, AlgebraSC]:
-    """The sample algebras shipped with the package, keyed by name."""
-    return {name: load_algebra(data_text(f"algebras/{name}.json")) for name in BUNDLED}

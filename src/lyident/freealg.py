@@ -35,8 +35,6 @@ __all__ = [
     "enumerate_types",
     "expand",
     "monomial_count",
-    "parse_type",
-    "parse_monomial",
     "render_monomial",
     "render_type",
     "skew_generators",
@@ -383,15 +381,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.degree, frozenset(self.terms.items())))
 
-    def scaled(self, c) -> "Polynomial":
-        return Polynomial(self.degree, {m: c * v for m, v in self.terms.items()} if c else {})
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = Polynomial(self.degree, dict(self.terms))
-        for m, c in other.terms.items():
-            out.add_term(m, c)
-        return out
-
     def sorted_terms(self) -> list[tuple[Monomial, object]]:
         """Terms ordered by (type index, lexicographic permutation)."""
         return sorted(self.terms.items(), key=lambda mc: (mc[0].type_index, mc[0].perm))
@@ -445,7 +434,7 @@ def expand(terms: Iterable[tuple[object, object]], repeats: str = "error") -> Po
     return poly
 
 
-# -- rendering and parsing ---------------------------------------------------
+# -- rendering -----------------------------------------------------------------
 
 def render_type(t: AssocType) -> str:
     if t.arity == 0:
@@ -471,105 +460,3 @@ def render_monomial(m: Monomial, pretty: bool = False) -> str:
         return f"[{inner}]" if t.arity == 2 else f"<{inner}>"
 
     return walk(m.type)
-
-
-def parse_type(s: str) -> AssocType:
-    """Parse the bracket notation back to an interned type.
-
-    Only canonical types parse; a non-canonical child order is an error.
-    """
-    pos = 0
-
-    def fail(msg: str):
-        raise ValueError(f"type {s!r}: {msg} at position {pos}")
-
-    def walk() -> AssocType:
-        nonlocal pos
-        if pos >= len(s):
-            fail("unexpected end")
-        ch = s[pos]
-        if ch == "-":
-            pos += 1
-            return LEAF
-        if ch not in "[<":
-            fail(f"unexpected character {ch!r}")
-        close = "]" if ch == "[" else ">"
-        arity = 2 if ch == "[" else 3
-        pos += 1
-        children = []
-        while pos < len(s) and s[pos] != close:
-            children.append(walk())
-        if pos >= len(s):
-            fail(f"missing {close!r}")
-        pos += 1
-        if len(children) != arity:
-            fail(f"expected {arity} children, got {len(children)}")
-        a, b = children[0], children[1]
-        if _child_rank(a) > _child_rank(b):
-            fail("children are not in canonical order")
-        return _node(arity, tuple(children))
-
-    node = walk()
-    if pos != len(s):
-        fail("trailing input")
-    return node
-
-
-def parse_monomial(s: str) -> Monomial:
-    """Parse a monomial in compact or comma form, e.g. '[[ab]c]' or '[[a,b],c]'."""
-    pos = 0
-
-    def fail(msg: str):
-        raise ValueError(f"monomial {s!r}: {msg} at position {pos}")
-
-    def variable() -> int:
-        nonlocal pos
-        ch = s[pos]
-        if ch == "x":
-            pos += 1
-            start = pos
-            while pos < len(s) and s[pos].isdigit():
-                pos += 1
-            if start == pos:
-                fail("expected digits after 'x'")
-            return int(s[start:pos])
-        if "a" <= ch <= "z":
-            pos += 1
-            return ord(ch) - ord("a") + 1
-        fail(f"unexpected character {ch!r}")
-
-    def walk():
-        nonlocal pos
-        if pos >= len(s):
-            fail("unexpected end")
-        ch = s[pos]
-        if ch in "[<":
-            close = "]" if ch == "[" else ">"
-            arity = 2 if ch == "[" else 3
-            pos += 1
-            children = []
-            while pos < len(s) and s[pos] != close:
-                children.append(walk())
-                if pos < len(s) and s[pos] == ",":
-                    pos += 1
-                    if pos >= len(s) or s[pos] == close:
-                        fail("dangling ','")
-            if pos >= len(s):
-                fail(f"missing {close!r}")
-            pos += 1
-            if len(children) != arity:
-                fail(f"expected {arity} children, got {len(children)}")
-            return (arity, *children)
-        return variable()
-
-    tree = walk()
-    if pos != len(s):
-        fail("trailing input")
-
-    def labels(t):
-        return (t,) if isinstance(t, int) else sum((labels(c) for c in t[1:]), ())
-
-    mono, sign = canonicalize(tree)
-    if sign != 1 or labels(tree) != mono.perm:
-        raise ValueError(f"monomial {s!r} is not in canonical form")
-    return mono

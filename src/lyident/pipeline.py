@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _perm, freealg, liftgen, symrep
+from . import freealg, liftgen, symrep
 from .exactla import GF101, QQ, FieldSpec, IncrementalReducer
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "analyze_degree",
     "default_generation",
     "reconstruct_identity",
-    "alternation_polynomial",
     "certify_new",
     "report_payload",
     "timings_payload",
@@ -71,7 +70,7 @@ class ExplicitIdentity:
 
     def render(self) -> str:
         n = self.degree
-        offset = freealg.count_types(n).all - len(freealg.binary_types(n))
+        btypes = freealg.binary_types(n)
         lines = []
         if self.alternating:
             lines.append(
@@ -80,7 +79,7 @@ class ExplicitIdentity:
         mags = [str(abs(Fraction(c))) for _, c in self.terms]
         width = max(len(m) for m in mags)
         for (j, coeff), mag in zip(self.terms, mags):
-            mono = freealg.Monomial(n, offset + j, _perm.identity(n))
+            mono = freealg.Monomial(n, btypes[j - 1].index, tuple(range(1, n + 1)))
             sgn = "+" if coeff > 0 else "-"
             lines.append(f"  {sgn} {mag:<{width}} {freealg.render_monomial(mono, pretty=True)}")
         return "\n".join(lines)
@@ -276,31 +275,6 @@ def reconstruct_identity(row, degree: int) -> ExplicitIdentity:
     if not terms:
         raise ValueError("zero row does not define an identity")
     return ExplicitIdentity(degree, terms, alternating=True)
-
-
-def alternation_polynomial(identity: ExplicitIdentity) -> freealg.Polynomial:
-    """Expand the identity into the canonical monomial basis.
-
-    Alternating identities expand over all of S_n with signs; n = 8 means
-    40320 straightenings per term.
-    """
-    n = identity.degree
-    offset = freealg.count_types(n).all - len(freealg.binary_types(n))
-    terms = []
-    for j, coeff in identity.terms:
-        base = freealg.labeled_tree(freealg.Monomial(n, offset + j, _perm.identity(n)))
-        if not identity.alternating:
-            terms.append((coeff, base))
-            continue
-        for sigma in _perm.all_perms(n):
-            terms.append((coeff * _perm.sign(sigma), _relabel(base, sigma)))
-    return freealg.expand(terms)
-
-
-def _relabel(tree, sigma: tuple[int, ...]):
-    if isinstance(tree, int):
-        return sigma[tree - 1]
-    return (tree[0], *(_relabel(c, sigma) for c in tree[1:]))
 
 
 def _phantom_type(t: freealg.AssocType) -> bool:

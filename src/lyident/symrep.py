@@ -9,12 +9,14 @@ tableaux and its (i, j) entry is e(t_i, sigma t_j):
     entry land in the row it occupies in s.
 
 Standard tableaux are ordered lexicographically by row-reading word, which
-makes A(iota) unit lower triangular, hence invertible in any characteristic
-used here (0 or p > n).
+makes A(iota) unit lower triangular over the integers, so A(iota)^-1 and
+every R(sigma) are integer matrices, valid in any characteristic used here
+(0 or p > n).
 
-clifton_matrix evaluates A(sigma) directly; RepTable composes cached matrices
-of adjacent transpositions instead, which is how the pipeline consumes
-representations. The two must agree (tested), since R is a homomorphism.
+clifton_matrix evaluates R(sigma) directly as an integer matrix; RepTable
+composes cached matrices of adjacent transpositions instead, which is how the
+pipeline consumes representations. The two must agree (tested), since R is a
+homomorphism.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from math import factorial
 
 import numpy as np
 
-from . import _perm
 from .exactla import _MAX_CHAR, QQ, FieldSpec
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "parse_partition",
     "standard_tableaux",
     "dimension",
-    "RepMatrix",
     "clifton_a_matrix",
     "clifton_matrix",
     "RepTable",
@@ -144,15 +144,6 @@ def dimension(pi: Partition) -> int:
     return num // den
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    """d x d representation matrix of one permutation."""
-
-    partition: Partition
-    perm: tuple[int, ...]
-    matrix: tuple[tuple[object, ...], ...]
-
-
 def _column_sign(s_row_of: list[int], u: tuple[tuple[int, ...], ...], heights: list[int]) -> int:
     """e(s, u) given the row-lookup table of s; 0 on a row/column clash."""
     sign = 1
@@ -202,7 +193,7 @@ def clifton_a_matrix(pi: Partition, sigma: tuple[int, ...]) -> tuple[tuple[int, 
 @cache
 def _a_iota_inverse(pi: Partition) -> tuple[tuple[int, ...], ...]:
     """A(iota) is unit lower triangular over ZZ; its inverse is integral."""
-    a = clifton_a_matrix(pi, _perm.identity(pi.n))
+    a = clifton_a_matrix(pi, tuple(range(1, pi.n + 1)))
     d = len(a)
     for i in range(d):
         if a[i][i] != 1 or any(a[i][j] for j in range(i + 1, d)):
@@ -217,20 +208,15 @@ def _a_iota_inverse(pi: Partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in inv)
 
 
-def clifton_matrix(pi: Partition, sigma: tuple[int, ...], field: FieldSpec = QQ) -> RepMatrix:
-    """R(sigma) = A(iota)^-1 A(sigma), evaluated by direct Clifton expansion."""
+def clifton_matrix(pi: Partition, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Integer matrix R(sigma) = A(iota)^-1 A(sigma), evaluated by direct
+    Clifton expansion."""
     inv = _a_iota_inverse(pi)
     a = clifton_a_matrix(pi, sigma)
     d = len(a)
-    rows = []
-    for i in range(d):
-        rows.append(
-            tuple(
-                field.element(sum(inv[i][k] * a[k][j] for k in range(d)))
-                for j in range(d)
-            )
-        )
-    return RepMatrix(pi, tuple(sigma), tuple(rows))
+    return tuple(
+        tuple(sum(inv[i][k] * a[k][j] for k in range(d)) for j in range(d)) for i in range(d)
+    )
 
 
 class RepTable:
@@ -252,17 +238,14 @@ class RepTable:
         if p > _MAX_CHAR:
             raise ValueError(f"RepTable supports characteristic 0 or p <= {_MAX_CHAR}")
         self._dtype = np.int8 if p else np.int64
-        ident = _perm.identity(self.n)
+        ident = tuple(range(1, self.n + 1))
         self._memo: dict[tuple[int, ...], np.ndarray] = {
             ident: np.eye(self.dim, dtype=self._dtype)
         }
         self._adjacent: dict[int, np.ndarray] = {}
         for i in range(1, self.n):
-            s = _perm.from_transpositions(self.n, [(i, i + 1)])
-            m = np.array(
-                [[int(x) for x in row] for row in clifton_matrix(pi, s).matrix],
-                dtype=np.int64,
-            )
+            s = ident[: i - 1] + (i + 1, i) + ident[i + 1 :]
+            m = np.array(clifton_matrix(pi, s), dtype=np.int64)
             if p:
                 m %= p
             self._adjacent[i] = m

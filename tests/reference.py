@@ -1,0 +1,65 @@
+"""Test-side references: permutations as 1-based image tuples, and the
+expansion of an explicit identity into the canonical monomial basis.
+
+The package evaluates alternating identities without expanding them; the
+expansion here is the independent route the tests compare against.
+"""
+
+import itertools
+
+from lyident import freealg
+
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """(p o q)(i) = p(q(i))."""
+    return tuple(p[j - 1] for j in q)
+
+
+def sign(p: tuple[int, ...]) -> int:
+    """Parity via cycle count; +1 for even permutations, -1 for odd."""
+    seen = [False] * len(p)
+    s = 1
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j] - 1
+            length += 1
+        if length % 2 == 0:
+            s = -s
+    return s
+
+
+def all_perms(n: int):
+    """All of S_n in lexicographic order of image tuples."""
+    return itertools.permutations(range(1, n + 1))
+
+
+def alternation_polynomial(identity) -> freealg.Polynomial:
+    """Expand an ExplicitIdentity into the canonical monomial basis.
+
+    Alternating identities expand over all of S_n with signs; n = 8 means
+    40320 straightenings per term.
+    """
+    n = identity.degree
+    btypes = freealg.binary_types(n)
+    terms = []
+    for j, coeff in identity.terms:
+        base = freealg.labeled_tree(
+            freealg.Monomial(n, btypes[j - 1].index, tuple(range(1, n + 1)))
+        )
+        if not identity.alternating:
+            terms.append((coeff, base))
+            continue
+        for sigma in all_perms(n):
+            terms.append((coeff * sign(sigma), _relabel(base, sigma)))
+    return freealg.expand(terms)
+
+
+def _relabel(tree, sigma: tuple[int, ...]):
+    if isinstance(tree, int):
+        return sigma[tree - 1]
+    return (tree[0], *(_relabel(c, sigma) for c in tree[1:]))

@@ -23,10 +23,12 @@ from math import factorial
 
 import pytest
 
+import reference
+import test_evallab
 import test_exactla
 import test_freealg
 import test_pipeline
-from lyident import _perm, cli, evallab, freealg, liftgen, pipeline, symrep
+from lyident import cli, evallab, freealg, liftgen, pipeline, symrep
 from lyident._data import data_text
 from lyident.exactla import GF101, QQ, IncrementalReducer
 
@@ -169,20 +171,20 @@ def test_09_representation_properties():
         for _ in range(10):
             s = rand_perm(rng, n)
             assert trivial.matrix(s).tolist() == [[1]]
-            assert sign.matrix(s).tolist() == [[_perm.sign(s)]]
+            assert sign.matrix(s).tolist() == [[reference.sign(s)]]
     for n in range(2, 7):
         for pi in symrep.partitions(n):
             tab = symrep.RepTable(pi, QQ)
             for _ in range(100):
                 s, t = rand_perm(rng, n), rand_perm(rng, n)
-                lhs = tab.matrix(_perm.compose(s, t))
+                lhs = tab.matrix(reference.compose(s, t))
                 assert (lhs == tab.matrix(s) @ tab.matrix(t)).all(), (pi, s, t)
     for n in (7, 8):
         for pi in symrep.partitions(n):
             tab = symrep.RepTable(pi, GF101)
             for _ in range(20):
                 s, t = rand_perm(rng, n), rand_perm(rng, n)
-                lhs = tab.matrix(_perm.compose(s, t))
+                lhs = tab.matrix(reference.compose(s, t))
                 prod = tab.matrix(s).astype(int) @ tab.matrix(t).astype(int) % 101
                 assert (lhs == prod).all(), (pi, s, t)
 
@@ -223,12 +225,13 @@ def test_10_linear_algebra_properties():
 
 def test_11_semantic_oracle():
     theorem = cli.bundled_identity()
-    for name, alg in evallab.bundled_algebras().items():
+    for name, alg in test_evallab.bundled_algebras().items():
         assert evallab.validate(alg) == [], name
         result = evallab.check_identity(theorem, alg, trials=20, seed=11)
         assert result.passed, name
     # the alternation of a single binary type is nonzero exactly when every
-    # skew generator of the type is an odd permutation
+    # skew generator of the type is an odd permutation; on a random bracket
+    # table in dimension 8, at e1..e8, every such alternation is nonzero
     btypes = freealg.binary_types(8)
     odd_only = {
         j for j, t in enumerate(btypes, 1)
@@ -236,10 +239,13 @@ def test_11_semantic_oracle():
     }
     assert len(odd_only) == 13
     assert {j for j, _ in theorem.terms} <= odd_only
-    for j in range(1, 24):
-        alternation = pipeline.alternation_polynomial(
-            pipeline.ExplicitIdentity(8, ((j, F(1)),)))
-        assert bool(alternation) == (j in odd_only), j
+    alg = test_evallab.random_bracket(8, 1, 0.3)
+    basis = [alg.basis(i) for i in range(8)]
+    nonzero = {
+        j for j in range(1, 24)
+        if any(evallab.evaluate(pipeline.ExplicitIdentity(8, ((j, F(1)),)), alg, basis))
+    }
+    assert nonzero == odd_only
 
 
 @pytest.mark.skipif(

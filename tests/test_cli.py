@@ -1,10 +1,13 @@
 """Command-line surface: output shapes, exit codes, file formats; and the
 names each module exports."""
 
+import ast
 import importlib
 import json
 import pkgutil
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +233,14 @@ class TestIdentityFormat:
             cli.parse_identity_text("degree 3\nterm 2\n")
         with pytest.raises(ValueError, match="characteristic 0"):
             cli.parse_identity_text("degree 3\ncharacteristic 7\nterm 2 123 1\n")
+        # a bad value is a line error like a bad keyword, never a KeyError,
+        # ZeroDivisionError or RecursionError
+        with pytest.raises(ValueError, match="line 2: cannot parse 'alternating yes'"):
+            cli.parse_identity_text("degree 3\nalternating yes\nterm 2 123 1\n")
+        with pytest.raises(ValueError, match="line 2: cannot parse 'term 2 123 1/0'"):
+            cli.parse_identity_text("degree 3\nterm 2 123 1/0\n")
+        with pytest.raises(ValueError, match="line 1: cannot parse 'degree 0'"):
+            cli.parse_identity_text("degree 0\nterm 1 1 1\n")
 
 
 class TestVerify:
@@ -250,6 +261,13 @@ class TestVerify:
                            "--algebra", "cross_product", "--trials", "2", "--seed", "0")
         assert code == 0 and out.startswith("PASS")
         assert "vacuous" in out and "alternating 8-linear map vanishes in dimension 3" in out
+
+    def test_malformed_identity_file_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "identity.txt"
+        path.write_text("degree 3\nalternating yes\nterm 2 123 1\n")
+        code, out, err = run(capsys, "verify", "--identity", str(path), "--algebra", "zero")
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2: cannot parse 'alternating yes'")
 
     def test_alternating_check_in_full_dimension_has_no_note(self, capsys, tmp_path):
         # the alternation of [[x1,x2],x3] is twice the Jacobi sum, zero on a Lie bracket
@@ -309,6 +327,27 @@ class TestValidateAlgebra:
         code, out, _ = run(capsys, "validate-algebra", str(path))
         assert code == 2 and out.startswith("invalid")
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"dimension": 2, "construction": "lie", "bilinear": [[0, 1, 1, "1"], [1, 0, 1, "-1"]]},
+         "indices must be integers in 1..2"),
+        ({"dimension": 2, "construction": "lie", "bilinear": [[1, 3, 1, "1"]]},
+         "indices must be integers in 1..2"),
+        ({"construction": "lie", "bilinear": []}, "missing required field 'dimension'"),
+        ({"dimension": 2, "construction": "lie", "bilinear": [[1, 2, 1, 0.1]]},
+         "the coefficient must be an int or an exact string"),
+        ({"dimension": 2, "construction": "lie", "trilinear": [[1, 1, 1, 1, "1"]]},
+         "does not read trilinear"),
+    ], ids=["index-0", "index-above-dim", "no-dimension", "float", "unread-table"])
+    def test_malformed_file_is_rejected(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "validate-algebra", str(path))
+        assert code == 2 and out.startswith("invalid: ") and message in out
+        identity = tmp_path / "jacobi.txt"
+        identity.write_text("degree 3\nterm 2 123 1\n")
+        code, out, err = run(capsys, "verify", "--identity", str(identity), "--algebra", str(path))
+        assert code == 1 and out == "" and err.startswith("error: ") and message in err
+
     def test_garbage_json_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{nope")
@@ -323,3 +362,26 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(f"lyident.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"lyident.{info.name}.{name}"
+
+
+def test_every_exported_name_is_used_outside_tests():
+    # code that only the tests call belongs in the tests: every __all__
+    # entry is read by the package itself, the benchmark or the entry points
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in [*(root / "src" / "lyident").glob("*.py"), *(root / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    unused = [
+        f"lyident.{info.name}.{name}"
+        for info in pkgutil.iter_modules(lyident.__path__)
+        for name in getattr(importlib.import_module(f"lyident.{info.name}"), "__all__", ())
+        if name not in used and not re.search(rf"\b{name}\b", pyproject)
+    ]
+    assert unused == []

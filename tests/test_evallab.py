@@ -2,16 +2,17 @@
 construction, and exact evaluation of identities."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from lyident import evallab, freealg, liftgen, pipeline
+from lyident._data import data_text
 from lyident.evallab import (
     AlgebraSC,
     LeibnizSC,
-    bundled_algebras,
     check_identity,
     evaluate,
     from_leibniz,
@@ -20,12 +21,18 @@ from lyident.evallab import (
     validate,
     validate_leibniz,
 )
+from reference import alternation_polynomial
 
 F = Fraction
 
 
 def vec(*entries):
     return tuple(F(x) for x in entries)
+
+
+def bundled_algebras():
+    """The sample algebras shipped with the package, keyed by name."""
+    return {name: load_algebra(data_text(f"algebras/{name}.json")) for name in evallab.BUNDLED}
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +323,7 @@ class TestEvaluate:
         b = len(freealg.binary_types(degree))
         terms = tuple((j, F((-1) ** j * (j % 3 + 1), 2)) for j in range(1, b + 1))
         ident = pipeline.ExplicitIdentity(degree, terms)
-        poly = pipeline.alternation_polynomial(ident)
+        poly = alternation_polynomial(ident)
         rng = random.Random(11)
         # every binary alternation of degree 5 or 6 vanishes on
         # matrix_semidirect; a random table gives nonzero values
@@ -363,7 +370,7 @@ class TestEvaluate:
         # [[a,b],[c,d]] has an even skew generator: its alternation is zero
         alg = from_leibniz(matrix_semidirect())
         ident = pipeline.ExplicitIdentity(4, ((1, F(1)),))
-        assert not pipeline.alternation_polynomial(ident)
+        assert not alternation_polynomial(ident)
         vs = tuple(vec(*range(i, i + 6)) for i in range(4))
         assert evaluate(ident, alg, vs) == alg.zero()
 
@@ -449,3 +456,45 @@ class TestLoadAlgebra:
     def test_unknown_construction(self):
         with pytest.raises(ValueError, match="unknown construction"):
             load_algebra('{"dimension": 1, "construction": "mystery"}')
+
+    @pytest.mark.parametrize("doc, message", [
+        # index 0 would otherwise wrap round to the last basis vector
+        ({"dimension": 2, "construction": "lie", "bilinear": [[0, 1, 1, "1"], [1, 0, 1, "-1"]]},
+         "bilinear entry [0, 1, 1, '1']: indices must be integers in 1..2"),
+        ({"dimension": 2, "construction": "direct", "trilinear": [[1, 2, 3, 1, "1"]]},
+         "trilinear entry [1, 2, 3, 1, '1']: indices must be integers in 1..2"),
+        ({"dimension": 2, "construction": "leibniz", "product": [[1, 2, "1"]]},
+         "product entry [1, 2, '1']: expected 3 indices and a coefficient"),
+        ({"dimension": 2, "construction": "lie", "bilinear": [[1, 2, 1, 0.1]]},
+         "bilinear entry [1, 2, 1, 0.1]: the coefficient must be an int or an exact string"),
+        ({"dimension": 2, "construction": "lie", "bilinear": [[1, 2, 1, "1/0"]]},
+         "the coefficient must be an int or an exact string"),
+        ({"dimension": 2, "construction": "lie", "bilinear": [[1, 2, 1, True]]},
+         "the coefficient must be an int or an exact string"),
+        ({"construction": "lie"}, "missing required field 'dimension'"),
+        ({"dimension": 2}, "missing required field 'construction'"),
+        ({"dimension": 2, "construction": ["lie"]}, "unknown construction ['lie']"),
+        ({"dimension": "2", "construction": "lie"}, "dimension must be a positive integer"),
+        ({"dimension": 2, "construction": "lie", "trilinear": []},
+         "the lie construction does not read trilinear"),
+        ({"dimension": 2, "construction": "direct", "bilinear": {}},
+         "bilinear must be a list of entries"),
+        ([2, "lie"], "one JSON object"),
+    ], ids=["index-0", "index-above-dim", "short-entry", "float", "zero-denominator", "bool",
+            "no-dimension", "no-construction", "list-construction", "string-dimension",
+            "unread-table", "table-not-list", "not-an-object"])
+    def test_malformed_file_rejected(self, doc, message):
+        with pytest.raises(ValueError) as info:
+            load_algebra(json.dumps(doc))
+        assert message in str(info.value)
+
+    def test_sparse_entries_checked(self):
+        with pytest.raises(ValueError, match=r"bilinear entry \(0, 1, 1, 1\)"):
+            AlgebraSC.from_sparse(2, bilinear=[(0, 1, 1, 1)])
+        with pytest.raises(ValueError, match=r"product entry \(1, 1, 3, 1\)"):
+            LeibnizSC.from_sparse(2, [(1, 1, 3, 1)])
+        # int and string coefficients, in files and in code, read alike
+        doc = {"dimension": 2, "construction": "lie", "bilinear": [[1, 2, 1, 2], [2, 1, 1, "-2"]]}
+        alg = load_algebra(json.dumps(doc))
+        assert alg.bracket(alg.basis(0), alg.basis(1)) == vec(2, 0)
+        assert alg.bracket(alg.basis(1), alg.basis(0)) == vec(-2, 0)

@@ -369,37 +369,16 @@ def test_render_monomial_forms():
     assert freealg.render_monomial(mono, pretty=True) == "[<a,b,e>,[c,d]]"
     big, _ = freealg.canonicalize((2, (2, 1, 2), (2, 3, (2, 4, (2, 5, (2, 6, (2, 7, (2, 8, 9))))))))
     assert "x1" in freealg.render_monomial(big)
-
-
-def test_parse_type_roundtrip():
-    for n in range(1, 8):
-        for t in freealg.enumerate_types(n):
-            assert freealg.parse_type(freealg.render_type(t)) is t
-
-
-@pytest.mark.parametrize(
-    "bad",
-    ["", "[--", "[-[--]]", "<-->", "[---]", "<[--]--", "[[--]-]x", "--"],
-)
-def test_parse_type_rejects(bad):
-    with pytest.raises(ValueError):
-        freealg.parse_type(bad)
-
-
-def test_parse_monomial_roundtrip():
-    for n in (3, 4):
-        for perm in itertools.permutations(range(1, n + 1)):
-            for tree in plane_trees(list(perm)):
-                mono, _ = freealg.canonicalize(tree)
-                for pretty in (False, True):
-                    s = freealg.render_monomial(mono, pretty=pretty)
-                    assert freealg.parse_monomial(s) == mono
-
-
-@pytest.mark.parametrize(
-    "bad",
-    ["[ba]", "[b[ca]]", "[[ab]c", "[aa]", "<ab>", "[a(bc)]", "<acb", ""],
-)
-def test_parse_monomial_rejects_noncanonical(bad):
-    with pytest.raises(ValueError):
-        freealg.parse_monomial(bad)
+    # both renderings tell apart every type of degree <= 7 and every
+    # canonical monomial of degree 3 and 4
+    types = [t for n in range(1, 8) for t in freealg.enumerate_types(n)]
+    monos = {
+        freealg.canonicalize(tree)[0]
+        for n in (3, 4)
+        for perm in itertools.permutations(range(1, n + 1))
+        for tree in plane_trees(list(perm))
+    }
+    assert len({freealg.render_type(t) for t in types}) == len(types) and all(
+        len({freealg.render_monomial(m, pretty=pretty) for m in monos}) == len(monos)
+        for pretty in (False, True)
+    )
