@@ -304,11 +304,9 @@ def _cmd_verify(args) -> int:
 def _cmd_validate_algebra(args) -> int:
     try:
         algebra = _load_algebra_arg(args.algebra)
-    except json.JSONDecodeError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 1
-    except ValueError as ex:
-        # a rejected derived construction is a validation verdict, not a crash
+    except evallab.InvalidProduct as ex:
+        # a rejected leibniz product is a verdict; a malformed file is an
+        # input error, which main reports
         print(f"invalid: {ex}")
         return 2
     violations = evallab.validate(algebra)

@@ -30,6 +30,7 @@ __all__ = [
     "AlgebraSC",
     "LeibnizSC",
     "Violation",
+    "InvalidProduct",
     "CheckResult",
     "validate",
     "validate_leibniz",
@@ -57,8 +58,18 @@ class Violation:
         return f"{self.axiom} fails at ({args})"
 
 
+class InvalidProduct(ValueError):
+    """from_leibniz's verdict on a product that fails the derivation identity."""
+
+
 def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as an exact Fraction; a float raises ValueError, since its binary
+    value (0.1 is 3602879701896397/2**55) is rarely the number meant."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"float entry {x!r}: give an int, a Fraction or an exact string")
+    return Fraction(x)
 
 
 def _dense(dimension: int, entries, indices: int, what: str) -> list:
@@ -384,11 +395,12 @@ def from_leibniz(lb: LeibnizSC) -> AlgebraSC:
     which every valid product yields a valid algebra: the cyclic axiom
     forces α + 2γ = 1 and the trilinear derivation axiom then pins
     (α, γ) = (0, ½); since {c,{b,a}} = -{c,{a,b}}, γ = ½ collapses to the
-    form used here.
+    form used here. Raises InvalidProduct when lb fails the derivation
+    identity.
     """
     bad = validate_leibniz(lb)
     if bad:
-        raise ValueError(f"not a valid product: {bad[0].render()}")
+        raise InvalidProduct(f"not a valid product: {bad[0].render()}")
     d = lb.dimension
     B = [lb.basis(i) for i in range(d)]
     c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]

@@ -7,9 +7,10 @@ of a long stream of rows is available without ever materializing the stream.
 
 Over a prime field p <= 127 the reducer stores the non-pivot columns of its
 basis (the pivot columns hold the identity) in a numpy int8 array and reduces
-whole batches with matrix products in float64, chunked by basis rows;
-intermediates stay below p**2 * rank, far inside the 2**53 range where
-float64 arithmetic on integers is exact.
+whole batches with matrix products in float64, chunked by basis rows. Each
+step adds p - f where it would subtract f, so no operand is negative and the
+in-place np.fmod is the residue mod p; intermediates stay in [0, p**2 * rank],
+far inside the 2**53 range where float64 arithmetic on integers is exact.
 Over the rationals the reducer works in Python ints from end to end. An
 integer or boolean array enters row by row through tolist(); any other row
 is cleared of denominators in integer arithmetic (numerator * (lcm //
@@ -102,8 +103,11 @@ class _ModReducer:
     The pivot columns of an RCF basis hold the identity, so only the other
     columns are stored, as int8 (p <= _MAX_CHAR), and every product runs on
     them alone, in row chunks staged through float64 so the matmuls hit BLAS.
-    Every value is an integer in [0, p) and the largest intermediate, p^2 *
-    rank, stays far below 2^53, so the arithmetic is exact.
+    Every stored value is an integer in [0, p). A subtraction x - f*y is
+    computed as x + (p - f)*y and reduced in place with np.fmod: operands
+    are never negative, so fmod gives the residue in [0, p), and the largest
+    intermediate, p^2 * rank, stays far below 2^53, so the arithmetic is
+    exact.
     """
 
     def __init__(self, cols: int, p: int):
@@ -125,8 +129,10 @@ class _ModReducer:
         if self.pivots:
             free = rows[:, self._free]
             for i in range(0, len(self.pivots), self._chunk):
-                free -= rows[:, self.pivots[i : i + self._chunk]] @ self._staged(i)
-            free %= self.p
+                neg = self._staged(i)
+                np.subtract(self.p, neg, out=neg)
+                free += rows[:, self.pivots[i : i + self._chunk]] @ neg
+            np.fmod(free, self.p, out=free)
             rows[:, self.pivots] = 0
             rows[:, self._free] = free
         return rows
@@ -140,11 +146,13 @@ class _ModReducer:
         # the old rows, then drop the new pivot columns from every row
         at = np.searchsorted(self._free, cs)
         tail = block[:, self._free]
+        new = tail.astype(np.int8)
+        np.subtract(self.p, tail, out=tail)
         for i in range(0, len(self.pivots), self._chunk):
             part = self._staged(i)
-            part -= part[:, at] @ tail
-            self.basis[i : i + self._chunk] = part % self.p
-        stacked = np.delete(np.concatenate([self.basis, tail.astype(np.int8)]), at, axis=1)
+            part += part[:, at] @ tail
+            self.basis[i : i + self._chunk] = np.fmod(part, self.p, out=part)
+        stacked = np.delete(np.concatenate([self.basis, new]), at, axis=1)
         order = np.argsort(self.pivots + cs, kind="stable")
         self.pivots = sorted(self.pivots + cs)
         self._free = np.delete(self._free, at)
@@ -152,36 +160,32 @@ class _ModReducer:
         return block.shape[0]
 
     def _self_reduce(self, rows: np.ndarray) -> np.ndarray:
-        """Full RCF of a (pre-reduced) batch: small Gaussian elimination.
-
-        Row operations run in place through one scratch buffer; the loop
-        allocates nothing, which matters when a wide batch needs millions of
-        eliminations (per-step temporaries fragment the heap badly).
-        """
+        """Full RCF of a (pre-reduced) batch: Gaussian elimination in place
+        on its rows. Each step x -= f*y runs as x += (p - f)*y through one
+        scratch buffer, then an in-place fmod; values stay in [0, p**2)."""
         p = self.p
         out: list[np.ndarray] = []
         cols: list[int] = []
         scratch = np.empty(self.cols, dtype=np.float64)
         for row in rows:
-            row = np.array(row, dtype=np.float64)
             for other, c in zip(out, cols):
                 f = row[c]
                 if f:
-                    np.multiply(other, f, out=scratch)
-                    row -= scratch
-                    row %= p
+                    np.multiply(other, p - f, out=scratch)
+                    row += scratch
+                    np.fmod(row, p, out=row)
             nz = np.nonzero(row)[0]
             if nz.size == 0:
                 continue
             c = int(nz[0])
             row *= pow(int(row[c]), p - 2, p)
-            row %= p
+            np.fmod(row, p, out=row)
             for other in out:
                 f = other[c]
                 if f:
-                    np.multiply(row, f, out=scratch)
-                    other -= scratch
-                    other %= p
+                    np.multiply(row, p - f, out=scratch)
+                    other += scratch
+                    np.fmod(other, p, out=other)
             out.append(row)
             cols.append(c)
         if not out:
@@ -189,9 +193,9 @@ class _ModReducer:
         order = np.argsort(cols)
         return np.asarray(out)[order]
 
-    def reduce_row(self, row: np.ndarray) -> np.ndarray:
-        row = np.asarray(row, dtype=np.float64) % self.p
-        return self._reduce(row[None, :])[0]
+    def reduce_row(self, row) -> np.ndarray:
+        """A row with entries in [0, p) reduced against the basis."""
+        return self._reduce(np.array([row], dtype=np.float64))[0]
 
 
 def _cleared(row) -> list[int]:

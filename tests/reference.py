@@ -1,8 +1,10 @@
-"""Test-side references: permutations as 1-based image tuples, and the
-expansion of an explicit identity into the canonical monomial basis.
+"""Test-side references: permutations as 1-based image tuples, the
+expansion of an explicit identity into the canonical monomial basis, and
+the row canonical form over GF(p) in plain Python.
 
-The package evaluates alternating identities without expanding them; the
-expansion here is the independent route the tests compare against.
+The package evaluates alternating identities without expanding them and
+reduces rows mod p in float64 batches; the routes here are the independent
+ones the tests compare against.
 """
 
 import itertools
@@ -63,3 +65,22 @@ def _relabel(tree, sigma: tuple[int, ...]):
     if isinstance(tree, int):
         return sigma[tree - 1]
     return (tree[0], *(_relabel(c, sigma) for c in tree[1:]))
+
+
+def rcf_mod(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Row canonical form of integer rows over GF(p): textbook Gauss-Jordan
+    on Python ints, entries in [0, p), zero rows dropped."""
+    m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        k = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[rank], m[k] = m[k], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i, r in enumerate(m):
+            if i != rank and r[c]:
+                m[i] = [(x - r[c] * y) % p for x, y in zip(r, m[rank])]
+        rank += 1
+    return m[:rank]

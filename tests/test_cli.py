@@ -339,14 +339,15 @@ class TestValidateAlgebra:
          "does not read trilinear"),
     ], ids=["index-0", "index-above-dim", "no-dimension", "float", "unread-table"])
     def test_malformed_file_is_rejected(self, capsys, tmp_path, doc, message):
+        # an input error for both commands, unlike a rejected leibniz product
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, "validate-algebra", str(path))
-        assert code == 2 and out.startswith("invalid: ") and message in out
         identity = tmp_path / "jacobi.txt"
         identity.write_text("degree 3\nterm 2 123 1\n")
-        code, out, err = run(capsys, "verify", "--identity", str(identity), "--algebra", str(path))
-        assert code == 1 and out == "" and err.startswith("error: ") and message in err
+        for argv in (["validate-algebra", str(path)],
+                     ["verify", "--identity", str(identity), "--algebra", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == "" and err.startswith("error: ") and message in err, argv
 
     def test_garbage_json_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "garbage.json"

@@ -135,6 +135,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="positive"):
             AlgebraSC(0)
 
+    def test_float_constants_rejected(self):
+        # 0.1 would be read as its binary value 3602879701896397/2**55
+        with pytest.raises(ValueError, match="float entry 0.1"):
+            AlgebraSC(1, [[[0.1]]])
+        with pytest.raises(ValueError, match="float entry 0.5"):
+            AlgebraSC(1, trilinear=[[[[0.5]]]])
+        assert AlgebraSC(1, [[["1/10"]]]).bracket(vec(1), vec(1)) == vec(F(1, 10))
+
 
 class TestLeibniz:
     def test_nilpotent_square_is_valid(self):
@@ -157,8 +165,12 @@ class TestLeibniz:
 
     def test_from_leibniz_rejects_invalid(self):
         lb = LeibnizSC.from_sparse(1, [(1, 1, 1, 1)])
-        with pytest.raises(ValueError, match="e1, e1, e1"):
+        with pytest.raises(evallab.InvalidProduct, match="e1, e1, e1"):
             from_leibniz(lb)
+
+    def test_float_product_rejected(self):
+        with pytest.raises(ValueError, match="float entry 0.1"):
+            LeibnizSC(1, [[[0.1]]])
 
     def test_abelian_gives_zero_algebra(self):
         alg = from_leibniz(LeibnizSC(3))
@@ -317,6 +329,11 @@ class TestEvaluate:
             evaluate(poly, cross, (cross.basis(0),))
         with pytest.raises(ValueError, match="length 2"):
             evaluate(poly, cross, (cross.basis(0), cross.basis(1), vec(1, 0)))
+
+    def test_float_assignment_rejected(self, cross):
+        poly = freealg.expand([(1, (2, (2, 1, 2), 3))])
+        with pytest.raises(ValueError, match="float entry 0.1"):
+            evaluate(poly, cross, (cross.basis(0), cross.basis(1), (0.1, 0, 0)))
 
     @pytest.mark.parametrize("degree", [4, 5, 6])
     def test_alternating_matches_expanded_polynomial(self, degree):

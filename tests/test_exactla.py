@@ -1,7 +1,8 @@
-"""Tests for exact row reduction over the rationals and GF(101).
+"""Tests for exact row reduction over the rationals and prime fields.
 
 The reducer's tail_rows(0) is the row canonical form (RCF) of everything
-appended; the rcf tests state its properties there.
+appended; the rcf tests state its properties there, and the GF(p) kernel is
+checked against the plain-Python reference RCF for several primes.
 """
 
 import random
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from lyident.exactla import GF101, QQ, FieldSpec, IncrementalReducer
+from reference import rcf_mod
 
 
 def test_fieldspec_validation():
@@ -203,6 +205,35 @@ def test_chunked_basis_matches_single_chunk():
     assert chunked.tail_rows(0) == plain.tail_rows(0)
     probe = random_matrix(rng, 1, 30, GF101)[0]
     assert list(chunked._impl.reduce_row(probe)) == list(plain._impl.reduce_row(probe))
+
+
+def deficient_batch(rng, rows, cols, rank):
+    """Integer rows, negative entries included, that span at most rank
+    dimensions: random combinations of rank random base rows."""
+    base = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(cols)]
+            for coeffs in ([rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows))]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 127])
+def test_gf_kernel_matches_reference(p):
+    rng = random.Random(p)
+    for rows, cols, rank in [(30, 40, 12), (60, 25, 20), (12, 50, 12)]:
+        m = deficient_batch(rng, rows, cols, rank)
+        ref = rcf_mod(m, p)
+        pivots = tuple(next(j for j, x in enumerate(r) if x) for r in ref)
+        whole = IncrementalReducer(cols, FieldSpec(p))
+        whole.append(np.array(m))
+        pieces = IncrementalReducer(cols, FieldSpec(p))
+        pieces._impl._chunk = 4  # stage the basis through float64 four rows at a time
+        cuts = sorted(rng.sample(range(1, rows), 5))
+        for lo, hi in zip([0, *cuts], [*cuts, rows]):
+            pieces.append(m[lo:hi])
+        for red in (whole, pieces):
+            assert (red.rank, red.pivots) == (len(ref), pivots)
+            assert red.tail_rows(0) == ref
+            assert ((red._impl.basis >= 0) & (red._impl.basis < p)).all()
+            assert all(red.contains(r) for r in m)
 
 
 def test_int8_basis_rejects_large_characteristic():
