@@ -1,16 +1,17 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
 Everything here is exact: rationals are arbitrary-precision fractions, modular
 entries live in [0, p). The central object is IncrementalReducer, which keeps
-the unique row canonical form (RCF) of everything appended so far, so the rank
-of a long stream of rows is available without ever materializing the stream.
+the row space of everything appended so far and reads back its rank, row
+membership and unique row canonical form (RCF), so the rank of a long stream
+of rows is available without ever materializing the stream.
 
-Over a prime field p <= 127 the reducer stores the non-pivot columns of its
-basis (the pivot columns hold the identity) in a numpy int8 array and reduces
-whole batches with matrix products in float64, chunked by basis rows. Each
-step adds p - f where it would subtract f, so no operand is negative and the
-in-place np.fmod is the residue mod p; intermediates stay in [0, p**2 * rank],
-far inside the 2**53 range where float64 arithmetic on integers is exact.
+Over a prime field the reducer keeps a sparse echelon basis: each row is
+stored under its pivot column as its nonzero entries right of an implicit
+leading 1, in Python ints. An appended row is read on its nonzeros only and
+eliminated in pivot order through a min-heap of the pivot columns it holds,
+so the work follows the fill-in, not the width. Appending never
+back-substitutes; tail_rows builds the RCF rows it returns.
 Over the rationals the reducer works in Python ints from end to end. An
 integer or boolean array enters row by row through tolist(); any other row
 is cleared of denominators in integer arithmetic (numerator * (lcm //
@@ -23,9 +24,10 @@ appear only in tail_rows.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 import numpy as np
@@ -92,110 +94,97 @@ GF101 = FieldSpec(101)
 
 # -- incremental row reduction -------------------------------------------------
 
-# the largest characteristic whose residues fit an int8 entry; RepTable's
-# memoized matrices share the limit
+# the largest characteristic RepTable's int8 matrices hold; the reducer
+# and lyident analyze share the limit
 _MAX_CHAR = 127
 
 
 class _ModReducer:
-    """RCF basis over GF(p), batch reduction via one matmul per append.
+    """Echelon basis over GF(p), stored sparse.
 
-    The pivot columns of an RCF basis hold the identity, so only the other
-    columns are stored, as int8 (p <= _MAX_CHAR), and every product runs on
-    them alone, in row chunks staged through float64 so the matmuls hit BLAS.
-    Every stored value is an integer in [0, p). A subtraction x - f*y is
-    computed as x + (p - f)*y and reduced in place with np.fmod: operands
-    are never negative, so fmod gives the residue in [0, p), and the largest
-    intermediate, p^2 * rank, stays far below 2^53, so the arithmetic is
-    exact.
+    Each basis row lives under its pivot column as its entries to the right
+    of an implicit leading 1: parallel lists of columns and values, Python
+    ints in [1, p). A row is eliminated on its nonzeros only, against a
+    min-heap of the pivot columns it holds: the smallest is cleared first by
+    subtracting its basis row, whose entries all lie to its right, and any
+    pivot column that subtraction fills joins the heap. Entries accumulate
+    as Python ints and are reduced mod p when popped and once at the end.
+    Appending never back-substitutes; tail_rows builds the RCF rows it
+    returns.
     """
 
     def __init__(self, cols: int, p: int):
         if p > _MAX_CHAR:
-            raise ValueError(f"characteristic {p} too large for an int8 basis (at most {_MAX_CHAR})")
+            raise ValueError(f"characteristic {p} above the supported maximum {_MAX_CHAR}")
         self.p = p
         self.cols = cols
-        self.pivots: list[int] = []
-        self._free = np.arange(cols)  # the non-pivot columns, ascending
-        self.basis = np.zeros((0, cols), dtype=np.int8)  # restricted to _free
-        # chunk rows so the float64 staging buffer stays around 256 MB
-        self._chunk = max(256, (1 << 25) // max(cols, 1))
+        self.pivots: list[int] = []  # ascending
+        self.rows: dict[int, tuple[list[int], list[int]]] = {}  # pivot column -> (columns, values)
 
-    def _staged(self, i: int) -> np.ndarray:
-        return self.basis[i : i + self._chunk].astype(np.float64)
+    def reduce_only(self, row: dict[int, int]) -> dict[int, int]:
+        """row (column -> entry) minus the basis combination clearing every
+        pivot column, entries reduced to [1, p); consumes row."""
+        p, rows = self.p, self.rows
+        heap = [c for c in row if c in rows]
+        heapify(heap)
+        while heap:
+            c = heappop(heap)
+            f = row.pop(c) % p
+            if not f:
+                continue
+            f = p - f
+            cols, vals = rows[c]
+            for j, v in zip(cols, vals):
+                x = row.get(j)
+                if x is None:
+                    row[j] = f * v
+                    if j in rows:
+                        heappush(heap, j)
+                else:
+                    row[j] = x + f * v
+        return {j: r for j, x in row.items() if (r := x % p)}
 
-    def _reduce(self, rows: np.ndarray) -> np.ndarray:
-        """Subtract from rows, in place and mod p, the basis combination clearing every pivot column."""
-        if self.pivots:
-            free = rows[:, self._free]
-            for i in range(0, len(self.pivots), self._chunk):
-                neg = self._staged(i)
-                np.subtract(self.p, neg, out=neg)
-                free += rows[:, self.pivots[i : i + self._chunk]] @ neg
-            np.fmod(free, self.p, out=free)
-            rows[:, self.pivots] = 0
-            rows[:, self._free] = free
-        return rows
+    def append_one(self, row: dict[int, int]) -> bool:
+        """Reduce row and keep what is left as a basis row; True iff the rank grew."""
+        rest = self.reduce_only(row)
+        if not rest:
+            return False
+        c = min(rest)
+        inv = pow(rest.pop(c), -1, self.p)
+        self.rows[c] = (list(rest), [x * inv % self.p for x in rest.values()])
+        insort(self.pivots, c)
+        return True
 
     def append(self, rows: np.ndarray) -> int:
-        block = self._self_reduce(self._reduce(np.array(rows, dtype=np.float64)))
-        if block.shape[0] == 0:
-            return 0
-        cs = [int(np.nonzero(r)[0][0]) for r in block]
-        # the block vanishes on the old pivot columns: clear its pivots from
-        # the old rows, then drop the new pivot columns from every row
-        at = np.searchsorted(self._free, cs)
-        tail = block[:, self._free]
-        new = tail.astype(np.int8)
-        np.subtract(self.p, tail, out=tail)
-        for i in range(0, len(self.pivots), self._chunk):
-            part = self._staged(i)
-            part += part[:, at] @ tail
-            self.basis[i : i + self._chunk] = np.fmod(part, self.p, out=part)
-        stacked = np.delete(np.concatenate([self.basis, new]), at, axis=1)
-        order = np.argsort(self.pivots + cs, kind="stable")
-        self.pivots = sorted(self.pivots + cs)
-        self._free = np.delete(self._free, at)
-        self.basis = stacked[order]
-        return block.shape[0]
+        """Add the rows of an integer array; returns the rank increase."""
+        at, cols = np.nonzero(rows)
+        vals = rows[at, cols].tolist()
+        cols = cols.tolist()
+        ends = np.searchsorted(at, np.arange(len(rows) + 1)).tolist()
+        return sum(self.append_one(dict(zip(cols[lo:hi], vals[lo:hi]))) for lo, hi in zip(ends, ends[1:]))
 
-    def _self_reduce(self, rows: np.ndarray) -> np.ndarray:
-        """Full RCF of a (pre-reduced) batch: Gaussian elimination in place
-        on its rows. Each step x -= f*y runs as x += (p - f)*y through one
-        scratch buffer, then an in-place fmod; values stay in [0, p**2)."""
-        p = self.p
-        out: list[np.ndarray] = []
-        cols: list[int] = []
-        scratch = np.empty(self.cols, dtype=np.float64)
-        for row in rows:
-            for other, c in zip(out, cols):
-                f = row[c]
-                if f:
-                    np.multiply(other, p - f, out=scratch)
-                    row += scratch
-                    np.fmod(row, p, out=row)
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            c = int(nz[0])
-            row *= pow(int(row[c]), p - 2, p)
-            np.fmod(row, p, out=row)
-            for other in out:
-                f = other[c]
-                if f:
-                    np.multiply(row, p - f, out=scratch)
-                    other += scratch
-                    np.fmod(other, p, out=other)
-            out.append(row)
-            cols.append(c)
-        if not out:
-            return np.zeros((0, self.cols))
-        order = np.argsort(cols)
-        return np.asarray(out)[order]
-
-    def reduce_row(self, row) -> np.ndarray:
-        """A row with entries in [0, p) reduced against the basis."""
-        return self._reduce(np.array([row], dtype=np.float64))[0]
+    def tail_rows(self, start: int) -> list[list[int]]:
+        """The RCF rows with pivot column >= start, restricted to start:, by
+        back-substitution among those rows from the largest pivot down; the
+        echelon basis itself is left as it is."""
+        p, rows = self.p, self.rows
+        done: dict[int, dict[int, int]] = {}
+        for c in reversed(self.pivots[bisect_left(self.pivots, start) :]):
+            cols, vals = rows[c]
+            row = dict(zip(cols, vals))
+            for j in [j for j in cols if j in rows]:
+                f = p - row.pop(j)
+                for k, v in done[j].items():
+                    row[k] = row.get(k, 0) + f * v
+            done[c] = {k: r for k, x in row.items() if (r := x % p)}
+        out = []
+        for c in sorted(done):
+            line = [0] * (self.cols - start)
+            line[c - start] = 1
+            for j, x in done[c].items():
+                line[j - start] = x
+            out.append(line)
+        return out
 
 
 def _cleared(row) -> list[int]:
@@ -268,7 +257,7 @@ class _RatReducer:
 
 
 class IncrementalReducer:
-    """Maintains the RCF of the row space of every row appended so far."""
+    """Maintains the row space of every row appended so far; tail_rows reads its RCF."""
 
     def __init__(self, cols: int, field: FieldSpec = QQ):
         if cols < 0:
@@ -314,24 +303,23 @@ class IncrementalReducer:
         # through FieldSpec.element
         if isinstance(rows, np.ndarray) and rows.dtype.kind in "biu":
             return self._impl.append(rows % p)
-        data = [[self.field.element(x) for x in r] for r in rows]
-        for r in data:
-            self._check_width(r)
-        if not data:
-            return 0
-        return self._impl.append(np.asarray(data, dtype=np.float64))
+        data = [self._mod_row(r) for r in rows]
+        return sum(self._impl.append_one(r) for r in data)
+
+    def _mod_row(self, row) -> dict[int, int]:
+        """The nonzero entries of a row over GF(p), column -> int in [1, p)."""
+        self._check_width(row)
+        return {j: e for j, x in enumerate(row) if (e := self.field.element(x))}
 
     def contains(self, row) -> bool:
         """True iff the row lies in the current row space."""
         if self.field.characteristic:
-            self._check_width(row)
-            reduced = self._impl.reduce_row([self.field.element(x) for x in row])
-            return not reduced.any()
+            return not self._impl.reduce_only(self._mod_row(row))
         (ints,) = self._integer_rows([row])
         return not any(self._impl.reduce_only(ints))
 
     def tail_rows(self, start: int) -> list[list]:
-        """Exact basis rows with pivot column >= start, restricted to start:.
+        """Exact RCF rows with pivot column >= start, restricted to start:.
 
         Echelon rows vanish left of their pivot, so the restriction loses
         nothing; tail_rows(0) is the whole RCF (leading 1s, pivot columns
@@ -340,15 +328,9 @@ class IncrementalReducer:
         if not 0 <= start <= self.cols:
             raise ValueError(f"start {start} out of range for {self.cols} columns")
         impl = self._impl
-        sel = [i for i, c in enumerate(impl.pivots) if c >= start]
-        if not sel:
-            return []
         if self.field.characteristic:
-            arr = np.zeros((len(sel), self.cols), dtype=np.int8)
-            arr[:, impl._free] = impl.basis[sel]
-            arr[np.arange(len(sel)), [impl.pivots[i] for i in sel]] = 1
-            return arr[:, start:].tolist()
+            return impl.tail_rows(start)
         return [
             [Fraction(x, impl.rows[c][c]) for x in impl.rows[c][start:]]
-            for c in (impl.pivots[i] for i in sel)
+            for c in impl.pivots[bisect_left(impl.pivots, start) :]
         ]

@@ -109,6 +109,9 @@ class PartitionReport:
     new_rows: tuple[tuple, ...]
     status: str = "ok"
     seconds: float = 0.0
+    # how far an aborted reduction got: its rank and the identities appended
+    rank_reached: int | None = None
+    identities_consumed: int | None = None
 
     @property
     def contains(self) -> bool | None:
@@ -136,30 +139,25 @@ def reduce_identities(
     Returns the reducer and a status: "ok", or an aborted marker when a
     resource cap was hit (the reducer then holds a partial row space).
     """
+    red, status, _ = _reduce(gen, pi, field, caps)
+    return red, status
+
+
+def _reduce(gen, pi, field, caps) -> tuple[IncrementalReducer, str, int]:
+    """reduce_identities, plus the number of identities appended."""
     if pi.n != gen.degree:
         raise ValueError(f"partition of {pi.n} against degree-{gen.degree} identities")
     table = symrep.RepTable(pi, field)
-    d = table.dim
-    cols, _, _ = _column_split(gen.degree, d)
+    cols, _, _ = _column_split(gen.degree, table.dim)
     red = IncrementalReducer(cols, field)
     start = time.monotonic()
-    # batch identities so each append is one large matmul, capping the batch
-    # row count so the reducer's float64 staging buffer stays near 128 MB
-    chunk = max(1, min(2048, (1 << 24) // cols) // d)
-    p = field.characteristic
-    block: list[np.ndarray] = []
-    for k, ident in enumerate(gen.identities):
-        rows = liftgen.identity_rows(ident, table)
-        # int8 keeps wide batches small; the reducer upcasts on append
-        block.append(np.asarray(rows % p, dtype=np.int8) if p else rows)
-        if len(block) == chunk or k + 1 == len(gen.identities):
-            red.append(np.concatenate(block))
-            block.clear()
-            if caps and caps.max_rows is not None and red.rank > caps.max_rows:
-                return red, "aborted-rows"
-            if caps and caps.max_seconds is not None and time.monotonic() - start > caps.max_seconds:
-                return red, "aborted-time"
-    return red, "ok"
+    for k, ident in enumerate(gen.identities, 1):
+        red.append(liftgen.identity_rows(ident, table))
+        if caps and caps.max_rows is not None and red.rank > caps.max_rows:
+            return red, "aborted-rows", k
+        if caps and caps.max_seconds is not None and time.monotonic() - start > caps.max_seconds:
+            return red, "aborted-time", k
+    return red, "ok", len(gen.identities)
 
 
 def _skew_reducer(pi: symrep.Partition, degree: int, field: FieldSpec) -> IncrementalReducer:
@@ -218,9 +216,9 @@ def analyze_partition(
     t0 = time.monotonic()
     d = pi.dimension
     _, first_binary, _ = _column_split(gen.degree, d)
-    red, status = reduce_identities(gen, pi, field, caps)
+    red, status, consumed = _reduce(gen, pi, field, caps)
     if status != "ok":
-        return PartitionReport(pi, d, field, None, None, (), status, time.monotonic() - t0)
+        return PartitionReport(pi, d, field, None, None, (), status, time.monotonic() - t0, red.rank, consumed)
     a_rows = red.tail_rows(first_binary)
     skew = _skew_reducer(pi, gen.degree, field)
     new_rows = tuple(tuple(row) for row in a_rows if not skew.contains(row))
@@ -343,9 +341,9 @@ def report_payload(degree: int, reports: list[PartitionReport], generated: int) 
 
 
 def timings_payload(reports: list[PartitionReport]) -> dict:
-    return {
-        "partitions": [
-            {"partition": rep.partition.render(), "seconds": round(rep.seconds, 3)}
-            for rep in reports
-        ]
-    }
+    """Wall times per partition; an aborted one also records how far it got."""
+    entries = [{"partition": rep.partition.render(), "seconds": round(rep.seconds, 3)} for rep in reports]
+    for entry, rep in zip(entries, reports):
+        if rep.status != "ok":
+            entry.update(rank_reached=rep.rank_reached, identities_consumed=rep.identities_consumed)
+    return {"partitions": entries}

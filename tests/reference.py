@@ -3,8 +3,8 @@ expansion of an explicit identity into the canonical monomial basis, and
 the row canonical form over GF(p) in plain Python.
 
 The package evaluates alternating identities without expanding them and
-reduces rows mod p in float64 batches; the routes here are the independent
-ones the tests compare against.
+reduces rows mod p on a sparse echelon basis; the routes here are the
+independent ones the tests compare against.
 """
 
 import itertools

@@ -186,33 +186,17 @@ def test_rank_agreement_across_fields():
         assert len(rcf(m, QQ)) == len(rcf(m, GF101))
 
 
-def test_chunked_basis_matches_single_chunk():
-    rng = random.Random(11)
-    plain = IncrementalReducer(30, GF101)
-    chunked = IncrementalReducer(30, GF101)
-    chunked._impl._chunk = 3  # stage the int8 basis through float64 three rows at a time
-    rows = []
-    for _ in range(4):
-        block = random_matrix(rng, 5, 30, GF101)
-        rows += block
-        assert chunked.append(block) == plain.append(block)
-    assert plain.rank == 20
-    assert plain._impl.basis.dtype.name == "int8"
-    # only the non-pivot columns are stored
-    assert plain._impl.basis.shape == (20, 10)
-    assert plain.tail_rows(0) == rcf(rows, GF101)
-    assert chunked.pivots == plain.pivots
-    assert chunked.tail_rows(0) == plain.tail_rows(0)
-    probe = random_matrix(rng, 1, 30, GF101)[0]
-    assert list(chunked._impl.reduce_row(probe)) == list(plain._impl.reduce_row(probe))
-
-
 def deficient_batch(rng, rows, cols, rank):
     """Integer rows, negative entries included, that span at most rank
     dimensions: random combinations of rank random base rows."""
     base = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rank)]
     return [[sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(cols)]
             for coeffs in ([rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows))]
+
+
+def tail_of(ref, start):
+    """Reference RCF rows with pivot column >= start, restricted to start:."""
+    return [r[start:] for r in ref if not any(r[:start])]
 
 
 @pytest.mark.parametrize("p", [2, 3, 101, 127])
@@ -225,19 +209,40 @@ def test_gf_kernel_matches_reference(p):
         whole = IncrementalReducer(cols, FieldSpec(p))
         whole.append(np.array(m))
         pieces = IncrementalReducer(cols, FieldSpec(p))
-        pieces._impl._chunk = 4  # stage the basis through float64 four rows at a time
         cuts = sorted(rng.sample(range(1, rows), 5))
         for lo, hi in zip([0, *cuts], [*cuts, rows]):
             pieces.append(m[lo:hi])
         for red in (whole, pieces):
             assert (red.rank, red.pivots) == (len(ref), pivots)
-            assert red.tail_rows(0) == ref
-            assert ((red._impl.basis >= 0) & (red._impl.basis < p)).all()
+            for start in sorted({0, *rng.sample(range(cols + 1), 4), pivots[-1], cols}):
+                assert red.tail_rows(start) == tail_of(ref, start)
             assert all(red.contains(r) for r in m)
+        # appends and membership tests after tail_rows calls still see the
+        # whole row space
+        more = deficient_batch(rng, 8, cols, 4)
+        ref = rcf_mod(m + more, p)
+        for red in (whole, pieces):
+            red.append(more)
+            assert red.tail_rows(0) == ref
+            assert all(red.contains(r) for r in m + more)
+            probe = [rng.randrange(p) for _ in range(cols)]
+            assert red.contains(probe) == (len(rcf_mod(m + more + [probe], p)) == len(ref))
 
 
-def test_int8_basis_rejects_large_characteristic():
-    with pytest.raises(ValueError, match="int8"):
+def test_gf_elimination_clears_filled_pivots():
+    # the echelon row under pivot 0 holds pivot column 1: clearing column 0
+    # of [1, 0, 0, 1] fills column 1, which must be cleared in turn
+    red = IncrementalReducer(4, GF101)
+    assert red.append([[1, 1, 0, 0], [0, 1, 0, 1]]) == 2
+    assert red.contains([1, 0, 0, 100])
+    assert not red.contains([1, 0, 0, 1])
+    assert red.append([[1, 0, 0, 1]]) == 1
+    assert red.pivots == (0, 1, 3)
+    assert red.tail_rows(0) == rcf_mod([[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1]], 101)
+
+
+def test_reducer_rejects_large_characteristic():
+    with pytest.raises(ValueError, match="maximum 127"):
         IncrementalReducer(10, FieldSpec(131))
 
 

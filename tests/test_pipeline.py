@@ -225,6 +225,28 @@ class TestCaps:
         assert all(rep.contains is None for rep in reports)
         assert all(rep.a_rank is None and rep.c_rank is None for rep in reports)
 
+    def test_aborted_report_records_progress(self):
+        gen = liftgen.generate(4)
+        reports = pipeline.analyze_degree(4, GF101, "all", generation=gen, caps=ResourceCaps(max_rows=1))
+        for rep in reports:
+            # the abort follows the first identity that takes the rank past the cap
+            k = rep.identities_consumed
+            before, after = (
+                pipeline.reduce_identities(liftgen.GenerationSet(4, gen.identities[:j]), rep.partition, GF101)[0]
+                for j in (k - 1, k)
+            )
+            assert before.rank <= 1 < after.rank == rep.rank_reached
+        assert {rep.identities_consumed for rep in reports} == {1, 2}
+        timings = pipeline.timings_payload(reports)
+        assert [(e["rank_reached"], e["identities_consumed"]) for e in timings["partitions"]] == [
+            (rep.rank_reached, rep.identities_consumed) for rep in reports]
+        payload = pipeline.report_payload(4, reports, generated=len(gen))
+        assert all(set(e) == {"partition", "dim", "status", "a_rank", "c_rank", "contains", "new_rows"}
+                   for e in payload["partitions"])
+        # a finished partition records neither
+        (done,) = pipeline.analyze_degree(4, GF101, "sign", generation=gen, caps=ResourceCaps(max_rows=5))
+        assert (done.status, done.rank_reached, done.identities_consumed) == ("ok", None, None)
+
     def test_uncapped_default(self):
         reports = pipeline.analyze_degree(4, GF101, "sign", generation=liftgen.generate(4))
         assert reports[0].status == "ok"
