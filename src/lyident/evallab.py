@@ -14,12 +14,21 @@ the structure constants. Alternating identities are evaluated by a memoised
 recursion over variable subsets: the alternation of [A, B] is a signed sum
 over the shuffles of its variables, which keeps the n!-term sum exact and
 cheap.
+
+check_identity then walks every basis tuple in itertools.product order and
+stops at the first nonzero value. A non-alternating identity is read off
+memoised tables there: each subtree type is evaluated once on all basis
+sub-tuples of its leaves, keeping only the nonzero values as sparse
+vectors, so a tuple costs one lookup per child of each term's root and one
+product. An alternating identity vanishes on a tuple with a repeated
+index, which counts as checked without being evaluated.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -476,15 +485,9 @@ def _check_assignment(degree: int, alg: AlgebraSC, assignment):
     return vectors
 
 
-def evaluate(item, alg: AlgebraSC, assignment) -> Vector:
-    """Exact value of a polynomial or explicit identity at an assignment of
-    one vector per variable.
-
-    Alternating identities are the signed sum over S_n of their terms,
-    computed per term by _alternation with one memo for the whole call. The
-    sum is zero outright when two vectors are equal or when n exceeds the
-    dimension.
-    """
+def _terms(item) -> tuple[list, bool]:
+    """The (coefficient, monomial) terms of a polynomial or explicit
+    identity, and whether they are to be alternated over S_n."""
     from . import pipeline  # evaluation of ExplicitIdentity; late to avoid a cycle
 
     n = item.degree
@@ -494,10 +497,21 @@ def evaluate(item, alg: AlgebraSC, assignment) -> Vector:
             (c, freealg.Monomial(n, btypes[j - 1].index, tuple(range(1, n + 1))))
             for j, c in item.terms
         ]
-        alternating = item.alternating
-    else:
-        terms = [(c, mono) for mono, c in item.sorted_terms()]
-        alternating = False
+        return terms, item.alternating
+    return [(c, mono) for mono, c in item.sorted_terms()], False
+
+
+def evaluate(item, alg: AlgebraSC, assignment) -> Vector:
+    """Exact value of a polynomial or explicit identity at an assignment of
+    one vector per variable.
+
+    Alternating identities are the signed sum over S_n of their terms,
+    computed per term by _alternation with one memo for the whole call. The
+    sum is zero outright when two vectors are equal or when n exceeds the
+    dimension.
+    """
+    n = item.degree
+    terms, alternating = _terms(item)
     vectors = _check_assignment(n, alg, assignment)
     if not alternating:
         values = [_eval_tree(freealg.labeled_tree(mono), alg, vectors) for _, mono in terms]
@@ -523,35 +537,125 @@ class CheckResult:
 EXHAUSTIVE_LIMIT = 10 ** 6
 
 
+def _product(alg: AlgebraSC, factors) -> dict:
+    """The bracket (two factors) or the triple product (three) of sparse
+    vectors {k: x}, with zero entries dropped."""
+    consts = alg._brk if len(factors) == 2 else alg._trp
+    out: dict = {}
+    for picked in itertools.product(*(f.items() for f in factors)):
+        entries = consts.get(tuple(i for i, _ in picked))
+        if entries:
+            x = math.prod(c for _, c in picked)
+            for k, y in entries.items():
+                out[k] = out.get(k, 0) + x * y
+    return {k: x for k, x in out.items() if x}
+
+
+def _subtree_table(t, alg: AlgebraSC, memo: dict) -> dict:
+    """The nonzero values of the association type t on basis vectors: a map
+    from the basis indices at its leaves, in leaf order, to a sparse vector.
+    The table depends on the type alone, so memo is keyed by interned type
+    and shared by every term of a call."""
+    table = memo.get(t)
+    if table is None:
+        if t.arity == 0:
+            table = {(i,): {i: Fraction(1)} for i in range(alg.dimension)}
+        else:
+            table = {}
+            children = [_subtree_table(c, alg, memo) for c in t.children]
+            for picked in itertools.product(*(c.items() for c in children)):
+                value = _product(alg, [v for _, v in picked])
+                if value:
+                    table[sum((k for k, _ in picked), ())] = value
+        memo[t] = table
+    return table
+
+
+def _basis_value(item, alg: AlgebraSC):
+    """A function from a tuple of basis indices to the value there, or to
+    None where the value is zero.
+
+    A non-alternating identity combines, per term, the subtree tables of the
+    root's children: a key missing from one of them makes the term zero. An
+    alternating identity is zero on a tuple with a repeated index and is
+    evaluated on the others.
+    """
+    n, d = item.degree, alg.dimension
+    terms, alternating = _terms(item)
+    if alternating:
+        def value_at(combo):
+            if len(set(combo)) < n:
+                return None
+            value = evaluate(item, alg, tuple(alg.basis(i) for i in combo))
+            return value if any(value) else None
+        return value_at
+
+    memo: dict = {}
+    plan = []
+    for coeff, mono in terms:
+        children = mono.type.children or (mono.type,)  # a degree-1 term is its own factor
+        parts, start = [], 0
+        for child in children:
+            labels = mono.perm[start:start + child.degree]
+            parts.append((_subtree_table(child, alg, memo), tuple(v - 1 for v in labels)))
+            start += child.degree
+        plan.append((coeff, parts))
+
+    def value_at(combo):
+        out: dict = {}
+        for coeff, parts in plan:
+            factors = []
+            for table, positions in parts:
+                factor = table.get(tuple(combo[p] for p in positions))
+                if factor is None:
+                    break
+                factors.append(factor)
+            else:
+                value = factors[0] if len(factors) == 1 else _product(alg, factors)
+                for k, x in value.items():
+                    out[k] = out.get(k, 0) + coeff * x
+        if not any(out.values()):
+            return None
+        return tuple(out.get(k, Fraction(0)) for k in range(d))
+
+    return value_at
+
+
 def check_identity(item, alg: AlgebraSC, trials: int = 20, seed: int = 0) -> CheckResult:
     """Evaluate on `trials` pseudorandom small-rational assignments, then on
     every basis tuple when dimension^degree is within reach; the first
-    nonzero value is returned as a witness."""
+    nonzero value is returned as a witness, and assignments_checked counts
+    the trials plus the basis tuples walked up to it.
+
+    The basis tuples are walked in itertools.product order. A
+    non-alternating identity is read off tables of its subtrees' nonzero
+    values on basis tuples, each built once per call; an alternating one
+    is evaluated on the tuples of distinct indices, and every tuple with a
+    repeated index counts as checked without evaluation, since an
+    alternating map vanishes there.
+    """
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
     degree = item.degree
     d = alg.dimension
     rng = random.Random(seed)
     checked = 0
-
-    def run(vectors):
-        nonlocal checked
-        value = evaluate(item, alg, vectors)
-        checked += 1
-        return value
-
     for _ in range(trials):
         vectors = tuple(
             tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d))
             for _ in range(degree)
         )
-        value = run(vectors)
+        value = evaluate(item, alg, vectors)
+        checked += 1
         if any(value):
             return CheckResult(False, checked, vectors, value)
     if d ** degree <= EXHAUSTIVE_LIMIT:
-        for combo in itertools.product(range(d), repeat=degree):
-            vectors = tuple(alg.basis(i) for i in combo)
-            value = run(vectors)
-            if any(value):
-                return CheckResult(False, checked, vectors, value)
+        value_at = _basis_value(item, alg)
+        for position, combo in enumerate(itertools.product(range(d), repeat=degree), start=1):
+            value = value_at(combo)
+            if value is not None:
+                return CheckResult(False, checked + position, tuple(alg.basis(i) for i in combo), value)
+        checked += d ** degree
     return CheckResult(True, checked)
 
 

@@ -1,15 +1,19 @@
 """Test-side references: permutations as 1-based image tuples, the
-expansion of an explicit identity into the canonical monomial basis, and
-the row canonical form over GF(p) in plain Python.
+expansion of an explicit identity into the canonical monomial basis, the
+row canonical form over GF(p) in plain Python, and the identity check that
+evaluates every basis tuple afresh.
 
-The package evaluates alternating identities without expanding them and
-reduces rows mod p on a sparse echelon basis; the routes here are the
-independent ones the tests compare against.
+The package evaluates alternating identities without expanding them,
+reduces rows mod p on a sparse echelon basis and reads basis tuples off
+memoised subtree tables; the routes here are the independent ones the
+tests compare against.
 """
 
 import itertools
+import random
+from fractions import Fraction
 
-from lyident import freealg
+from lyident import evallab, freealg
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -84,3 +88,35 @@ def rcf_mod(rows: list[list[int]], p: int) -> list[list[int]]:
                 m[i] = [(x - r[c] * y) % p for x, y in zip(r, m[rank])]
         rank += 1
     return m[:rank]
+
+
+def check_identity_per_tuple(item, alg, trials: int = 20, seed: int = 0) -> evallab.CheckResult:
+    """evallab.check_identity with a full evaluate call per assignment:
+    the same random trials, then every basis tuple in itertools.product
+    order, each built as vectors and evaluated through every term's tree."""
+    degree = item.degree
+    d = alg.dimension
+    rng = random.Random(seed)
+    checked = 0
+
+    def run(vectors):
+        nonlocal checked
+        value = evallab.evaluate(item, alg, vectors)
+        checked += 1
+        return value
+
+    for _ in range(trials):
+        vectors = tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d))
+            for _ in range(degree)
+        )
+        value = run(vectors)
+        if any(value):
+            return evallab.CheckResult(False, checked, vectors, value)
+    if d ** degree <= evallab.EXHAUSTIVE_LIMIT:
+        for combo in itertools.product(range(d), repeat=degree):
+            vectors = tuple(alg.basis(i) for i in combo)
+            value = run(vectors)
+            if any(value):
+                return evallab.CheckResult(False, checked, vectors, value)
+    return evallab.CheckResult(True, checked)

@@ -291,6 +291,26 @@ class TestVerify:
                              "--algebra", "cross_product", "--trials", "4", "--seed", "3")
         assert out2 == out  # deterministic under a fixed seed
 
+    def test_basis_phase_witness(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("degree 3\nterm 2 123 1\nterm 2 132 -1\n")
+        code, out, _ = run(capsys, "verify", "--identity", str(path),
+                           "--algebra", "cross_product", "--trials", "0")
+        assert code == 2
+        assert out == ("FAIL after 2 assignments\n"
+                       "  x1 = (1, 0, 0)\n"
+                       "  x2 = (1, 0, 0)\n"
+                       "  x3 = (0, 1, 0)\n"
+                       "  value = (0, -1, 0)\n")
+
+    def test_negative_trials_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("degree 3\nterm 2 123 1\nterm 2 132 -1\n")
+        code, out, err = run(capsys, "verify", "--identity", str(path),
+                             "--algebra", "zero", "--trials", "-3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: trials must be non-negative")
+
     def test_algebra_file_path(self, capsys, theorem_file, tmp_path):
         algebra = tmp_path / "algebra.json"
         algebra.write_text(data_text("algebras/nonlie_leibniz.json"))

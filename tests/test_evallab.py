@@ -21,7 +21,7 @@ from lyident.evallab import (
     validate,
     validate_leibniz,
 )
-from reference import alternation_polynomial
+from reference import alternation_polynomial, check_identity_per_tuple
 
 F = Fraction
 
@@ -450,6 +450,79 @@ class TestCheckIdentity:
                 for alg in bundled.values():
                     res = check_identity(ident.polynomial, alg, trials=2, seed=5)
                     assert res.passed, (n, ident.render_lineage(), alg.name)
+
+    def test_negative_trials_rejected(self, cross):
+        poly = freealg.expand([(1, (2, (2, 1, 2), 3))])
+        with pytest.raises(ValueError, match="trials must be non-negative, got -3"):
+            check_identity(poly, cross, trials=-3)
+
+
+def lifted_generators():
+    return [i.polynomial for n in (4, 5) for i in liftgen.generate(n).identities]
+
+
+class TestBasisSweep:
+    """The basis phase of check_identity, read off subtree tables, against
+    the reference that evaluates every basis tuple afresh: the same verdict,
+    count, witness and value."""
+
+    def assert_matches_reference(self, item, alg, trials=0):
+        got = check_identity(item, alg, trials=trials, seed=4)
+        assert got == check_identity_per_tuple(item, alg, trials=trials, seed=4), alg.name
+        return got
+
+    def test_identities_pass_on_bundled(self, bundled):
+        seeds = [s.polynomial for s in liftgen.seed_identities().values()]
+        for poly in seeds + lifted_generators():
+            for alg in bundled.values():
+                got = self.assert_matches_reference(poly, alg, trials=1)
+                assert got.passed and got.assignments_checked == 1 + alg.dimension ** poly.degree
+
+    @pytest.mark.parametrize("algebra", ["random_bracket", "nonlie_leibniz"])
+    def test_dropped_term_fails_alike(self, bundled, algebra):
+        # nonlie_leibniz has a nonzero trilinear table, so the triple path runs
+        alg = random_bracket(4, 2, 0.3) if algebra == "random_bracket" else bundled[algebra]
+        failed = []
+        for poly in lifted_generators():
+            first = poly.sorted_terms()[0][0]
+            dropped = freealg.Polynomial(poly.degree, {m: c for m, c in poly.terms.items() if m != first})
+            got = self.assert_matches_reference(dropped, alg)
+            if not got.passed:
+                failed.append(got.assignments_checked)
+        # failures found past the first tuple pin the walking order
+        assert len(failed) >= 5 and max(failed) > 1
+
+    def test_zero_algebra_has_empty_tables(self, bundled):
+        zero = bundled["zero"]
+        poly = liftgen.seed_identities()["h"].polynomial
+        memo = {}
+        for mono in poly.terms:
+            assert evallab._subtree_table(mono.type, zero, memo) == {}
+        got = self.assert_matches_reference(poly, zero)
+        assert got.passed and got.assignments_checked == 3 ** poly.degree
+
+    def test_explicit_identities(self, bundled):
+        # the alternation of [[x1,x2],x3] is twice the Jacobi sum, which a
+        # random bracket breaks; unalternated, it is one bracketing
+        jacobi = pipeline.ExplicitIdentity(3, ((1, F(1)),))
+        alg = random_bracket(4, 2, 0.3)
+        assert not self.assert_matches_reference(jacobi, alg).passed
+        plain = pipeline.ExplicitIdentity(3, ((1, F(1)),), alternating=False)
+        assert not self.assert_matches_reference(plain, alg).passed
+        for algebra in bundled.values():
+            assert self.assert_matches_reference(theorem_identity(), algebra).passed
+
+    def test_repeated_index_tuples_skip_evaluation(self, cross, monkeypatch):
+        calls = []
+        real = evallab.evaluate
+        monkeypatch.setattr(evallab, "evaluate", lambda *a: calls.append(a) or real(*a))
+        res = check_identity(theorem_identity(), cross, trials=2, seed=1)
+        assert res == evallab.CheckResult(True, 2 + 3 ** 8)
+        assert len(calls) == 2  # the random trials only
+        jacobi = pipeline.ExplicitIdentity(3, ((1, F(1)),))
+        calls.clear()
+        assert check_identity(jacobi, cross, trials=0).passed
+        assert len(calls) == 6  # the tuples of three distinct indices
 
 
 class TestLoadAlgebra:
