@@ -291,6 +291,19 @@ class TestVerify:
                              "--algebra", "cross_product", "--trials", "4", "--seed", "3")
         assert out2 == out  # deterministic under a fixed seed
 
+    def test_random_phase_witness(self, capsys, tmp_path):
+        # fractional inputs and value pin the exact arithmetic of a random trial
+        path = tmp_path / "bad.txt"
+        path.write_text("degree 3\nterm 2 123 1\nterm 2 132 -1\n")
+        code, out, _ = run(capsys, "verify", "--identity", str(path),
+                           "--algebra", "cross_product", "--trials", "4", "--seed", "3")
+        assert code == 2
+        assert out == ("FAIL after 1 assignments\n"
+                       "  x1 = (-1, 1/2, 9)\n"
+                       "  x2 = (-9/4, -1/2, -3/4)\n"
+                       "  x3 = (2, 3/2, -1)\n"
+                       "  value = (521/16, 49/4, 47/16)\n")
+
     def test_basis_phase_witness(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("degree 3\nterm 2 123 1\nterm 2 132 -1\n")
