@@ -9,6 +9,17 @@ sufficient). Algebras can be entered directly, taken from a Lie bracket
 derivation identity {{a,b},c} = {{a,c},b} + {a,{b,c}} via the
 skew-symmetrization [a,b] = {a,b} - {b,a} and ⟨a,b,c⟩ = {c,{a,b}}.
 
+All arithmetic behind the public functions is on Python ints. An algebra
+keeps D, the lcm of the denominators of all its constants, and stores its
+bilinear constants scaled by D and its trilinear ones scaled by D². A term
+of degree n with b brackets and t triple products has b + 2t = n - 1, so
+every term of a multilinear identity, and both sides of each axiom, carry
+the same power of D: the axioms compare the scaled vectors as they are.
+An assignment enters with each vector cleared of denominators by the lcm
+s_i of its own, and an identity's value is divided once, by ∏ s_i · D^(n-1)
+times the common denominator of its coefficients, when the terms are
+combined. Vectors cross the API boundary as tuples of Fractions.
+
 Identity checks substitute vectors for the variables and contract through
 the structure constants. Alternating identities are evaluated by a memoised
 recursion over variable subsets: the alternation of [A, B] is a signed sum
@@ -53,6 +64,12 @@ __all__ = [
 MAX_VALIDATE_DIM = 16
 
 Vector = tuple[Fraction, ...]
+_ZERO = Fraction(0)
+
+# Behind the API a vector is a sparse dict {0-based index: int} without zero
+# entries, and a table of integer constants nests one dict per argument:
+# table[i][j] = {k: c} for a bilinear operation, table[i][j][k] = {l: c}
+# for a trilinear one, with no empty dicts.
 
 
 @dataclass(frozen=True)
@@ -81,23 +98,23 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _dense(dimension: int, entries, indices: int, what: str) -> list:
-    """The dense table of a list of 1-based sparse entries (i, ..., coeff)
-    with `indices` indices each.
+def _check_dimension(dimension: int) -> None:
+    if dimension < 1:
+        raise ValueError("dimension must be positive")
+
+
+def _from_entries(dimension: int, entries, indices: int, what: str) -> dict:
+    """The nonzero constants of a list of 1-based sparse entries
+    (i, ..., coeff) with `indices` indices each, keyed by 0-based index
+    tuples; repeated entries add up.
 
     Anything but a list or tuple of entries, an entry of the wrong length,
     an index outside 1..dimension or a coefficient that is not an int, an
     exact string or a Fraction raises ValueError naming the entry.
     """
-
-    def zeros(depth):
-        if depth == 1:
-            return [Fraction(0)] * dimension
-        return [zeros(depth - 1) for _ in range(dimension)]
-
     if not isinstance(entries, (list, tuple)):
         raise ValueError(f"{what} must be a list of entries")
-    table = zeros(indices)
+    flat: dict = {}
     for entry in entries:
         where = f"{what} entry {entry!r}"
         if not isinstance(entry, (list, tuple)) or len(entry) != indices + 1:
@@ -112,67 +129,80 @@ def _dense(dimension: int, entries, indices: int, what: str) -> list:
             value = Fraction(coeff)
         except (ValueError, ZeroDivisionError):
             raise ValueError(bad_coeff) from None
-        row = table
-        for i in index[:-1]:
-            row = row[i - 1]
-        row[index[-1] - 1] += value
+        key = tuple(i - 1 for i in index)
+        flat[key] = flat.get(key, 0) + value
+    return {key: x for key, x in flat.items() if x}
+
+
+def _from_dense(table, dimension: int, indices: int, what: str) -> dict:
+    """The nonzero constants of a dense table nested `indices` deep, keyed
+    by 0-based index tuples; None is the zero table. A level of the wrong
+    length or a float entry raises ValueError."""
+    flat: dict = {}
+
+    def walk(node, prefix):
+        if not isinstance(node, (list, tuple)) or len(node) != dimension:
+            raise ValueError(f"{what} table must be dimension^{indices}")
+        for i, x in enumerate(node):
+            if len(prefix) + 1 < indices:
+                walk(x, prefix + (i,))
+            else:
+                value = _as_fraction(x)
+                if value:
+                    flat[prefix + (i,)] = value
+
+    if table is not None:
+        walk(table, ())
+    return flat
+
+
+def _common_denominator(*tables) -> int:
+    return math.lcm(*(x.denominator for table in tables for x in table.values()))
+
+
+def _nested(flat: dict, scale: int) -> dict:
+    """The integer table of constants keyed by 0-based index tuples, each
+    multiplied by scale (a multiple of its denominator)."""
+    table: dict = {}
+    for (*index, last), x in flat.items():
+        node = table
+        for i in index:
+            node = node.setdefault(i, {})
+        node[last] = x.numerator * (scale // x.denominator)
     return table
+
+
+def _basis(dimension: int, i: int) -> Vector:
+    v = [_ZERO] * dimension
+    v[i] = Fraction(1)
+    return tuple(v)
 
 
 class AlgebraSC:
     """Structure constants for one bilinear and one trilinear operation.
 
-    c[i][j][k] is the e_k coefficient of [e_i, e_j]; t[i][j][k][l] the e_l
-    coefficient of ⟨e_i, e_j, e_k⟩ (0-based internally, 1-based in files
-    and witnesses). The constructor does not enforce the axioms — validate
-    reports violations as data.
+    [e_i, e_j] = Σ_k c[i][j][k] e_k and ⟨e_i, e_j, e_k⟩ = Σ_l t[i][j][k][l] e_l
+    (0-based internally, 1-based in files and witnesses). _brk holds D·c
+    and _trp holds D²·t as sparse integer tables, where _D is the lcm of
+    the denominators of all the constants. The constructor does not enforce
+    the axioms — validate reports violations as data.
     """
 
-    __slots__ = ("dimension", "name", "_c", "_t", "_brk", "_trp")
+    __slots__ = ("dimension", "name", "_D", "_brk", "_trp")
 
     def __init__(self, dimension: int, bilinear=None, trilinear=None, name: str = ""):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        d = dimension
-        zero3 = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        zero4 = [[[[Fraction(0)] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
-        c = bilinear if bilinear is not None else zero3
-        t = trilinear if trilinear is not None else zero4
-        object.__setattr__(self, "dimension", d)
+        """From dense tables c and t; a missing one is zero."""
+        _check_dimension(dimension)
+        self._fill(dimension, name, _from_dense(bilinear, dimension, 3, "bilinear"),
+                   _from_dense(trilinear, dimension, 4, "trilinear"))
+
+    def _fill(self, dimension: int, name: str, bilinear: dict, trilinear: dict) -> None:
+        D = _common_denominator(bilinear, trilinear)
+        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "name", name)
-        object.__setattr__(
-            self, "_c",
-            tuple(tuple(tuple(_as_fraction(x) for x in row) for row in plane) for plane in c),
-        )
-        object.__setattr__(
-            self, "_t",
-            tuple(
-                tuple(tuple(tuple(_as_fraction(x) for x in row) for row in plane) for plane in cube)
-                for cube in t
-            ),
-        )
-        if len(self._c) != d or any(len(p) != d or any(len(r) != d for r in p) for p in self._c):
-            raise ValueError("bilinear table must be dimension^3")
-        if len(self._t) != d or any(
-            len(cu) != d or any(len(p) != d or any(len(r) != d for r in p) for p in cu)
-            for cu in self._t
-        ):
-            raise ValueError("trilinear table must be dimension^4")
-        brk = {}
-        for i in range(d):
-            for j in range(d):
-                entries = {k: x for k, x in enumerate(self._c[i][j]) if x}
-                if entries:
-                    brk[i, j] = entries
-        trp = {}
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    entries = {l: x for l, x in enumerate(self._t[i][j][k]) if x}
-                    if entries:
-                        trp[i, j, k] = entries
-        object.__setattr__(self, "_brk", brk)
-        object.__setattr__(self, "_trp", trp)
+        object.__setattr__(self, "_D", D)
+        object.__setattr__(self, "_brk", _nested(bilinear, D))
+        object.__setattr__(self, "_trp", _nested(trilinear, D * D))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraSC is immutable")
@@ -180,52 +210,24 @@ class AlgebraSC:
     @classmethod
     def from_sparse(cls, dimension: int, bilinear=(), trilinear=(), name: str = "") -> "AlgebraSC":
         """Build from 1-based sparse entries (i, j, k, coeff) and (i, j, k, l, coeff)."""
-        c = _dense(dimension, bilinear, 3, "bilinear")
-        t = _dense(dimension, trilinear, 4, "trilinear")
-        return cls(dimension, c, t, name=name)
+        _check_dimension(dimension)
+        alg = cls.__new__(cls)
+        alg._fill(dimension, name, _from_entries(dimension, bilinear, 3, "bilinear"),
+                  _from_entries(dimension, trilinear, 4, "trilinear"))
+        return alg
 
     def zero(self) -> Vector:
-        return (Fraction(0),) * self.dimension
+        return (_ZERO,) * self.dimension
 
     def bracket(self, u, v) -> Vector:
-        out = [Fraction(0)] * self.dimension
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                entries = self._brk.get((i, j))
-                if entries:
-                    uv = ui * vj
-                    for k, x in entries.items():
-                        out[k] += uv * x
-        return tuple(out)
+        return _exact(self._brk, self._D, self.dimension, (u, v))
 
     def triple(self, u, v, w) -> Vector:
-        out = [Fraction(0)] * self.dimension
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                uv = ui * vj
-                for k, wk in enumerate(w):
-                    if not wk:
-                        continue
-                    entries = self._trp.get((i, j, k))
-                    if entries:
-                        uvw = uv * wk
-                        for l, x in entries.items():
-                            out[l] += uvw * x
-        return tuple(out)
+        return _exact(self._trp, self._D ** 2, self.dimension, (u, v, w))
 
     def basis(self, i: int) -> Vector:
         """The 0-based i-th basis vector."""
-        v = [Fraction(0)] * self.dimension
-        v[i] = Fraction(1)
-        return tuple(v)
+        return _basis(self.dimension, i)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
@@ -233,65 +235,132 @@ class AlgebraSC:
 
 
 class LeibnizSC:
-    """A binary product table; validate_leibniz checks the derivation identity."""
+    """A binary product table; validate_leibniz checks the derivation identity.
 
-    __slots__ = ("dimension", "name", "_p", "_mul")
+    _mul holds the constants scaled by _D, the lcm of their denominators.
+    """
+
+    __slots__ = ("dimension", "name", "_D", "_mul")
 
     def __init__(self, dimension: int, product=None, name: str = ""):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        d = dimension
-        p = product if product is not None else [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-        object.__setattr__(self, "dimension", d)
+        _check_dimension(dimension)
+        self._fill(dimension, name, _from_dense(product, dimension, 3, "product"))
+
+    def _fill(self, dimension: int, name: str, product: dict) -> None:
+        D = _common_denominator(product)
+        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "name", name)
-        object.__setattr__(
-            self, "_p",
-            tuple(tuple(tuple(_as_fraction(x) for x in row) for row in plane) for plane in p),
-        )
-        if len(self._p) != d or any(len(pl) != d or any(len(r) != d for r in pl) for pl in self._p):
-            raise ValueError("product table must be dimension^3")
-        mul = {}
-        for i in range(d):
-            for j in range(d):
-                entries = {k: x for k, x in enumerate(self._p[i][j]) if x}
-                if entries:
-                    mul[i, j] = entries
-        object.__setattr__(self, "_mul", mul)
+        object.__setattr__(self, "_D", D)
+        object.__setattr__(self, "_mul", _nested(product, D))
 
     def __setattr__(self, name, value):
         raise AttributeError("LeibnizSC is immutable")
 
     @classmethod
     def from_sparse(cls, dimension: int, product=(), name: str = "") -> "LeibnizSC":
-        return cls(dimension, _dense(dimension, product, 3, "product"), name=name)
+        _check_dimension(dimension)
+        lb = cls.__new__(cls)
+        lb._fill(dimension, name, _from_entries(dimension, product, 3, "product"))
+        return lb
 
     def product(self, u, v) -> Vector:
-        out = [Fraction(0)] * self.dimension
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                entries = self._mul.get((i, j))
-                if entries:
-                    uv = ui * vj
-                    for k, x in entries.items():
-                        out[k] += uv * x
-        return tuple(out)
+        return _exact(self._mul, self._D, self.dimension, (u, v))
 
     def basis(self, i: int) -> Vector:
-        v = [Fraction(0)] * self.dimension
-        v[i] = Fraction(1)
-        return tuple(v)
+        return _basis(self.dimension, i)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"LeibnizSC(dim={self.dimension}{tag})"
 
 
-def _vadd(*vs) -> Vector:
-    return tuple(sum(col) for col in zip(*vs))
+# -- the integer kernel ------------------------------------------------------------
+
+
+def _bilinear(table: dict, u: dict, v: dict) -> dict:
+    """The bilinear operation of an integer table on sparse integer vectors."""
+    out: dict = {}
+    for i, x in u.items():
+        row = table.get(i)
+        if row is None:
+            continue
+        for j, entries in row.items():
+            y = v.get(j)
+            if y is not None:
+                xy = x * y
+                for k, c in entries.items():
+                    out[k] = out.get(k, 0) + xy * c
+    return {k: x for k, x in out.items() if x}
+
+
+def _trilinear(table: dict, u: dict, v: dict, w: dict) -> dict:
+    """The trilinear operation of an integer table on sparse integer vectors."""
+    out: dict = {}
+    for i, x in u.items():
+        plane = table.get(i)
+        if plane is None:
+            continue
+        for j, row in plane.items():
+            y = v.get(j)
+            if y is None:
+                continue
+            xy = x * y
+            for k, entries in row.items():
+                z = w.get(k)
+                if z is not None:
+                    xyz = xy * z
+                    for l, c in entries.items():
+                        out[l] = out.get(l, 0) + xyz * c
+    return {l: x for l, x in out.items() if x}
+
+
+def _contract(table: dict, factors) -> dict:
+    """The bilinear (two factors) or trilinear (three) operation of table."""
+    return _bilinear(table, *factors) if len(factors) == 2 else _trilinear(table, *factors)
+
+
+def _operate(alg: AlgebraSC, factors) -> dict:
+    """The bracket (two factors) or the triple product (three) in alg's
+    scaled integer constants."""
+    return _contract(alg._brk if len(factors) == 2 else alg._trp, factors)
+
+
+def _add(*vs) -> dict:
+    out: dict = {}
+    for v in vs:
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + x
+    return {k: x for k, x in out.items() if x}
+
+
+def _integer_vectors(vectors) -> tuple[int, list[dict]]:
+    """Each vector of rationals times the lcm s_i of its denominators, as a
+    sparse integer vector, and the product of the s_i."""
+    scale, out = 1, []
+    for v in vectors:
+        s = math.lcm(*(x.denominator for x in v))
+        out.append({k: x.numerator * (s // x.denominator) for k, x in enumerate(v) if x})
+        scale *= s
+    return scale, out
+
+
+def _fractions(v: dict, denominator: int, dimension: int) -> Vector:
+    """The sparse integer vector v divided by denominator, as Fractions."""
+    return tuple(Fraction(v[k], denominator) if v.get(k) else _ZERO for k in range(dimension))
+
+
+def _exact(table: dict, scale: int, dimension: int, vectors) -> Vector:
+    """The operation whose constants `table` holds scaled by `scale`, on
+    vectors of rationals."""
+    s, ints = _integer_vectors(vectors)
+    return _fractions(_contract(table, ints), scale * s, dimension)
+
+
+def _integer_coefficients(coeffs) -> tuple[list[int], int]:
+    """The coefficients times their common denominator L, and L."""
+    coeffs = [Fraction(c) for c in coeffs]
+    L = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (L // c.denominator) for c in coeffs], L
 
 
 def validate(alg: AlgebraSC) -> list[Violation]:
@@ -303,9 +372,14 @@ def validate(alg: AlgebraSC) -> list[Violation]:
     d = alg.dimension
     if d > MAX_VALIDATE_DIM:
         raise ValueError(f"validation supports dimension <= {MAX_VALIDATE_DIM}, got {d}")
-    B = [alg.basis(i) for i in range(d)]
-    zero = alg.zero()
+    B = [{i: 1} for i in range(d)]
     out: list[Violation] = []
+
+    def br(u, v):
+        return _bilinear(alg._brk, u, v)
+
+    def tr(u, v, w):
+        return _trilinear(alg._trp, u, v, w)
 
     def first(axiom, gen):
         for witness, ok in gen:
@@ -314,67 +388,39 @@ def validate(alg: AlgebraSC) -> list[Violation]:
                 return
 
     first("LY1", (
-        ((i, j), not any(_vadd(alg.bracket(B[i], B[j]), alg.bracket(B[j], B[i])))
-         if i != j else alg.bracket(B[i], B[i]) == zero)
+        ((i, j), not _add(br(B[i], B[j]), br(B[j], B[i])))
         for i in range(d) for j in range(i, d)
     ))
     first("LY2", (
-        ((i, j, k), not any(_vadd(alg.triple(B[i], B[j], B[k]), alg.triple(B[j], B[i], B[k])))
-         if i != j else alg.triple(B[i], B[i], B[k]) == zero)
+        ((i, j, k), not _add(tr(B[i], B[j], B[k]), tr(B[j], B[i], B[k])))
         for i in range(d) for j in range(i, d) for k in range(d)
     ))
-
-    def ly3():
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    s = zero
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        s = _vadd(s, alg.bracket(alg.bracket(B[a], B[b]), B[c]),
-                                  alg.triple(B[a], B[b], B[c]))
-                    yield (i, j, k), not any(s)
-
-    first("LY3", ly3())
-
-    def ly4():
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        s = zero
-                        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                            s = _vadd(s, alg.triple(alg.bracket(B[a], B[b]), B[c], B[l]))
-                        yield (i, j, k, l), not any(s)
-
-    first("LY4", ly4())
-
-    def ly5():
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        lhs = alg.triple(B[i], B[j], alg.bracket(B[k], B[l]))
-                        rhs = _vadd(alg.bracket(alg.triple(B[i], B[j], B[k]), B[l]),
-                                    alg.bracket(B[k], alg.triple(B[i], B[j], B[l])))
-                        yield (i, j, k, l), lhs == rhs
-
-    first("LY5", ly5())
-
-    def ly6():
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    for l in range(d):
-                        for e in range(d):
-                            lhs = alg.triple(B[i], B[j], alg.triple(B[k], B[l], B[e]))
-                            rhs = _vadd(
-                                alg.triple(alg.triple(B[i], B[j], B[k]), B[l], B[e]),
-                                alg.triple(B[k], alg.triple(B[i], B[j], B[l]), B[e]),
-                                alg.triple(B[k], B[l], alg.triple(B[i], B[j], B[e])),
-                            )
-                            yield (i, j, k, l, e), lhs == rhs
-
-    first("LY6", ly6())
+    first("LY3", (
+        ((i, j, k), not _add(*(
+            _add(br(br(B[a], B[b]), B[c]), tr(B[a], B[b], B[c]))
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+        )))
+        for i in range(d) for j in range(d) for k in range(d)
+    ))
+    first("LY4", (
+        ((i, j, k, l), not _add(*(
+            tr(br(B[a], B[b]), B[c], B[l]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+        )))
+        for i in range(d) for j in range(d) for k in range(d) for l in range(d)
+    ))
+    first("LY5", (
+        ((i, j, k, l), tr(B[i], B[j], br(B[k], B[l]))
+         == _add(br(tr(B[i], B[j], B[k]), B[l]), br(B[k], tr(B[i], B[j], B[l]))))
+        for i in range(d) for j in range(d) for k in range(d) for l in range(d)
+    ))
+    first("LY6", (
+        ((i, j, k, l, e), tr(B[i], B[j], tr(B[k], B[l], B[e])) == _add(
+            tr(tr(B[i], B[j], B[k]), B[l], B[e]),
+            tr(B[k], tr(B[i], B[j], B[l]), B[e]),
+            tr(B[k], B[l], tr(B[i], B[j], B[e])),
+        ))
+        for i in range(d) for j in range(d) for k in range(d) for l in range(d) for e in range(d)
+    ))
     return out
 
 
@@ -383,14 +429,15 @@ def validate_leibniz(lb: LeibnizSC) -> list[Violation]:
     d = lb.dimension
     if d > MAX_VALIDATE_DIM:
         raise ValueError(f"validation supports dimension <= {MAX_VALIDATE_DIM}, got {d}")
-    B = [lb.basis(i) for i in range(d)]
+    B = [{i: 1} for i in range(d)]
+
+    def p(u, v):
+        return _bilinear(lb._mul, u, v)
+
     for i in range(d):
         for j in range(d):
             for k in range(d):
-                lhs = lb.product(lb.product(B[i], B[j]), B[k])
-                rhs = _vadd(lb.product(lb.product(B[i], B[k]), B[j]),
-                            lb.product(B[i], lb.product(B[j], B[k])))
-                if lhs != rhs:
+                if p(p(B[i], B[j]), B[k]) != _add(p(p(B[i], B[k]), B[j]), p(B[i], p(B[j], B[k]))):
                     return [Violation("leibniz", (i + 1, j + 1, k + 1))]
     return []
 
@@ -410,18 +457,18 @@ def from_leibniz(lb: LeibnizSC) -> AlgebraSC:
     bad = validate_leibniz(lb)
     if bad:
         raise InvalidProduct(f"not a valid product: {bad[0].render()}")
-    d = lb.dimension
-    B = [lb.basis(i) for i in range(d)]
-    c = [[[Fraction(0)] * d for _ in range(d)] for _ in range(d)]
-    t = [[[[Fraction(0)] * d for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    d, D = lb.dimension, lb._D
+    B = [{i: 1} for i in range(d)]
+    bilinear, trilinear = [], []
     for i in range(d):
         for j in range(d):
-            skew = tuple(x - y for x, y in zip(lb.product(B[i], B[j]), lb.product(B[j], B[i])))
-            c[i][j] = list(skew)
-            inner = lb.product(B[i], B[j])
+            inner = _bilinear(lb._mul, B[i], B[j])
+            skew = _add(inner, {k: -x for k, x in _bilinear(lb._mul, B[j], B[i]).items()})
+            bilinear += [(i + 1, j + 1, k + 1, Fraction(x, D)) for k, x in skew.items()]
             for k in range(d):
-                t[i][j][k] = list(lb.product(B[k], inner))
-    return AlgebraSC(d, c, t, name=lb.name)
+                value = _bilinear(lb._mul, B[k], inner)
+                trilinear += [(i + 1, j + 1, k + 1, l + 1, Fraction(x, D * D)) for l, x in value.items()]
+    return AlgebraSC.from_sparse(d, bilinear, trilinear, name=lb.name)
 
 
 def from_lie(dimension: int, bilinear=(), name: str = "") -> AlgebraSC:
@@ -433,19 +480,13 @@ def from_lie(dimension: int, bilinear=(), name: str = "") -> AlgebraSC:
 # -- evaluation ------------------------------------------------------------------
 
 
-def _eval_tree(tree, alg: AlgebraSC, vectors):
+def _eval_tree(tree, alg: AlgebraSC, vectors) -> dict:
     if isinstance(tree, int):
         return vectors[tree - 1]
-    if tree[0] == 2:
-        return alg.bracket(_eval_tree(tree[1], alg, vectors), _eval_tree(tree[2], alg, vectors))
-    return alg.triple(
-        _eval_tree(tree[1], alg, vectors),
-        _eval_tree(tree[2], alg, vectors),
-        _eval_tree(tree[3], alg, vectors),
-    )
+    return _operate(alg, [_eval_tree(child, alg, vectors) for child in tree[1:]])
 
 
-def _alternation(t, variables, alg: AlgebraSC, vectors, memo) -> Vector:
+def _alternation(t, variables, alg: AlgebraSC, vectors, memo) -> dict:
     """Signed sum over every placement of `variables` (sorted 0-based
     indices) on the leaves of the binary type t: a node [L, R] sums over
     the shuffles variables = S1 ⊔ S2 with |S1| = deg L, each signed by the
@@ -459,19 +500,19 @@ def _alternation(t, variables, alg: AlgebraSC, vectors, memo) -> Vector:
     if hit is not None:
         return hit
     left, right = t.children
-    out = [Fraction(0)] * alg.dimension
+    out: dict = {}
     for chosen in itertools.combinations(range(len(variables)), left.degree):
         rest = tuple(v for i, v in enumerate(variables) if i not in chosen)
-        val = alg.bracket(
+        val = _bilinear(
+            alg._brk,
             _alternation(left, tuple(variables[i] for i in chosen), alg, vectors, memo),
             _alternation(right, rest, alg, vectors, memo),
         )
         # the k-th chosen position is preceded by chosen[k] - k of the rest
         odd = (sum(chosen) - len(chosen) * (len(chosen) - 1) // 2) % 2
-        for l, x in enumerate(val):
-            if x:
-                out[l] += -x if odd else x
-    memo[key] = tuple(out)
+        for l, x in val.items():
+            out[l] = out.get(l, 0) + (-x if odd else x)
+    memo[key] = {l: x for l, x in out.items() if x}
     return memo[key]
 
 
@@ -513,17 +554,20 @@ def evaluate(item, alg: AlgebraSC, assignment) -> Vector:
     n = item.degree
     terms, alternating = _terms(item)
     vectors = _check_assignment(n, alg, assignment)
-    if not alternating:
-        values = [_eval_tree(freealg.labeled_tree(mono), alg, vectors) for _, mono in terms]
-    elif n > alg.dimension or len(set(vectors)) < n:
+    if alternating and (n > alg.dimension or len(set(vectors)) < n):
         return alg.zero()  # an alternating map vanishes on dependent vectors
-    else:
+    scale, ints = _integer_vectors(vectors)
+    if alternating:
         memo: dict = {}
-        values = [_alternation(mono.type, tuple(range(n)), alg, vectors, memo) for _, mono in terms]
-    out = alg.zero()
-    for (coeff, _), val in zip(terms, values):
-        out = _vadd(out, tuple(coeff * x for x in val))
-    return out
+        values = [_alternation(mono.type, tuple(range(n)), alg, ints, memo) for _, mono in terms]
+    else:
+        values = [_eval_tree(freealg.labeled_tree(mono), alg, ints) for _, mono in terms]
+    coeffs, denominator = _integer_coefficients(c for c, _ in terms)
+    out: dict = {}
+    for a, val in zip(coeffs, values):
+        for k, x in val.items():
+            out[k] = out.get(k, 0) + a * x
+    return _fractions(out, denominator * scale * alg._D ** (n - 1), alg.dimension)
 
 
 @dataclass(frozen=True)
@@ -537,34 +581,21 @@ class CheckResult:
 EXHAUSTIVE_LIMIT = 10 ** 6
 
 
-def _product(alg: AlgebraSC, factors) -> dict:
-    """The bracket (two factors) or the triple product (three) of sparse
-    vectors {k: x}, with zero entries dropped."""
-    consts = alg._brk if len(factors) == 2 else alg._trp
-    out: dict = {}
-    for picked in itertools.product(*(f.items() for f in factors)):
-        entries = consts.get(tuple(i for i, _ in picked))
-        if entries:
-            x = math.prod(c for _, c in picked)
-            for k, y in entries.items():
-                out[k] = out.get(k, 0) + x * y
-    return {k: x for k, x in out.items() if x}
-
-
 def _subtree_table(t, alg: AlgebraSC, memo: dict) -> dict:
     """The nonzero values of the association type t on basis vectors: a map
-    from the basis indices at its leaves, in leaf order, to a sparse vector.
-    The table depends on the type alone, so memo is keyed by interned type
-    and shared by every term of a call."""
+    from the basis indices at its leaves, in leaf order, to a sparse integer
+    vector, scaled by D^(k-1) for k leaves. The table depends on the type
+    alone, so memo is keyed by interned type and shared by every term of a
+    call."""
     table = memo.get(t)
     if table is None:
         if t.arity == 0:
-            table = {(i,): {i: Fraction(1)} for i in range(alg.dimension)}
+            table = {(i,): {i: 1} for i in range(alg.dimension)}
         else:
             table = {}
             children = [_subtree_table(c, alg, memo) for c in t.children]
             for picked in itertools.product(*(c.items() for c in children)):
-                value = _product(alg, [v for _, v in picked])
+                value = _operate(alg, [v for _, v in picked])
                 if value:
                     table[sum((k for k, _ in picked), ())] = value
         memo[t] = table
@@ -590,20 +621,22 @@ def _basis_value(item, alg: AlgebraSC):
             return value if any(value) else None
         return value_at
 
+    coeffs, denominator = _integer_coefficients(c for c, _ in terms)
+    scale = denominator * alg._D ** (n - 1)
     memo: dict = {}
     plan = []
-    for coeff, mono in terms:
+    for a, (_, mono) in zip(coeffs, terms):
         children = mono.type.children or (mono.type,)  # a degree-1 term is its own factor
         parts, start = [], 0
         for child in children:
             labels = mono.perm[start:start + child.degree]
             parts.append((_subtree_table(child, alg, memo), tuple(v - 1 for v in labels)))
             start += child.degree
-        plan.append((coeff, parts))
+        plan.append((a, parts))
 
     def value_at(combo):
         out: dict = {}
-        for coeff, parts in plan:
+        for a, parts in plan:
             factors = []
             for table, positions in parts:
                 factor = table.get(tuple(combo[p] for p in positions))
@@ -611,12 +644,12 @@ def _basis_value(item, alg: AlgebraSC):
                     break
                 factors.append(factor)
             else:
-                value = factors[0] if len(factors) == 1 else _product(alg, factors)
+                value = factors[0] if len(factors) == 1 else _operate(alg, factors)
                 for k, x in value.items():
-                    out[k] = out.get(k, 0) + coeff * x
+                    out[k] = out.get(k, 0) + a * x
         if not any(out.values()):
             return None
-        return tuple(out.get(k, Fraction(0)) for k in range(d))
+        return _fractions(out, scale, d)
 
     return value_at
 

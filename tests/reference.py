@@ -1,19 +1,20 @@
 """Test-side references: permutations as 1-based image tuples, the
 expansion of an explicit identity into the canonical monomial basis, the
-row canonical form over GF(p) in plain Python, and the identity check that
-evaluates every basis tuple afresh.
+row canonical form over GF(p) in plain Python, exact evaluation in
+Fraction arithmetic, and the identity check that evaluates every basis
+tuple afresh.
 
 The package evaluates alternating identities without expanding them,
-reduces rows mod p on a sparse echelon basis and reads basis tuples off
-memoised subtree tables; the routes here are the independent ones the
-tests compare against.
+reduces rows mod p on a sparse echelon basis, evaluates in integers over a
+common denominator and reads basis tuples off memoised subtree tables; the
+routes here are the independent ones the tests compare against.
 """
 
 import itertools
 import random
 from fractions import Fraction
 
-from lyident import evallab, freealg
+from lyident import evallab, freealg, pipeline
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -90,10 +91,202 @@ def rcf_mod(rows: list[list[int]], p: int) -> list[list[int]]:
     return m[:rank]
 
 
-def check_identity_per_tuple(item, alg, trials: int = 20, seed: int = 0) -> evallab.CheckResult:
-    """evallab.check_identity with a full evaluate call per assignment:
-    the same random trials, then every basis tuple in itertools.product
-    order, each built as vectors and evaluated through every term's tree."""
+class FractionAlgebra:
+    """Structure constants as Fractions in sparse tables
+    c[(i, j)] = {k: x} and t[(i, j, k)] = {l: x} (0-based), with the
+    bracket and triple product as Fraction loops."""
+
+    def __init__(self, dimension: int, bilinear=(), trilinear=()):
+        """From 1-based sparse entries (i, j, k, coeff) and (i, j, k, l, coeff)."""
+        self.dimension = dimension
+        self.c = self._table(bilinear)
+        self.t = self._table(trilinear)
+
+    @staticmethod
+    def _table(entries) -> dict:
+        table: dict = {}
+        for *index, coeff in entries:
+            *key, last = (i - 1 for i in index)
+            row = table.setdefault(tuple(key), {})
+            row[last] = row.get(last, 0) + Fraction(coeff)
+        return table
+
+    @classmethod
+    def from_product(cls, dimension: int, product) -> "FractionAlgebra":
+        """The algebra of a derivation-identity product given by sparse
+        entries: [a,b] = {a,b} - {b,a} and ⟨a,b,c⟩ = {c,{a,b}}."""
+        mul = cls(dimension, product)  # the product as a bilinear operation
+        basis = [mul.basis(i) for i in range(dimension)]
+        bilinear, trilinear = [], []
+        for i, j in itertools.product(range(dimension), repeat=2):
+            inner = mul.bracket(basis[i], basis[j])
+            skew = [x - y for x, y in zip(inner, mul.bracket(basis[j], basis[i]))]
+            bilinear += [(i + 1, j + 1, k + 1, x) for k, x in enumerate(skew) if x]
+            for k in range(dimension):
+                value = mul.bracket(basis[k], inner)
+                trilinear += [(i + 1, j + 1, k + 1, l + 1, x) for l, x in enumerate(value) if x]
+        return cls(dimension, bilinear, trilinear)
+
+    @classmethod
+    def of(cls, alg) -> "FractionAlgebra":
+        """The constants of an evallab algebra, read through its public
+        bracket and triple product on basis vectors."""
+        d = alg.dimension
+        basis = [alg.basis(i) for i in range(d)]
+        bilinear = [
+            (i + 1, j + 1, k + 1, x)
+            for i, j in itertools.product(range(d), repeat=2)
+            for k, x in enumerate(alg.bracket(basis[i], basis[j])) if x
+        ]
+        trilinear = [
+            (i + 1, j + 1, k + 1, l + 1, x)
+            for i, j, k in itertools.product(range(d), repeat=3)
+            for l, x in enumerate(alg.triple(basis[i], basis[j], basis[k])) if x
+        ]
+        return cls(d, bilinear, trilinear)
+
+    def zero(self) -> tuple:
+        return (Fraction(0),) * self.dimension
+
+    def basis(self, i: int) -> tuple:
+        v = [Fraction(0)] * self.dimension
+        v[i] = Fraction(1)
+        return tuple(v)
+
+    def bracket(self, u, v) -> tuple:
+        out = [Fraction(0)] * self.dimension
+        for i, ui in enumerate(u):
+            if not ui:
+                continue
+            for j, vj in enumerate(v):
+                if not vj:
+                    continue
+                entries = self.c.get((i, j))
+                if entries:
+                    uv = ui * vj
+                    for k, x in entries.items():
+                        out[k] += uv * x
+        return tuple(out)
+
+    def triple(self, u, v, w) -> tuple:
+        out = [Fraction(0)] * self.dimension
+        for i, ui in enumerate(u):
+            if not ui:
+                continue
+            for j, vj in enumerate(v):
+                if not vj:
+                    continue
+                uv = ui * vj
+                for k, wk in enumerate(w):
+                    if not wk:
+                        continue
+                    entries = self.t.get((i, j, k))
+                    if entries:
+                        uvw = uv * wk
+                        for l, x in entries.items():
+                            out[l] += uvw * x
+        return tuple(out)
+
+
+def _vadd(*vs) -> tuple:
+    return tuple(sum(col) for col in zip(*vs))
+
+
+def _eval_tree(tree, alg: FractionAlgebra, vectors):
+    if isinstance(tree, int):
+        return vectors[tree - 1]
+    if tree[0] == 2:
+        return alg.bracket(_eval_tree(tree[1], alg, vectors), _eval_tree(tree[2], alg, vectors))
+    return alg.triple(*(_eval_tree(child, alg, vectors) for child in tree[1:]))
+
+
+def _alternation(t, variables, alg: FractionAlgebra, vectors, memo) -> tuple:
+    """Signed sum over every placement of `variables` (sorted 0-based
+    indices) on the leaves of the binary type t, as a sum over shuffles."""
+    if t.arity == 0:
+        return vectors[variables[0]]
+    key = (t, variables)
+    if key not in memo:
+        left, right = t.children
+        out = [Fraction(0)] * alg.dimension
+        for chosen in itertools.combinations(range(len(variables)), left.degree):
+            rest = tuple(v for i, v in enumerate(variables) if i not in chosen)
+            val = alg.bracket(
+                _alternation(left, tuple(variables[i] for i in chosen), alg, vectors, memo),
+                _alternation(right, rest, alg, vectors, memo),
+            )
+            odd = (sum(chosen) - len(chosen) * (len(chosen) - 1) // 2) % 2
+            for l, x in enumerate(val):
+                out[l] += -x if odd else x
+        memo[key] = tuple(out)
+    return memo[key]
+
+
+def evaluate(item, alg: FractionAlgebra, assignment) -> tuple:
+    """evallab.evaluate in Fraction arithmetic: every term's tree, or for
+    an alternating identity every term's alternation, times its
+    coefficient."""
+    n = item.degree
+    vectors = tuple(tuple(Fraction(x) for x in v) for v in assignment)
+    if isinstance(item, pipeline.ExplicitIdentity):
+        btypes = freealg.binary_types(n)
+        terms = [(c, freealg.Monomial(n, btypes[j - 1].index, tuple(range(1, n + 1))))
+                 for j, c in item.terms]
+        alternating = item.alternating
+    else:
+        terms, alternating = [(c, mono) for mono, c in item.sorted_terms()], False
+    if not alternating:
+        values = [_eval_tree(freealg.labeled_tree(mono), alg, vectors) for _, mono in terms]
+    elif n > alg.dimension or len(set(vectors)) < n:
+        return alg.zero()
+    else:
+        memo: dict = {}
+        values = [_alternation(mono.type, tuple(range(n)), alg, vectors, memo) for _, mono in terms]
+    return _vadd(alg.zero(), *(tuple(c * x for x in val) for (c, _), val in zip(terms, values)))
+
+
+def validate(alg: FractionAlgebra) -> list[evallab.Violation]:
+    """evallab.validate in Fraction arithmetic: the first witness of each
+    violated axiom LY1-LY6, in the same order."""
+    d = alg.dimension
+    B = [alg.basis(i) for i in range(d)]
+    br, tr, zero = alg.bracket, alg.triple, alg.zero()
+
+    def cyclic(i, j, k):
+        return (i, j, k), (j, k, i), (k, i, j)
+
+    axioms = (
+        ("LY1", 2, lambda i, j: _vadd(br(B[i], B[j]), br(B[j], B[i])) == zero),
+        ("LY2", 3, lambda i, j, k: _vadd(tr(B[i], B[j], B[k]), tr(B[j], B[i], B[k])) == zero),
+        ("LY3", 3, lambda i, j, k: _vadd(zero, *(
+            _vadd(br(br(B[a], B[b]), B[c]), tr(B[a], B[b], B[c])) for a, b, c in cyclic(i, j, k)
+        )) == zero),
+        ("LY4", 4, lambda i, j, k, l: _vadd(zero, *(
+            tr(br(B[a], B[b]), B[c], B[l]) for a, b, c in cyclic(i, j, k)
+        )) == zero),
+        ("LY5", 4, lambda i, j, k, l: tr(B[i], B[j], br(B[k], B[l])) == _vadd(
+            br(tr(B[i], B[j], B[k]), B[l]), br(B[k], tr(B[i], B[j], B[l])))),
+        ("LY6", 5, lambda i, j, k, l, e: tr(B[i], B[j], tr(B[k], B[l], B[e])) == _vadd(
+            tr(tr(B[i], B[j], B[k]), B[l], B[e]),
+            tr(B[k], tr(B[i], B[j], B[l]), B[e]),
+            tr(B[k], B[l], tr(B[i], B[j], B[e])))),
+    )
+    out = []
+    for axiom, arity, holds in axioms:
+        # LY1 and LY2 are symmetric in their first two indices: walk i <= j
+        tuples = (w for w in itertools.product(range(d), repeat=arity)
+                  if axiom not in ("LY1", "LY2") or w[0] <= w[1])
+        witness = next((w for w in tuples if not holds(*w)), None)
+        if witness is not None:
+            out.append(evallab.Violation(axiom, tuple(w + 1 for w in witness)))
+    return out
+
+
+def check_identity_per_tuple(item, alg: FractionAlgebra, trials: int = 20, seed: int = 0) -> evallab.CheckResult:
+    """evallab.check_identity with a full Fraction evaluation per
+    assignment: the same random trials, then every basis tuple in
+    itertools.product order, each built as vectors and evaluated through
+    every term's tree."""
     degree = item.degree
     d = alg.dimension
     rng = random.Random(seed)
@@ -101,7 +294,7 @@ def check_identity_per_tuple(item, alg, trials: int = 20, seed: int = 0) -> eval
 
     def run(vectors):
         nonlocal checked
-        value = evallab.evaluate(item, alg, vectors)
+        value = evaluate(item, alg, vectors)
         checked += 1
         return value
 

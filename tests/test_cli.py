@@ -262,6 +262,22 @@ class TestVerify:
         assert code == 0 and out.startswith("PASS")
         assert "vacuous" in out and "alternating 8-linear map vanishes in dimension 3" in out
 
+    def test_skipped_basis_tuples_are_named(self, capsys, tmp_path):
+        # 32^4 basis tuples exceed the exhaustive limit, so only the trials run
+        algebra = tmp_path / "algebra.json"
+        algebra.write_text(json.dumps({
+            "dimension": 32, "construction": "lie",
+            "bilinear": [[1, 2, 3, 1], [2, 1, 3, -1], [2, 3, 1, 1], [3, 2, 1, -1],
+                         [3, 1, 2, 1], [1, 3, 2, -1]],
+        }))
+        path = tmp_path / "skew.txt"  # [[x1,x2],[x3,x4]] + [[x2,x1],[x3,x4]]
+        path.write_text("degree 4\nterm 4 1234 1\nterm 4 2134 1\n")
+        code, out, _ = run(capsys, "verify", "--identity", str(path),
+                           "--algebra", str(algebra), "--trials", "2", "--seed", "0")
+        assert code == 0
+        assert out == ("PASS: zero on 2 assignments (2 random, seed 0; "
+                       "basis tuples skipped: 32^4 exceeds 1,000,000)\n")
+
     def test_malformed_identity_file_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "identity.txt"
         path.write_text("degree 3\nalternating yes\nterm 2 123 1\n")

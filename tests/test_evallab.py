@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,8 @@ from lyident.evallab import (
     validate,
     validate_leibniz,
 )
-from reference import alternation_polynomial, check_identity_per_tuple
+import reference
+from reference import FractionAlgebra, alternation_polynomial, check_identity_per_tuple
 
 F = Fraction
 
@@ -53,6 +55,11 @@ def matrix_semidirect():
     Its skew-symmetrized bracket has a nonzero Jacobi cyclic sum, which the
     trilinear operation must compensate — the corpus's only such member.
     """
+    return LeibnizSC.from_sparse(6, semidirect_entries(), name="matrix_semidirect")
+
+
+def semidirect_entries(scale=1):
+    """The sparse product entries of matrix_semidirect, times scale."""
     pos = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
     idx = {v: k for k, v in pos.items()}
     entries = []
@@ -68,7 +75,7 @@ def matrix_semidirect():
             c, d = pos[j]
             if d == a:
                 entries.append((4 + a, j, 4 + c, 1))
-    return LeibnizSC.from_sparse(6, entries, name="matrix_semidirect")
+    return [(i, j, k, c * scale) for i, j, k, c in entries]
 
 
 def random_bracket(dim, seed, density):
@@ -83,6 +90,14 @@ def random_bracket(dim, seed, density):
                     c = rng.choice((-2, -1, 1, 2))
                     entries += [(i, j, k, c), (j, i, k, -c)]
     return AlgebraSC.from_sparse(dim, bilinear=entries)
+
+
+def nonzero_operations(alg):
+    """Whether the bracket, and whether the triple product, is nonzero on
+    some tuple of basis vectors."""
+    B = [alg.basis(i) for i in range(alg.dimension)]
+    return (any(any(alg.bracket(u, v)) for u, v in itertools.product(B, repeat=2)),
+            any(any(alg.triple(u, v, w)) for u, v, w in itertools.product(B, repeat=3)))
 
 
 class TestValidate:
@@ -204,7 +219,7 @@ class TestLeibnizCorpus:
             valid += 1
             alg = from_leibniz(lb)
             assert validate(alg) == [], entries
-            if alg._brk or alg._trp:
+            if any(nonzero_operations(alg)):
                 derived += 1
         assert valid == 41  # guards against a vacuously permissive validator
         assert derived > 0  # and not all derived algebras are zero
@@ -223,7 +238,7 @@ class TestLeibnizCorpus:
                     valid += 1
                     alg = from_leibniz(lb)
                     assert validate(alg) == [], entries
-                    if alg._brk or alg._trp:
+                    if any(nonzero_operations(alg)):
                         derived += 1
         assert valid == 288
         assert derived == 246
@@ -246,7 +261,7 @@ class TestLeibnizCorpus:
         )
         # ...so the trilinear operation is forced to be nonzero, and the
         # whole structure still satisfies every axiom.
-        assert any(alg._trp)
+        assert nonzero_operations(alg)[1]
         assert validate(alg) == []
 
 
@@ -275,7 +290,7 @@ class TestSearch:
                         if not not_lie:
                             continue
                         alg = from_leibniz(lb)
-                        if any(alg._brk) and any(alg._trp):
+                        if all(nonzero_operations(alg)):
                             yield entries
 
         first = next(hits())
@@ -468,7 +483,8 @@ class TestBasisSweep:
 
     def assert_matches_reference(self, item, alg, trials=0):
         got = check_identity(item, alg, trials=trials, seed=4)
-        assert got == check_identity_per_tuple(item, alg, trials=trials, seed=4), alg.name
+        ref = FractionAlgebra.of(alg)
+        assert got == check_identity_per_tuple(item, ref, trials=trials, seed=4), alg.name
         return got
 
     def test_identities_pass_on_bundled(self, bundled):
@@ -523,6 +539,110 @@ class TestBasisSweep:
         calls.clear()
         assert check_identity(jacobi, cross, trials=0).passed
         assert len(calls) == 6  # the tuples of three distinct indices
+
+
+def fractional_entries(seed):
+    """Seeded random constants on a 3-dim space, no axiom imposed: bilinear
+    ones in odd halves, trilinear ones in thirds, so D = 6."""
+    rng = random.Random(seed)
+    bilinear = [(*ijk, F(rng.choice((-3, -1, 1, 3)), 2))
+                for ijk in itertools.product(range(1, 4), repeat=3) if rng.random() < 0.3]
+    trilinear = [(*ijkl, F(rng.choice((-2, -1, 1, 2)), 3))
+                 for ijkl in itertools.product(range(1, 4), repeat=4) if rng.random() < 0.15]
+    return bilinear, trilinear
+
+
+class TestIntegerKernel:
+    """Integer evaluation over a common denominator against the Fraction
+    loops of tests/reference.py, on algebras built from the same entries:
+    the same values, CheckResults field by field, and violations."""
+
+    def assert_agrees(self, item, alg, ref, seed):
+        rng = random.Random(seed)
+        vs = tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(alg.dimension))
+                   for _ in range(item.degree))
+        value = evaluate(item, alg, vs)
+        assert value == reference.evaluate(item, ref, vs)
+        results = []
+        for trials in (3, 0):  # a witness from the random phase, then from the basis phase
+            got = check_identity(item, alg, trials=trials, seed=seed)
+            assert got == check_identity_per_tuple(item, ref, trials=trials, seed=seed)
+            results.append(got)
+        return value, results
+
+    def test_fractional_constants(self):
+        bilinear, trilinear = fractional_entries(6)
+        alg = AlgebraSC.from_sparse(3, bilinear, trilinear)
+        ref = FractionAlgebra(3, bilinear, trilinear)
+        assert alg._D == 6
+        seeds = liftgen.seed_identities()
+        jacobi = pipeline.ExplicitIdentity(3, ((1, F(1)),))
+        # f and g2 mix brackets and triple products; random constants break all three
+        for k, item in enumerate((seeds["f"].polynomial, seeds["g2"].polynomial, jacobi)):
+            value, results = self.assert_agrees(item, alg, ref, seed=k)
+            assert any(value) and not any(r.passed for r in results)
+            assert any(x.denominator > 1 for x in results[0].value)
+        assert validate(alg) == reference.validate(ref)
+
+    def test_violated_axioms_with_fractional_constants(self):
+        # a Lie bracket in halves with a trilinear operation in thirds that
+        # is skew in its first two arguments but breaks the cyclic axiom
+        bilinear = [(1, 2, 3, F(1, 2)), (2, 1, 3, F(-1, 2)), (2, 3, 1, F(1, 2)),
+                    (3, 2, 1, F(-1, 2)), (3, 1, 2, F(1, 2)), (1, 3, 2, F(-1, 2))]
+        trilinear = [(1, 2, 3, 1, F(1, 3)), (2, 1, 3, 1, F(-1, 3))]
+        alg = AlgebraSC.from_sparse(3, bilinear, trilinear)
+        bad = validate(alg)
+        assert bad == reference.validate(FractionAlgebra(3, bilinear, trilinear))
+        assert bad[0] == evallab.Violation("LY3", (1, 2, 3))
+
+    def assert_theorem_agrees(self, alg, ref):
+        """The theorem and the theorem with the type-7 coefficient set to -1
+        at a random rational assignment; returns both values."""
+        corrupted = pipeline.ExplicitIdentity(8, tuple(
+            (j, F(-1) if j == 7 else c) for j, c in theorem_identity().terms
+        ))
+        rng = random.Random(8)
+        vs = tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(8))
+                   for _ in range(8))
+        values = [evaluate(item, alg, vs) for item in (theorem_identity(), corrupted)]
+        assert values == [reference.evaluate(item, ref, vs) for item in (theorem_identity(), corrupted)]
+        return values
+
+    def test_theorem_on_so5_cartan(self):
+        doc = json.loads((Path(__file__).parents[1] / "bench" / "so5_cartan.json").read_text())
+        alg = load_algebra(json.dumps(doc))
+        ref = FractionAlgebra(8, doc["bilinear"], doc["trilinear"])
+        # every alternated binary type of degree 8 vanishes on so(5) > Cartan,
+        # so the corrupted identity does too
+        assert self.assert_theorem_agrees(alg, ref) == [alg.zero()] * 2
+
+    def test_theorem_on_fractional_bracket(self):
+        # a random skew bracket in halves breaks both, differently
+        rng = random.Random(8)
+        bilinear = []
+        for i, j in itertools.combinations(range(1, 9), 2):
+            for k in range(1, 9):
+                if rng.random() < 0.1:
+                    c = F(rng.choice((-3, -1, 1, 3)), 2)
+                    bilinear += [(i, j, k, c), (j, i, k, -c)]
+        alg = AlgebraSC.from_sparse(8, bilinear)
+        assert alg._D == 2
+        theorem, corrupted = self.assert_theorem_agrees(alg, FractionAlgebra(8, bilinear))
+        assert any(theorem) and any(corrupted) and theorem != corrupted
+
+    def test_leibniz_with_fractional_product(self):
+        entries = semidirect_entries(F(1, 2))
+        alg = from_leibniz(LeibnizSC.from_sparse(6, entries))
+        ref = FractionAlgebra.from_product(6, entries)
+        assert alg._D == 4  # brackets in halves, triple products in quarters
+        assert validate(alg) == reference.validate(ref) == []
+        poly = liftgen.generate(4).identities[0].polynomial
+        value, results = self.assert_agrees(poly, alg, ref, seed=1)
+        assert not any(value) and all(r.passed for r in results)
+        first = poly.sorted_terms()[0][0]
+        dropped = freealg.Polynomial(4, {m: c for m, c in poly.terms.items() if m != first})
+        value, results = self.assert_agrees(dropped, alg, ref, seed=1)
+        assert any(value) and not any(r.passed for r in results)
 
 
 class TestLoadAlgebra:
