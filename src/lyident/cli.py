@@ -21,9 +21,9 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from . import evallab, freealg, liftgen, pipeline
+from . import evallab, freealg, liftgen, pipeline, symrep
 from ._data import data_text
-from .exactla import _MAX_CHAR, QQ, FieldSpec
+from .exactla import QQ, FieldSpec
 
 __all__ = [
     "main",
@@ -127,16 +127,14 @@ _REPORT_GOLDENS = {
 
 
 def bundled_report(degree: int, characteristic: int, selector, filtered: bool) -> str | None:
-    """The reference report text for this request, or None if none is bundled."""
+    """The reference report text for this request, or None if none is bundled.
+
+    A golden listed here but missing from the package raises FileNotFoundError.
+    """
     if not isinstance(selector, str):
         return None
     name = _REPORT_GOLDENS.get((degree, characteristic, selector, filtered))
-    if name is None:
-        return None
-    try:
-        return data_text(name)
-    except FileNotFoundError:
-        return None
+    return None if name is None else data_text(name)
 
 
 def bundled_identity() -> pipeline.ExplicitIdentity:
@@ -200,8 +198,8 @@ def _cmd_analyze(args) -> int:
     if args.char != 0 and args.char <= degree:
         print(f"error: characteristic must be 0 or a prime > {degree}", file=sys.stderr)
         return 1
-    if args.char > _MAX_CHAR:
-        print(f"error: characteristic must be 0 or a prime <= {_MAX_CHAR}", file=sys.stderr)
+    if args.char > symrep._MAX_CHAR:
+        print(f"error: characteristic must be 0 or a prime <= {symrep._MAX_CHAR}", file=sys.stderr)
         return 1
     field = QQ if args.char == 0 else FieldSpec(args.char)
     selector = _parse_selector(args.partitions)

@@ -665,12 +665,16 @@ def check_identity(item, alg: AlgebraSC, trials: int = 20, seed: int = 0) -> Che
     values on basis tuples, each built once per call; an alternating one
     is evaluated on the tuples of distinct indices, and every tuple with a
     repeated index counts as checked without evaluation, since an
-    alternating map vanishes there.
+    alternating map vanishes there. No trials with dimension^degree out of
+    reach would evaluate nothing, and raises ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     degree = item.degree
     d = alg.dimension
+    if not trials and d ** degree > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"nothing evaluated: no trials, and the {d}^{degree} basis tuples "
+                         f"exceed {EXHAUSTIVE_LIMIT:,}")
     rng = random.Random(seed)
     checked = 0
     for _ in range(trials):

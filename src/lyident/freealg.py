@@ -325,23 +325,16 @@ def _canon(tree, path: str):
     return node, labels, sign
 
 
-def canonicalize(tree, repeats: str = "error"):
+def canonicalize(tree):
     """Canonical form of a labeled tree.
 
     The tree is nested tuples: a leaf is a 1-based variable index, an internal
     node is (2, left, right) or (3, a, b, c). Returns (Monomial, sign) where
-    sign is +1 or -1. With repeats='zero', a repeated variable under a swap
-    node yields None (the monomial is its own negative); any other repeated
-    variable is still an error since the result would not be multilinear.
+    sign is +1 or -1. A repeated variable under a swap node raises
+    RepeatedVariableError; any other repeated variable raises ValueError,
+    since the result would not be multilinear.
     """
-    if repeats not in ("error", "zero"):
-        raise ValueError(f"repeats must be 'error' or 'zero', got {repeats!r}")
-    try:
-        node, labels, sign = _canon(tree, "")
-    except RepeatedVariableError:
-        if repeats == "zero":
-            return None
-        raise
+    node, labels, sign = _canon(tree, "")
     if sorted(labels) != list(range(1, len(labels) + 1)):
         raise ValueError(f"leaf labels {labels} are not a permutation of 1..{len(labels)}")
     return Monomial(len(labels), _index_map(node.degree)[node], labels), sign
@@ -415,7 +408,7 @@ def labeled_tree(mono: Monomial):
     return walk(mono.type)
 
 
-def expand(terms: Iterable[tuple[object, object]], repeats: str = "error") -> Polynomial:
+def expand(terms: Iterable[tuple[object, object]]) -> Polynomial:
     """Straighten (coefficient, labeled tree) pairs into a Polynomial."""
     items = list(terms)
     if not items:
@@ -426,10 +419,7 @@ def expand(terms: Iterable[tuple[object, object]], repeats: str = "error") -> Po
 
     poly = Polynomial(leaves(items[0][1]))
     for coeff, tree in items:
-        got = canonicalize(tree, repeats=repeats)
-        if got is None:
-            continue
-        mono, sign = got
+        mono, sign = canonicalize(tree)
         poly.add_term(mono, sign * coeff)
     return poly
 

@@ -139,17 +139,17 @@ def reduce_identities(
     Returns the reducer and a status: "ok", or an aborted marker when a
     resource cap was hit (the reducer then holds a partial row space).
     """
-    red, status, _ = _reduce(gen, pi, field, caps)
+    red, status, _ = _reduce(gen, symrep.RepTable(pi, field), caps)
     return red, status
 
 
-def _reduce(gen, pi, field, caps) -> tuple[IncrementalReducer, str, int]:
-    """reduce_identities, plus the number of identities appended."""
-    if pi.n != gen.degree:
-        raise ValueError(f"partition of {pi.n} against degree-{gen.degree} identities")
-    table = symrep.RepTable(pi, field)
+def _reduce(gen, table: symrep.RepTable, caps) -> tuple[IncrementalReducer, str, int]:
+    """reduce_identities on one partition's table, plus the number of
+    identities appended."""
+    if table.n != gen.degree:
+        raise ValueError(f"partition of {table.n} against degree-{gen.degree} identities")
     cols, _, _ = _column_split(gen.degree, table.dim)
-    red = IncrementalReducer(cols, field)
+    red = IncrementalReducer(cols, table.field)
     start = time.monotonic()
     for k, ident in enumerate(gen.identities, 1):
         red.append(liftgen.identity_rows(ident, table))
@@ -160,12 +160,11 @@ def _reduce(gen, pi, field, caps) -> tuple[IncrementalReducer, str, int]:
     return red, "ok", len(gen.identities)
 
 
-def _skew_reducer(pi: symrep.Partition, degree: int, field: FieldSpec) -> IncrementalReducer:
+def _skew_reducer(table: symrep.RepTable, degree: int) -> IncrementalReducer:
     """B_pi: the binary skew-symmetry relations iota + sigma, reduced."""
-    table = symrep.RepTable(pi, field)
     d = table.dim
     btypes = freealg.binary_types(degree)
-    red = IncrementalReducer(len(btypes) * d, field)
+    red = IncrementalReducer(len(btypes) * d, table.field)
     eye = np.eye(d, dtype=np.int64)
     for j, t in enumerate(btypes):
         for g in freealg.skew_generators(t):
@@ -216,11 +215,12 @@ def analyze_partition(
     t0 = time.monotonic()
     d = pi.dimension
     _, first_binary, _ = _column_split(gen.degree, d)
-    red, status, consumed = _reduce(gen, pi, field, caps)
+    table = symrep.RepTable(pi, field)
+    red, status, consumed = _reduce(gen, table, caps)
     if status != "ok":
         return PartitionReport(pi, d, field, None, None, (), status, time.monotonic() - t0, red.rank, consumed)
     a_rows = red.tail_rows(first_binary)
-    skew = _skew_reducer(pi, gen.degree, field)
+    skew = _skew_reducer(table, gen.degree)
     new_rows = tuple(tuple(row) for row in a_rows if not skew.contains(row))
     report = PartitionReport(
         pi, d, field, len(a_rows), skew.rank, new_rows, "ok", time.monotonic() - t0
@@ -300,10 +300,10 @@ def certify_new(
     vec = [0] * len(btypes)
     for j, coeff in identity.terms:
         vec[j - 1] = coeff
-    skew = _skew_reducer(sign, degree, field)
-    not_skew_consequence = not skew.contains(vec)
+    table = symrep.RepTable(sign, field)
+    not_skew_consequence = not _skew_reducer(table, degree).contains(vec)
     gen = generation if generation is not None else default_generation(degree)
-    red, status = reduce_identities(gen, sign, field)
+    red, status, _ = _reduce(gen, table, None)
     assert status == "ok"
     _, first_binary, _ = _column_split(degree, 1)
     padded = [0] * first_binary + vec

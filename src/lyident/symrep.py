@@ -27,7 +27,7 @@ from math import factorial
 
 import numpy as np
 
-from .exactla import _MAX_CHAR, QQ, FieldSpec
+from .exactla import QQ, FieldSpec
 
 __all__ = [
     "Partition",
@@ -217,6 +217,11 @@ def clifton_matrix(pi: Partition, sigma: tuple[int, ...]) -> tuple[tuple[int, ..
     return tuple(
         tuple(sum(inv[i][k] * a[k][j] for k in range(d)) for j in range(d)) for i in range(d)
     )
+
+
+# the largest characteristic RepTable's int8 memo holds; lyident analyze
+# reads the same limit
+_MAX_CHAR = 127
 
 
 class RepTable:

@@ -116,7 +116,7 @@ def test_06_degree8_sign_representation(gen8):
     assert a_rows == test_pipeline.expected_A8()
     assert len(a_rows) == 11 and len(test_exactla.rcf(a_rows, QQ)) == 11
 
-    skew = pipeline._skew_reducer(SIGN8, 8, QQ)
+    skew = pipeline._skew_reducer(symrep.RepTable(SIGN8, QQ), 8)
     b_rows = skew.tail_rows(0)
     assert b_rows == test_pipeline.load_golden("sign8_skew_rcf.txt")
     assert b_rows == test_pipeline.expected_B8()
@@ -218,8 +218,8 @@ def test_10_linear_algebra_properties():
             l_qq = pipeline.reduce_identities(gen, pi, QQ)[0].rank
             l_ff = pipeline.reduce_identities(gen, pi, GF101)[0].rank
             assert l_qq == l_ff, (n, pi)
-            b_qq = pipeline._skew_reducer(pi, n, QQ).rank
-            b_ff = pipeline._skew_reducer(pi, n, GF101).rank
+            b_qq = pipeline._skew_reducer(symrep.RepTable(pi, QQ), n).rank
+            b_ff = pipeline._skew_reducer(symrep.RepTable(pi, GF101), n).rank
             assert b_qq == b_ff, (n, pi)
 
 

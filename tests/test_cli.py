@@ -162,6 +162,16 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--degree", "4", "--char", "101")
         assert code == 2 and "MISMATCH" in err
 
+    def test_missing_golden_is_an_error(self, capsys, monkeypatch):
+        def missing(name):
+            raise FileNotFoundError(f"no bundled file {name}")
+
+        monkeypatch.setattr(cli, "data_text", missing)
+        monkeypatch.setitem(cli._REPORT_GOLDENS, (4, 101, "all", True), "report_d4.json")
+        code, out, err = run(capsys, "analyze", "--degree", "4", "--char", "101")
+        assert code == 1 and "matches" not in out
+        assert err == "error: no bundled file report_d4.json\n"
+
 
 class TestIdentity:
     def test_below_degree8(self, capsys):
@@ -331,6 +341,17 @@ class TestVerify:
                        "  x2 = (1, 0, 0)\n"
                        "  x3 = (0, 1, 0)\n"
                        "  value = (0, -1, 0)\n")
+
+    def test_no_trials_beyond_the_basis_limit_is_an_error(self, capsys, theorem_file, tmp_path):
+        # 6^8 basis tuples exceed the exhaustive limit, so nothing would be evaluated
+        algebra = tmp_path / "zero6.json"
+        algebra.write_text(json.dumps({"dimension": 6, "construction": "direct",
+                                       "bilinear": [], "trilinear": []}))
+        code, out, err = run(capsys, "verify", "--identity", theorem_file,
+                             "--algebra", str(algebra), "--trials", "0")
+        assert code == 1 and out == ""
+        assert err == ("error: nothing evaluated: no trials, and the 6^8 basis tuples "
+                       "exceed 1,000,000\n")
 
     def test_negative_trials_is_an_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

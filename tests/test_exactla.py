@@ -23,13 +23,19 @@ def test_fieldspec_validation():
             FieldSpec(bad)
 
 
-def test_fieldspec_element_maps_rationals():
-    assert FieldSpec(101).element(Fraction(-3, 2)) == 49
-    assert GF101.element(-1) == 100
-    assert GF101.element(Fraction(202, 2)) == 0
-    assert QQ.element(3) == Fraction(3) and QQ.element(Fraction(-3, 2)) == Fraction(-3, 2)
+def test_rows_map_rationals():
+    # over GF(101) a rational entry is numerator times the inverse of its
+    # denominator: -3/2 -> 49, -1 -> 100, 202/2 -> 0
+    red = IncrementalReducer(4, GF101)
+    red.append([[1, 49, 100, 0]])
+    assert red.contains([1, Fraction(-3, 2), -1, Fraction(202, 2)])
+    assert not red.contains([1, Fraction(3, 2), -1, 0])
     with pytest.raises(ValueError, match="denominator"):
-        GF101.element(Fraction(1, 101))
+        red.contains([1, 0, 0, Fraction(1, 101)])
+    # over Q the entries stay exact
+    red = IncrementalReducer(2, QQ)
+    red.append([[3, Fraction(-9, 2)]])
+    assert red.tail_rows(0) == [[Fraction(1), Fraction(-3, 2)]]
 
 
 def test_gf_reducer_reads_fractions():
@@ -199,7 +205,7 @@ def tail_of(ref, start):
     return [r[start:] for r in ref if not any(r[:start])]
 
 
-@pytest.mark.parametrize("p", [2, 3, 101, 127])
+@pytest.mark.parametrize("p", [2, 3, 101, 127, 131])
 def test_gf_kernel_matches_reference(p):
     rng = random.Random(p)
     for rows, cols, rank in [(30, 40, 12), (60, 25, 20), (12, 50, 12)]:
@@ -241,11 +247,6 @@ def test_gf_elimination_clears_filled_pivots():
     assert red.tail_rows(0) == rcf_mod([[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1]], 101)
 
 
-def test_reducer_rejects_large_characteristic():
-    with pytest.raises(ValueError, match="maximum 127"):
-        IncrementalReducer(10, FieldSpec(131))
-
-
 @pytest.mark.parametrize("field", [QQ, GF101])
 def test_array_shape_and_booleans(field):
     red = IncrementalReducer(3, field)
@@ -261,7 +262,8 @@ def test_array_shape_and_booleans(field):
     assert red.contains([1, 1, 2]) and red.contains(np.array([1, 1, 2]))
 
 
-def test_rational_forms_agree_near_int64_limit():
+@pytest.mark.parametrize("field", [QQ, GF101])
+def test_rational_forms_agree_near_int64_limit(field):
     # entries near 2**62: any product of two overflows int64, so a basis
     # holding numpy integers would overflow during elimination
     big = 2**62 + 11
@@ -277,9 +279,9 @@ def test_rational_forms_agree_near_int64_limit():
     ]
     reducers = []
     for form in forms:
-        red = IncrementalReducer(6, QQ)
+        red = IncrementalReducer(6, field)
+        assert all(type(x) is int for row in red._sparse_rows(form) for x in row.values())
         assert red.append(form) == 3
-        assert all(type(x) is int for row in red._impl.rows.values() for x in row)
         reducers.append(red)
     first = reducers[0]
     assert_rcf(first.tail_rows(0))

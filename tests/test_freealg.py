@@ -321,11 +321,11 @@ def test_canonicalize_orientation():
 def test_canonicalize_repeats():
     with pytest.raises(freealg.RepeatedVariableError):
         freealg.canonicalize((2, 1, 1))
-    assert freealg.canonicalize((2, 1, 1), repeats="zero") is None
-    assert freealg.canonicalize((2, (2, 1, 2), (2, 1, 2)), repeats="zero") is None
-    # repeats that do not make the monomial self-negative stay errors
+    with pytest.raises(freealg.RepeatedVariableError):
+        freealg.canonicalize((2, (2, 1, 2), (2, 1, 2)))
+    # a repeat outside a swap node is not multilinear either
     with pytest.raises(ValueError):
-        freealg.canonicalize((3, 1, 2, 1), repeats="zero")
+        freealg.canonicalize((3, 1, 2, 1))
 
 
 def test_canonicalize_rejects_malformed():

@@ -59,14 +59,14 @@ class TestDegree3:
     def test_sign_skews_vanish(self):
         # [[a,b],c] has the single skew iota + (b a c); the sign rep sends the
         # odd transposition to -1, so the relation is identically zero
-        B = pipeline._skew_reducer(symrep.Partition((1, 1, 1)), 3, QQ)
+        B = pipeline._skew_reducer(symrep.RepTable(symrep.Partition((1, 1, 1)), QQ), 3)
         assert B.rank == 0 and B.cols == 1
 
     def test_standard_skews(self):
         pi = symrep.Partition((2, 1))
         table = symrep.RepTable(pi, QQ)
         swap = table.matrix((2, 1, 3))
-        B = pipeline._skew_reducer(pi, 3, QQ)
+        B = pipeline._skew_reducer(table, 3)
         expected = reduced(np.eye(2, dtype=np.int64) + swap, 2, QQ)
         assert B.tail_rows(0) == expected.tail_rows(0)
 
@@ -77,6 +77,23 @@ class TestDegree3:
         res = pipeline.certify_new(jacobi, 3, QQ, generation=liftgen.generate(3))
         assert res.not_anticommutative_consequence is True
         assert res.is_LY_consequence is False
+
+    def test_one_rep_table_per_partition(self, monkeypatch):
+        # the reduction and the skew reducer share one table
+        built = []
+
+        class Counting(symrep.RepTable):
+            def __init__(self, pi, field):
+                built.append(pi)
+                super().__init__(pi, field)
+
+        monkeypatch.setattr(symrep, "RepTable", Counting)
+        pi = symrep.Partition((2, 1, 1))
+        pipeline.analyze_partition(pi, liftgen.generate(4), GF101, None)
+        assert built == [pi]
+        built.clear()
+        pipeline.certify_new(ExplicitIdentity(3, ((1, 1),)), 3, QQ, generation=liftgen.generate(3))
+        assert built == [symrep.Partition((1, 1, 1))]
 
     def test_render(self):
         jacobi = ExplicitIdentity(3, ((1, 1),))
@@ -171,8 +188,8 @@ class TestAgreement:
     def test_B_rank_QQ_matches_GF101(self):
         for n in (4, 5, 6):
             for pi in symrep.partitions(n):
-                Bq = pipeline._skew_reducer(pi, n, QQ)
-                Bp = pipeline._skew_reducer(pi, n, GF101)
+                Bq = pipeline._skew_reducer(symrep.RepTable(pi, QQ), n)
+                Bp = pipeline._skew_reducer(symrep.RepTable(pi, GF101), n)
                 assert Bq.rank == Bp.rank, (n, pi.render())
 
 
@@ -412,7 +429,7 @@ class TestDegree8Sign:
         assert red.tail_rows(354 - 23) == expected_A8()
 
     def test_skew_matrix(self):
-        B = pipeline._skew_reducer(symrep.Partition((1,) * 8), 8, QQ)
+        B = pipeline._skew_reducer(symrep.RepTable(symrep.Partition((1,) * 8), QQ), 8)
         assert B.tail_rows(0) == expected_B8()
 
     def test_one_new_identity(self, sign_reports):

@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 
 from lyident import freealg, liftgen, symrep
-from lyident.exactla import GF101, QQ
+from lyident.exactla import GF101, QQ, FieldSpec
 from lyident.symrep import Partition
 from reference import all_perms, compose, sign
 
@@ -148,6 +148,12 @@ def test_direct_and_composed_agree_spot_checks():
             s = tuple(rng.sample(range(1, pi.n + 1), pi.n))
             direct = symrep.clifton_matrix(pi, s)
             assert tuple(tuple(int(x) for x in r) for r in tab.matrix(s)) == direct
+
+
+def test_rep_table_rejects_large_characteristic():
+    # the memoised matrices are int8, so p <= 127
+    with pytest.raises(ValueError, match="p <= 127"):
+        symrep.RepTable(Partition((2, 1)), FieldSpec(131))
 
 
 def test_rep_of_element():
