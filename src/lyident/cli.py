@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -187,6 +189,25 @@ def _parse_selector(text: str):
     return [bit.strip() for bit in text.split(",") if bit.strip()]
 
 
+@contextmanager
+def _log_to_stderr(enabled: bool):
+    """While enabled, send the package's INFO records (one line per analysed
+    partition) to stderr."""
+    if not enabled:
+        yield
+        return
+    logger = logging.getLogger("lyident")
+    handler = logging.StreamHandler(sys.stderr)
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def _cmd_analyze(args) -> int:
     degree = args.degree
     # the range and characteristic checks run before the generation set is
@@ -209,14 +230,15 @@ def _cmd_analyze(args) -> int:
 
     partitions = pipeline.select_partitions(degree, selector)
     generation = pipeline.default_generation(degree, filtered=args.filtered)
-    if args.jobs > 1 and len(partitions) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(partitions))) as pool:
-            reports = list(pool.map(
-                _analysis_job,
-                [(pi, generation, args.char, caps) for pi in partitions],
-            ))
-    else:
-        reports = [pipeline.analyze_partition(pi, generation, field, caps) for pi in partitions]
+    with _log_to_stderr(args.verbose):
+        if args.jobs > 1 and len(partitions) > 1:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(partitions))) as pool:
+                reports = list(pool.map(
+                    _analysis_job,
+                    [(pi, generation, args.char, caps) for pi in partitions],
+                ))
+        else:
+            reports = [pipeline.analyze_partition(pi, generation, field, caps) for pi in partitions]
 
     payload = pipeline.report_payload(degree, reports, len(generation))
     report_text = json.dumps(payload, indent=2) + "\n"
@@ -355,6 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="abort a partition beyond this many reduced rows")
     p.add_argument("--max-seconds", type=float, default=None,
                    help="abort a partition beyond this wall time")
+    p.add_argument("--verbose", action="store_true",
+                   help="log one progress line per analysed partition to stderr")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("identity", help="print the explicit degree-8 identity")

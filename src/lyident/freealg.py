@@ -83,15 +83,14 @@ class AssocType:
 
 _INTERN: dict[tuple, AssocType] = {}
 LEAF = AssocType(0, (), 1, CLASS_TERNARY, 0, (1,))
-_INTERN[(0,)] = LEAF
 
 
-def _node(arity: int, children: tuple[AssocType, ...]) -> AssocType:
+def _node(children: tuple[AssocType, ...]) -> AssocType:
     """Intern a node with already-canonical children in canonical order."""
-    ident = (arity,) + tuple(id(c) for c in children)
-    hit = _INTERN.get(ident)
+    hit = _INTERN.get(children)
     if hit is not None:
         return hit
+    arity = len(children)
     degree = sum(c.degree for c in children)
     has2 = arity == 2 or any(c.degree > 1 and c.class_code != CLASS_TERNARY for c in children)
     has3 = arity == 3 or any(c.degree > 1 and c.class_code != CLASS_BINARY for c in children)
@@ -99,12 +98,8 @@ def _node(arity: int, children: tuple[AssocType, ...]) -> AssocType:
     skews = sum(c.skews for c in children) + (1 if children[0] is children[1] else 0)
     key = (degree, code, arity) + tuple(c.key for c in children)
     node = AssocType(arity, children, degree, code, skews, key)
-    _INTERN[ident] = node
+    _INTERN[children] = node
     return node
-
-
-def _child_rank(t: AssocType):
-    return (-t.degree, t.key)
 
 
 def _ordered_pairs(d1: int, d2: int) -> Iterator[tuple[AssocType, AssocType]]:
@@ -139,13 +134,13 @@ def enumerate_types(n: int, cls: str | None = None) -> tuple[AssocType, ...]:
     out = []
     for i in range(1, n // 2 + 1):
         for a, b in _ordered_pairs(n - i, i):
-            out.append(_node(2, (a, b)))
+            out.append(_node((a, b)))
     for k in range(1, n - 1):
         rest = n - k
         for i in range(1, rest // 2 + 1):
             for a, b in _ordered_pairs(rest - i, i):
                 for c in enumerate_types(k):
-                    out.append(_node(3, (a, b, c)))
+                    out.append(_node((a, b, c)))
     out.sort(key=lambda t: t.key)
     return tuple(out)
 
@@ -292,52 +287,53 @@ class RepeatedVariableError(ValueError):
     pass
 
 
-def _canon(tree, path: str):
-    """Recursive canonicalization of a labeled tree.
+def _canon(tree):
+    """Canonical (type node, leaf label tuple, sign) of a labeled tree.
 
-    Returns (type node, leaf label tuple, sign). Raises on malformed input.
+    One depth-first walk: children are straightened left to right, then the
+    first two are swapped (flipping the sign) if they are out of canonical
+    order. Raises on malformed input, naming the offending subtree.
     """
-    if isinstance(tree, int):
+    if tree.__class__ is int:
         if tree < 1:
-            raise ValueError(f"variable index must be >= 1 at {path or 'root'}")
+            raise ValueError(f"variable index must be >= 1, got {tree!r}")
         return LEAF, (tree,), 1
-    if not isinstance(tree, tuple) or not tree:
-        raise ValueError(f"malformed node at {path or 'root'}: {tree!r}")
-    arity = tree[0]
-    if arity not in (2, 3) or len(tree) != arity + 1:
-        raise ValueError(f"malformed node at {path or 'root'}: {tree!r}")
-    parts = [_canon(c, f"{path}.{i + 1}") for i, c in enumerate(tree[1:])]
-    sign = 1
-    for _, _, s in parts:
-        sign *= s
-    (ta, la, _), (tb, lb, _) = parts[0], parts[1]
-    if _child_rank(ta) > _child_rank(tb):
-        parts[0], parts[1] = parts[1], parts[0]
-        sign = -sign
-    elif ta is tb:
+    arity = len(tree) - 1 if tree.__class__ is tuple else 0
+    if arity not in (2, 3) or tree[0] != arity:
+        raise ValueError(f"malformed node {tree!r}")
+    ta, la, sign = _canon(tree[1])
+    tb, lb, sb = _canon(tree[2])
+    sign *= sb
+    if arity == 3:
+        tc, lc, sc = _canon(tree[3])
+        sign *= sc
+    if ta is tb:
         if la == lb:
-            raise RepeatedVariableError(f"swap children carry equal labels at {path or 'root'}")
-        if la > lb:
-            parts[0], parts[1] = parts[1], parts[0]
-            sign = -sign
-    node = _node(arity, tuple(p[0] for p in parts))
-    labels = sum((p[1] for p in parts), ())
-    return node, labels, sign
+            raise RepeatedVariableError(f"swap children carry equal labels in {tree!r}")
+        swap = la > lb
+    else:
+        swap = ta.degree < tb.degree or (ta.degree == tb.degree and ta.key > tb.key)
+    if swap:
+        ta, la, tb, lb, sign = tb, lb, ta, la, -sign
+    if arity == 2:
+        return _node((ta, tb)), la + lb, sign
+    return _node((ta, tb, tc)), la + lb + lc, sign
 
 
 def canonicalize(tree):
     """Canonical form of a labeled tree.
 
-    The tree is nested tuples: a leaf is a 1-based variable index, an internal
-    node is (2, left, right) or (3, a, b, c). Returns (Monomial, sign) where
-    sign is +1 or -1. A repeated variable under a swap node raises
-    RepeatedVariableError; any other repeated variable raises ValueError,
-    since the result would not be multilinear.
+    The tree is nested tuples: a leaf is a 1-based variable index (an int,
+    not a bool), an internal node is (2, left, right) or (3, a, b, c).
+    Returns (Monomial, sign) where sign is +1 or -1. A repeated variable
+    under a swap node raises RepeatedVariableError; any other repeated
+    variable raises ValueError, since the result would not be multilinear.
     """
-    node, labels, sign = _canon(tree, "")
-    if sorted(labels) != list(range(1, len(labels) + 1)):
-        raise ValueError(f"leaf labels {labels} are not a permutation of 1..{len(labels)}")
-    return Monomial(len(labels), _index_map(node.degree)[node], labels), sign
+    node, labels, sign = _canon(tree)
+    n = len(labels)
+    if max(labels) != n or len(set(labels)) != n:
+        raise ValueError(f"leaf labels {labels} are not a permutation of 1..{n}")
+    return Monomial(n, _index_map(n)[node], labels), sign
 
 
 class Polynomial:
@@ -409,18 +405,16 @@ def labeled_tree(mono: Monomial):
 
 
 def expand(terms: Iterable[tuple[object, object]]) -> Polynomial:
-    """Straighten (coefficient, labeled tree) pairs into a Polynomial."""
-    items = list(terms)
-    if not items:
-        raise ValueError("cannot infer degree from an empty term list")
-
-    def leaves(tree) -> int:
-        return 1 if isinstance(tree, int) else sum(leaves(c) for c in tree[1:])
-
-    poly = Polynomial(leaves(items[0][1]))
-    for coeff, tree in items:
+    """Straighten (coefficient, labeled tree) pairs into a Polynomial of the
+    first term's degree."""
+    poly = None
+    for coeff, tree in terms:
         mono, sign = canonicalize(tree)
+        if poly is None:
+            poly = Polynomial(mono.degree)
         poly.add_term(mono, sign * coeff)
+    if poly is None:
+        raise ValueError("cannot infer degree from an empty term list")
     return poly
 
 

@@ -113,23 +113,28 @@ def _poly_terms(poly: freealg.Polynomial):
 
 
 def _substitute(tree, var: int, repl):
-    if isinstance(tree, int):
+    if tree.__class__ is int:
         return repl if tree == var else tree
-    return (tree[0], *(_substitute(c, var, repl) for c in tree[1:]))
+    if len(tree) == 3:
+        return (2, _substitute(tree[1], var, repl), _substitute(tree[2], var, repl))
+    return (3, _substitute(tree[1], var, repl), _substitute(tree[2], var, repl),
+            _substitute(tree[3], var, repl))
 
 
 def _apply_step(terms, degree: int, step: Step):
     """One lifting step on (coeff, tree) terms; returns (terms, new degree)."""
     kind = step[0]
     n = degree
-    if kind == "binary-sub":
+    if kind in ("binary-sub", "ternary-sub"):
         i = step[1]
+        if i.__class__ is not int or not 1 <= i <= n:
+            raise ValueError(f"{kind} index must be an int in 1..{n}, got {i!r}")
+    if kind == "binary-sub":
         out = [(c, _substitute(t, i, (2, i, n + 1))) for c, t in terms]
         return out, n + 1
     if kind == "binary-mul":
         return [(c, (2, t, n + 1)) for c, t in terms], n + 1
     if kind == "ternary-sub":
-        i = step[1]
         out = [(c, _substitute(t, i, (3, i, n + 1, n + 2))) for c, t in terms]
         return out, n + 2
     if kind == "ternary-mul":

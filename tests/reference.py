@@ -1,20 +1,22 @@
 """Test-side references: permutations as 1-based image tuples, the
-expansion of an explicit identity into the canonical monomial basis, the
-row canonical form over GF(p) in plain Python, exact evaluation in
-Fraction arithmetic, and the identity check that evaluates every basis
-tuple afresh.
+expansion of an explicit identity into the canonical monomial basis, a
+recursive canonicalizer and the lifting built on it, the row canonical
+form over GF(p) in plain Python, exact evaluation in Fraction arithmetic,
+and the identity check that evaluates every basis tuple afresh.
 
-The package evaluates alternating identities without expanding them,
-reduces rows mod p on a sparse echelon basis, evaluates in integers over a
-common denominator and reads basis tuples off memoised subtree tables; the
-routes here are the independent ones the tests compare against.
+The package straightens trees in one lean walk that interns types as it
+goes, evaluates alternating identities without expanding them, reduces
+rows mod p on a sparse echelon basis, evaluates in integers over a common
+denominator and reads basis tuples off memoised subtree tables; the routes
+here are the independent ones the tests compare against.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
-from lyident import evallab, freealg, pipeline
+from lyident import evallab, freealg, liftgen, pipeline
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -70,6 +72,109 @@ def _relabel(tree, sigma: tuple[int, ...]):
     if isinstance(tree, int):
         return sigma[tree - 1]
     return (tree[0], *(_relabel(c, sigma) for c in tree[1:]))
+
+
+@functools.cache
+def _types_by_children(n: int) -> dict:
+    return {t.children: t for t in freealg.enumerate_types(n)}
+
+
+def _canon_reference(tree, path: str):
+    """Recursive canonicalization of a labeled tree, with the path of each
+    node ('' for the root, '.2.1' for the first child of its second child)
+    in its error messages.
+
+    Returns (type, leaf label tuple, sign); the type is looked up among the
+    enumerated ones by its children. Raises on malformed input, a bool leaf
+    included.
+    """
+    if isinstance(tree, int) and not isinstance(tree, bool):
+        if tree < 1:
+            raise ValueError(f"variable index must be >= 1 at {path or 'root'}")
+        return freealg.LEAF, (tree,), 1
+    if not isinstance(tree, tuple) or not tree:
+        raise ValueError(f"malformed node at {path or 'root'}: {tree!r}")
+    arity = tree[0]
+    if arity not in (2, 3) or len(tree) != arity + 1:
+        raise ValueError(f"malformed node at {path or 'root'}: {tree!r}")
+    parts = [_canon_reference(c, f"{path}.{i + 1}") for i, c in enumerate(tree[1:])]
+    sign = 1
+    for _, _, s in parts:
+        sign *= s
+    (ta, la, _), (tb, lb, _) = parts[0], parts[1]
+    if (-ta.degree, ta.key) > (-tb.degree, tb.key):
+        parts[0], parts[1] = parts[1], parts[0]
+        sign = -sign
+    elif ta is tb:
+        if la == lb:
+            raise freealg.RepeatedVariableError(
+                f"swap children carry equal labels at {path or 'root'}"
+            )
+        if la > lb:
+            parts[0], parts[1] = parts[1], parts[0]
+            sign = -sign
+    children = tuple(p[0] for p in parts)
+    node = _types_by_children(sum(c.degree for c in children))[children]
+    labels = sum((p[1] for p in parts), ())
+    return node, labels, sign
+
+
+def canonicalize_reference(tree):
+    """(Monomial, sign) of a labeled tree, as freealg.canonicalize returns."""
+    node, labels, sign = _canon_reference(tree, "")
+    if sorted(labels) != list(range(1, len(labels) + 1)):
+        raise ValueError(f"leaf labels {labels} are not a permutation of 1..{len(labels)}")
+    return freealg.Monomial(len(labels), node.index, labels), sign
+
+
+def expand_reference(terms, degree: int) -> freealg.Polynomial:
+    poly = freealg.Polynomial(degree)
+    for coeff, tree in terms:
+        mono, s = canonicalize_reference(tree)
+        poly.add_term(mono, s * coeff)
+    return poly
+
+
+def _substitute_reference(tree, var: int, repl):
+    if isinstance(tree, int):
+        return repl if tree == var else tree
+    return (tree[0], *(_substitute_reference(c, var, repl) for c in tree[1:]))
+
+
+def lift_reference(poly: freealg.Polynomial, step) -> freealg.Polynomial:
+    """One lifting step on a polynomial, straightened by canonicalize_reference."""
+    n = poly.degree
+    kind, i = step[0], step[-1]
+    wrap = {
+        "binary-sub": lambda t: _substitute_reference(t, i, (2, i, n + 1)),
+        "binary-mul": lambda t: (2, t, n + 1),
+        "ternary-sub": lambda t: _substitute_reference(t, i, (3, i, n + 1, n + 2)),
+        "ternary-mul": lambda t: (3, t, n + 1, n + 2) if i == 1 else (3, n + 1, n + 2, t),
+    }[kind]
+    degree = n + (1 if kind.startswith("binary") else 2)
+    return expand_reference([(c, wrap(freealg.labeled_tree(m))) for m, c in poly.sorted_terms()], degree)
+
+
+@functools.cache
+def generate_reference(n: int) -> tuple:
+    """(lineage, polynomial) of every degree-n generator, in the order of
+    liftgen.generate: the seeds of degree n, the nonzero binary liftings of
+    degree n-1, then the nonzero ternary liftings of degree n-2."""
+    out = []
+    for name, terms in liftgen._SEED_TERMS.items():
+        degree = canonicalize_reference(terms[0][1])[0].degree
+        if degree == n:
+            out.append(((("seed", name),), expand_reference(terms, n)))
+    if n > 3:
+        for lineage, poly in generate_reference(n - 1):
+            steps = [("binary-sub", i) for i in range(1, n)] + [("binary-mul",)]
+            out += [(lineage + (s,), q) for s in steps if (q := lift_reference(poly, s))]
+    if n > 4:
+        for lineage, poly in generate_reference(n - 2):
+            steps = [("ternary-sub", i) for i in range(1, n - 1)]
+            steps += [("ternary-mul", 1), ("ternary-mul", 3)]
+            out += [(lineage + (s,), q) for s in steps if (q := lift_reference(poly, s))]
+    return tuple(out)
 
 
 def rcf_mod(rows: list[list[int]], p: int) -> list[list[int]]:

@@ -93,6 +93,20 @@ class TestAnalyze:
         assert [p["partition"] for p in clocked["partitions"]] == ["1^4"]
         assert all("seconds" in p for p in clocked["partitions"])
 
+    def test_verbose_logs_one_line_per_partition(self, capsys, tmp_path):
+        quiet, loud = tmp_path / "quiet.json", tmp_path / "loud.json"
+        code1, out1, err1 = run(capsys, "analyze", "--degree", "4", "--report", str(quiet))
+        code2, out2, err2 = run(capsys, "analyze", "--degree", "4", "--verbose",
+                                "--report", str(loud))
+        assert code1 == code2 == 0
+        assert err1 == ""
+        lines = err2.splitlines()
+        assert [line.split()[:4] for line in lines] == [
+            ["degree", "4", "partition", f"{pi}:"] for pi in ("4", "3+1", "2^2", "2+1^2", "1^4")
+        ]
+        assert out1 == out2
+        assert quiet.read_bytes() == loud.read_bytes()
+
     def test_jobs_match_sequential(self, capsys, tmp_path):
         seq, par = tmp_path / "seq.json", tmp_path / "par.json"
         code1, _, _ = run(capsys, "analyze", "--degree", "4", "--char", "101",

@@ -7,9 +7,11 @@ completely separate code path.
 
 import itertools
 import math
+import random
 
 import pytest
 
+import reference
 from lyident import freealg
 
 
@@ -334,6 +336,56 @@ def test_canonicalize_rejects_malformed():
             freealg.canonicalize(bad)
     with pytest.raises(ValueError):
         freealg.canonicalize((2, 1, 3))  # labels not 1..n
+    # a bool is not a variable index; the message names the subtree
+    with pytest.raises(ValueError, match="True"):
+        freealg.canonicalize((2, True, 2))
+
+
+def _outcome(canon, tree):
+    """(Monomial, sign) of a tree, or the class of the exception it raises."""
+    try:
+        return canon(tree)
+    except Exception as ex:  # the class itself is compared
+        return type(ex)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_canonicalize_matches_reference_on_every_labeling(n):
+    # degree <= 4: every labeling by 0..n or True, so repeats, zero and bool
+    # leaves are compared too; degree 5: every permutation
+    if n <= 4:
+        labelings = itertools.product([True, *range(n + 1)], repeat=n)
+    else:
+        labelings = itertools.permutations(range(1, n + 1))
+    for labels in labelings:
+        for tree in plane_trees(list(labels)):
+            assert _outcome(freealg.canonicalize, tree) == _outcome(
+                reference.canonicalize_reference, tree
+            ), tree
+
+
+def _scrambled(t, labels, rng):
+    """A labeled tree of type t with the children of every node shuffled."""
+    if t.arity == 0:
+        return next(labels)
+    kids = [_scrambled(c, labels, rng) for c in t.children]
+    rng.shuffle(kids)
+    return (t.arity, *kids)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_canonicalize_matches_reference_on_random_labelings(n):
+    rng = random.Random(n)
+    for t in freealg.enumerate_types(n):
+        for trial in range(4):
+            labels = list(range(1, n + 1))
+            rng.shuffle(labels)
+            if trial == 3:  # one repeated variable
+                labels[rng.randrange(n)] = labels[rng.randrange(n)]
+            tree = _scrambled(t, iter(labels), rng)
+            assert _outcome(freealg.canonicalize, tree) == _outcome(
+                reference.canonicalize_reference, tree
+            ), tree
 
 
 def test_expand_collects_and_cancels():

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+import reference
 from lyident import freealg, liftgen, symrep
 from lyident.exactla import GF101, QQ, IncrementalReducer
 
@@ -158,6 +159,13 @@ class TestGenerate:
         with pytest.raises(ValueError):
             liftgen.generate(2)
 
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_matches_reference_lifting(self, n):
+        # every generator, lifted through the recursive reference
+        # canonicalizer and substitution, in the same order
+        got = [(i.lineage, i.polynomial) for i in liftgen.generate(n).identities]
+        assert got == list(reference.generate_reference(n))
+
 
 class TestCounts:
     def test_lifting_count_values(self):
@@ -203,6 +211,11 @@ class TestReplay:
             liftgen.replay((("binary-mul",),))
         with pytest.raises(ValueError):
             liftgen.replay((("seed", "nope"),))
+        # a substitution index outside 1..n is an error, not a no-op
+        with pytest.raises(ValueError, match="1..3"):
+            liftgen.replay((("seed", "f"), ("binary-sub", 9)))
+        with pytest.raises(ValueError, match="1..4"):
+            liftgen.replay((("seed", "g1"), ("ternary-sub", 0)))
 
 
 class TestIdentityRows:
