@@ -13,12 +13,14 @@ np.nonzero, any other row is cleared of denominators in integer arithmetic
 Over GF(p) a row whose lcm denominator p divides has no image and is
 rejected. The entries stay Python ints, so any prime works.
 
-Over a prime field the reducer keeps a sparse echelon basis: each row is
-stored under its pivot column as its nonzero entries right of an implicit
-leading 1, in parallel lists of columns and values. An appended row is
-eliminated in pivot order through a min-heap of the pivot columns it holds,
-so the work follows the fill-in, not the width. Appending never
-back-substitutes; tail_rows builds the RCF rows it returns. Over the
+Over a prime field the reducer keeps the RCF, sparse and reduced lazily:
+each row is stored under its pivot column as its nonzero entries right of
+an implicit leading 1, in parallel lists of columns and values, with the
+rank at which it was last cleaned. A new pivot does not touch the older
+rows; a row is cleaned of the newer pivot columns the first time it is
+used after the rank grew. A clean row vanishes on every other pivot
+column, so a row is reduced in one pass over its own pivot columns and no
+subtraction fills another, and tail_rows reads the cleaned rows. Over the
 rationals each basis row is the RCF row as a primitive integer vector
 (content stripped, positive leading entry) in the row format, which avoids
 fraction blowup during elimination; Fractions and leading 1s appear only in
@@ -30,7 +32,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 import numpy as np
@@ -81,16 +82,19 @@ GF101 = FieldSpec(101)
 
 
 class _ModReducer:
-    """Echelon basis over GF(p), stored sparse.
+    """Reduced row canonical form over GF(p), stored sparse and cleaned lazily.
 
     Each basis row lives under its pivot column as its entries to the right
     of an implicit leading 1: parallel lists of columns and values, ints in
-    [1, p), which take less memory than a dict. A row is eliminated on its
-    nonzeros only, against a min-heap of the pivot columns it holds: the
-    smallest is cleared first by subtracting its basis row, whose entries all
-    lie to its right, and any pivot column that subtraction fills joins the
-    heap. Entries accumulate as Python ints and are reduced mod p when popped
-    and once at the end.
+    [1, p), which take less memory than a dict. Beside each row is the rank
+    at which it was last cleaned, and a row cleaned at the current rank
+    vanishes on every other pivot column. A new pivot leaves the older rows
+    as they are; a row is cleaned only when it is next used, by subtracting
+    the rows of the pivot columns it holds, which are cleaned first (on an
+    explicit stack, since a chain of stale rows can be thousands long).
+    Subtracting a clean row never fills a pivot column, so a row is reduced
+    in one pass over its own pivot columns. Entries accumulate as Python
+    ints and are reduced mod p at the end.
     """
 
     def __init__(self, cols: int, p: int):
@@ -98,29 +102,49 @@ class _ModReducer:
         self.cols = cols
         self.pivots: list[int] = []  # ascending
         self.rows: dict[int, tuple[list[int], list[int]]] = {}  # pivot column -> (columns, values)
+        self.cleaned: dict[int, int] = {}  # pivot column -> rank at its last cleaning
+
+    def _clean(self, hits: list[int]) -> None:
+        """Clean the rows under the pivot columns hits, and the rows they
+        depend on, at the current rank."""
+        rank, rows, cleaned = len(self.pivots), self.rows, self.cleaned
+        pivot_cols = rows.keys()
+        stack = [c for c in hits if cleaned[c] < rank]
+        while stack:
+            c = stack[-1]
+            if cleaned[c] < rank:
+                cols = rows[c][0]
+                if not pivot_cols.isdisjoint(cols):
+                    inner = [j for j in cols if j in rows]
+                    stale = [j for j in inner if cleaned[j] < rank]
+                    if stale:
+                        # each lies right of c, so the walk ends
+                        stack += stale
+                        continue
+                    row = self._subtract(dict(zip(*rows[c])), inner)
+                    rows[c] = (list(row), list(row.values()))
+                cleaned[c] = rank
+            stack.pop()
+
+    def _subtract(self, row: dict[int, int], hits: list[int]) -> dict[int, int]:
+        """row minus the clean basis rows that clear its pivot columns hits,
+        entries reduced to [1, p); consumes row."""
+        p, rows = self.p, self.rows
+        for c in hits:
+            f = row.pop(c) % p
+            if f:
+                f = p - f
+                cols, vals = rows[c]
+                for j, v in zip(cols, vals):
+                    row[j] = row.get(j, 0) + f * v
+        return {j: r for j, x in row.items() if (r := x % p)}
 
     def reduce_only(self, row: dict[int, int]) -> dict[int, int]:
         """row minus the basis combination clearing every pivot column,
         entries reduced to [1, p); consumes row."""
-        p, rows = self.p, self.rows
-        heap = [c for c in row if c in rows]
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            f = row.pop(c) % p
-            if not f:
-                continue
-            f = p - f
-            cols, vals = rows[c]
-            for j, v in zip(cols, vals):
-                x = row.get(j)
-                if x is None:
-                    row[j] = f * v
-                    if j in rows:
-                        heappush(heap, j)
-                else:
-                    row[j] = x + f * v
-        return {j: r for j, x in row.items() if (r := x % p)}
+        hits = [c for c in row if c in self.rows]
+        self._clean(hits)
+        return self._subtract(row, hits)
 
     def append_one(self, row: dict[int, int]) -> bool:
         """Reduce row and keep what is left as a basis row; True iff the rank grew."""
@@ -131,27 +155,18 @@ class _ModReducer:
         inv = pow(rest.pop(c), -1, self.p)
         self.rows[c] = (list(rest), [x * inv % self.p for x in rest.values()])
         insort(self.pivots, c)
+        self.cleaned[c] = len(self.pivots)
         return True
 
     def tail_rows(self, start: int) -> list[list[int]]:
-        """The RCF rows with pivot column >= start, restricted to start:, by
-        back-substitution among those rows from the largest pivot down; the
-        echelon basis itself is left as it is."""
-        p, rows = self.p, self.rows
-        done: dict[int, dict[int, int]] = {}
-        for c in reversed(self.pivots[bisect_left(self.pivots, start) :]):
-            cols, vals = rows[c]
-            row = dict(zip(cols, vals))
-            for j in [j for j in cols if j in rows]:
-                f = p - row.pop(j)
-                for k, v in done[j].items():
-                    row[k] = row.get(k, 0) + f * v
-            done[c] = {k: r for k, x in row.items() if (r := x % p)}
+        """The RCF rows with pivot column >= start, restricted to start:."""
+        tail = self.pivots[bisect_left(self.pivots, start) :]
+        self._clean(tail)
         out = []
-        for c in sorted(done):
+        for c in tail:
             line = [0] * (self.cols - start)
             line[c - start] = 1
-            for j, x in done[c].items():
+            for j, x in zip(*self.rows[c]):
                 line[j - start] = x
             out.append(line)
         return out

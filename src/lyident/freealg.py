@@ -299,7 +299,7 @@ def _canon(tree):
             raise ValueError(f"variable index must be >= 1, got {tree!r}")
         return LEAF, (tree,), 1
     arity = len(tree) - 1 if tree.__class__ is tuple else 0
-    if arity not in (2, 3) or tree[0] != arity:
+    if arity not in (2, 3) or tree[0].__class__ is not int or tree[0] != arity:
         raise ValueError(f"malformed node {tree!r}")
     ta, la, sign = _canon(tree[1])
     tb, lb, sb = _canon(tree[2])

@@ -125,6 +125,8 @@ def _apply_step(terms, degree: int, step: Step):
     """One lifting step on (coeff, tree) terms; returns (terms, new degree)."""
     kind = step[0]
     n = degree
+    if kind in ("binary-sub", "ternary-sub", "ternary-mul") and len(step) != 2:
+        raise ValueError(f"{kind} step takes one argument, got {step!r}")
     if kind in ("binary-sub", "ternary-sub"):
         i = step[1]
         if i.__class__ is not int or not 1 <= i <= n:

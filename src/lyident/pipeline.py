@@ -218,7 +218,12 @@ def analyze_partition(
     table = symrep.RepTable(pi, field)
     red, status, consumed = _reduce(gen, table, caps)
     if status != "ok":
-        return PartitionReport(pi, d, field, None, None, (), status, time.monotonic() - t0, red.rank, consumed)
+        report = PartitionReport(pi, d, field, None, None, (), status, time.monotonic() - t0, red.rank, consumed)
+        log.info(
+            "degree %d partition %s: %s at rank %d after %d identities (%.1fs)",
+            gen.degree, pi.render(), status, red.rank, consumed, report.seconds,
+        )
+        return report
     a_rows = red.tail_rows(first_binary)
     skew = _skew_reducer(table, gen.degree)
     new_rows = tuple(tuple(row) for row in a_rows if not skew.contains(row))

@@ -144,50 +144,46 @@ def dimension(pi: Partition) -> int:
     return num // den
 
 
-def _column_sign(s_row_of: list[int], u: tuple[tuple[int, ...], ...], heights: list[int]) -> int:
-    """e(s, u) given the row-lookup table of s; 0 on a row/column clash."""
-    sign = 1
-    for c in range(len(heights)):
-        targets = [s_row_of[u[i][c]] for i in range(heights[c])]
-        if sorted(targets) != list(range(len(targets))):
-            return 0
-        # parity of the arrangement that sorts this column by target row
-        inv = sum(
-            1
-            for a in range(len(targets))
-            for b in range(a + 1, len(targets))
-            if targets[a] > targets[b]
-        )
-        if inv & 1:
-            sign = -sign
-    return sign
+@cache
+def _tableau_arrays(pi: Partition) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(row_of, cells, heights) of the standard tableaux of pi, read-only:
+    row_of[i, x] is the row of x in t_i, cells[i] lists t_i's entries
+    column by column, top down, and heights are the column lengths."""
+    tabs = standard_tableaux(pi)
+    heights = tuple(sum(1 for row in pi.parts if row > c) for c in range(pi.parts[0]))
+    row_of = np.zeros((len(tabs), pi.n + 1), dtype=np.int64)
+    for i, t in enumerate(tabs):
+        for r, row in enumerate(t):
+            row_of[i, list(row)] = r
+    cells = np.array([[t[r][c] for c, h in enumerate(heights) for r in range(h)] for t in tabs])
+    row_of.setflags(write=False)
+    cells.setflags(write=False)
+    return row_of, cells, heights
 
 
 def clifton_a_matrix(pi: Partition, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix A(sigma) with entries e(t_i, sigma t_j)."""
+    """Integer matrix A(sigma) with entries e(t_i, sigma t_j).
+
+    All d^2 entries at once: for each column of each sigma t_j, the rows its
+    entries occupy in each t_i. e is 0 unless every column meets the rows
+    0..h-1 once each, and then the sign of the column permutations that
+    sort those rows.
+    """
     n = pi.n
     if len(sigma) != n or sorted(sigma) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {sigma}")
-    tabs = standard_tableaux(pi)
-    heights = [0] * pi.parts[0]
-    for row in pi.parts:
-        for c in range(row):
-            heights[c] += 1
-    row_lookups = []
-    for t in tabs:
-        row_of = [0] * (n + 1)
-        for i, row in enumerate(t):
-            for x in row:
-                row_of[x] = i
-        row_lookups.append(row_of)
-    out = []
-    for row_of in row_lookups:
-        line = []
-        for t in tabs:
-            moved = tuple(tuple(sigma[x - 1] for x in row) for row in t)
-            line.append(_column_sign(row_of, moved, heights))
-        out.append(tuple(line))
-    return tuple(out)
+    row_of, cells, heights = _tableau_arrays(pi)
+    # rows[i, j, k]: the row of t_i holding the k-th cell of sigma t_j
+    rows = row_of[:, np.asarray(sigma)[cells - 1]]
+    out = np.ones(rows.shape[:2], dtype=np.int64)
+    start = 0
+    for h in heights:
+        col = rows[:, :, start : start + h]
+        start += h
+        clash = (np.sort(col, axis=2) != np.arange(h)).any(axis=2)
+        inversions = sum(col[:, :, a] > col[:, :, b] for a in range(h) for b in range(a + 1, h))
+        out *= np.where(clash, 0, 1 - 2 * (inversions & 1))
+    return tuple(map(tuple, out.tolist()))
 
 
 @cache
@@ -211,12 +207,11 @@ def _a_iota_inverse(pi: Partition) -> tuple[tuple[int, ...], ...]:
 def clifton_matrix(pi: Partition, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Integer matrix R(sigma) = A(iota)^-1 A(sigma), evaluated by direct
     Clifton expansion."""
-    inv = _a_iota_inverse(pi)
-    a = clifton_a_matrix(pi, sigma)
-    d = len(a)
-    return tuple(
-        tuple(sum(inv[i][k] * a[k][j] for k in range(d)) for j in range(d)) for i in range(d)
-    )
+    # A(sigma) holds 0 and +-1 and A(iota)^-1 small integers (each row's
+    # absolute values sum to at most 16 for n <= 8), so int64 is exact
+    inv = np.array(_a_iota_inverse(pi), dtype=np.int64)
+    a = np.array(clifton_a_matrix(pi, sigma), dtype=np.int64)
+    return tuple(map(tuple, (inv @ a).tolist()))
 
 
 # the largest characteristic RepTable's int8 memo holds; lyident analyze

@@ -1,12 +1,14 @@
-"""Test-side references: permutations as 1-based image tuples, the
-expansion of an explicit identity into the canonical monomial basis, a
-recursive canonicalizer and the lifting built on it, the row canonical
-form over GF(p) in plain Python, exact evaluation in Fraction arithmetic,
-and the identity check that evaluates every basis tuple afresh.
+"""Test-side references: permutations as 1-based image tuples, Clifton's
+matrices entry by entry, the expansion of an explicit identity into the
+canonical monomial basis, a recursive canonicalizer and the lifting built
+on it, the row canonical form over GF(p) in plain Python, exact
+evaluation in Fraction arithmetic, and the identity check that evaluates
+every basis tuple afresh.
 
-The package straightens trees in one lean walk that interns types as it
-goes, evaluates alternating identities without expanding them, reduces
-rows mod p on a sparse echelon basis, evaluates in integers over a common
+The package builds Clifton matrices in whole numpy arrays, straightens
+trees in one lean walk that interns types as it goes, evaluates
+alternating identities without expanding them, reduces rows mod p on a
+lazily cleaned sparse canonical form, evaluates in integers over a common
 denominator and reads basis tuples off memoised subtree tables; the routes
 here are the independent ones the tests compare against.
 """
@@ -16,7 +18,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from lyident import evallab, freealg, liftgen, pipeline
+from lyident import evallab, freealg, liftgen, pipeline, symrep
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -45,6 +47,54 @@ def sign(p: tuple[int, ...]) -> int:
 def all_perms(n: int):
     """All of S_n in lexicographic order of image tuples."""
     return itertools.permutations(range(1, n + 1))
+
+
+def _column_sign(s_row_of: list[int], u: tuple[tuple[int, ...], ...], heights: list[int]) -> int:
+    """e(s, u) given the row-lookup table of s; 0 on a row/column clash."""
+    sign = 1
+    for c in range(len(heights)):
+        targets = [s_row_of[u[i][c]] for i in range(heights[c])]
+        if sorted(targets) != list(range(len(targets))):
+            return 0
+        # parity of the arrangement that sorts this column by target row
+        inv = sum(
+            1
+            for a in range(len(targets))
+            for b in range(a + 1, len(targets))
+            if targets[a] > targets[b]
+        )
+        if inv & 1:
+            sign = -sign
+    return sign
+
+
+def clifton_a_matrix_reference(pi, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A(sigma) entry by entry: each e(t_i, sigma t_j) from its own moved
+    tableau."""
+    tabs = symrep.standard_tableaux(pi)
+    heights = [sum(1 for row in pi.parts if row > c) for c in range(pi.parts[0])]
+    out = []
+    for s in tabs:
+        row_of = [0] * (pi.n + 1)
+        for i, row in enumerate(s):
+            for x in row:
+                row_of[x] = i
+        out.append(tuple(
+            _column_sign(row_of, tuple(tuple(sigma[x - 1] for x in row) for row in t), heights)
+            for t in tabs
+        ))
+    return tuple(out)
+
+
+def clifton_matrix_reference(pi, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """R(sigma) = A(iota)^-1 A(sigma) as a d^3 integer product over the
+    entry-by-entry A(sigma)."""
+    inv = symrep._a_iota_inverse(pi)
+    a = clifton_a_matrix_reference(pi, sigma)
+    d = len(a)
+    return tuple(
+        tuple(sum(inv[i][k] * a[k][j] for k in range(d)) for j in range(d)) for i in range(d)
+    )
 
 
 def alternation_polynomial(identity) -> freealg.Polynomial:

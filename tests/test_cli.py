@@ -107,6 +107,28 @@ class TestAnalyze:
         assert out1 == out2
         assert quiet.read_bytes() == loud.read_bytes()
 
+    def test_verbose_logs_aborted_partitions(self, capsys, tmp_path):
+        quiet, loud, clocked = tmp_path / "quiet.json", tmp_path / "loud.json", tmp_path / "t.json"
+        code1, out1, err1 = run(capsys, "analyze", "--degree", "4", "--max-rows", "1",
+                                "--report", str(quiet))
+        code2, out2, err2 = run(capsys, "analyze", "--degree", "4", "--max-rows", "1",
+                                "--verbose", "--report", str(loud), "--timings", str(clocked))
+        assert code1 == code2 == 3
+        assert err1 == "analysis aborted by resource cap\n"
+        lines = err2.splitlines()
+        assert lines[-1] == "analysis aborted by resource cap"
+        # one line per partition: the status, the rank reached and the
+        # identities consumed
+        payload = json.loads(clocked.read_text())
+        assert [line.split(" (")[0] for line in lines[:-1]] == [
+            f"degree 4 partition {p['partition']}: aborted-rows at rank {p['rank_reached']}"
+            f" after {p['identities_consumed']} identities"
+            for p in payload["partitions"]
+        ]
+        assert len(lines[:-1]) == 5
+        assert out1 == out2
+        assert quiet.read_bytes() == loud.read_bytes()
+
     def test_jobs_match_sequential(self, capsys, tmp_path):
         seq, par = tmp_path / "seq.json", tmp_path / "par.json"
         code1, _, _ = run(capsys, "analyze", "--degree", "4", "--char", "101",

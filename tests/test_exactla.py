@@ -247,6 +247,74 @@ def test_gf_elimination_clears_filled_pivots():
     assert red.tail_rows(0) == rcf_mod([[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1]], 101)
 
 
+def assert_cleaned_rows_reduced(red):
+    """Every basis row cleaned at the current rank vanishes on all other
+    pivot columns (each row holds only its entries right of its pivot)."""
+    impl = red._impl
+    for c, (cols, vals) in impl.rows.items():
+        assert all(j > c for j in cols) and all(0 < v < impl.p for v in vals)
+        if impl.cleaned[c] == red.rank:
+            assert not set(cols) & set(impl.rows), c
+
+
+@pytest.mark.parametrize("p", [3, 101])
+def test_gf_lazy_cleaning_interleaved(p):
+    # appends, membership tests and tail_rows in a random order; each step
+    # cleans some rows and leaves others stale
+    rng = random.Random(300 + p)
+    cols = 30
+    red = IncrementalReducer(cols, FieldSpec(p))
+    seen = []
+    for _ in range(25):
+        step = rng.choice(["append", "append", "contains", "tail"])
+        if step == "append":
+            batch = deficient_batch(rng, rng.randint(1, 4), cols, rng.randint(1, 3))
+            # a sparse row too, so that later pivots land among older rows
+            batch.append([rng.randrange(p) if rng.random() < 0.2 else 0 for _ in range(cols)])
+            red.append(batch)
+            seen += batch
+        ref = rcf_mod(seen, p) if seen else []
+        if step == "contains":
+            probe = [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(cols)]
+            assert red.contains(probe) == (len(rcf_mod(seen + [probe], p)) == len(ref))
+            if seen:
+                coeffs = [rng.randrange(p) for _ in seen]
+                assert red.contains([sum(k * r[j] for k, r in zip(coeffs, seen)) for j in range(cols)])
+        if step == "tail":
+            for start in sorted({0, *rng.sample(range(cols + 1), 3)}):
+                assert red.tail_rows(start) == tail_of(ref, start)
+        assert_cleaned_rows_reduced(red)
+        assert red.rank == len(ref)
+    assert red.tail_rows(0) == rcf_mod(seen, p)
+    assert_cleaned_rows_reduced(red)
+    assert all(red._impl.cleaned[c] == red.rank for c in red.pivots)
+
+
+def test_gf_deep_chain_of_stale_rows():
+    # rows e_i + e_(i+1) appended in order never meet an existing pivot, so
+    # every row but the last is stale and cleaning the first one needs all
+    # the others: a chain far deeper than the default recursion limit
+    n, p = 3000, 101
+    chain = np.zeros((n, n + 1), dtype=np.int64)
+    chain[np.arange(n), np.arange(n)] = 1
+    chain[np.arange(n), np.arange(n) + 1] = 1
+    probe = [0] * (n + 1)
+    probe[0], probe[n] = 1, (-1) ** (n - 1)  # e_0 +- e_n lies in the span
+    for read in ("contains", "tail_rows"):
+        red = IncrementalReducer(n + 1, FieldSpec(p))
+        assert red.append(chain) == n
+        if read == "contains":
+            assert red.contains(probe)
+            probe[n] = -probe[n]
+            assert not red.contains(probe)
+        else:
+            rows = red.tail_rows(0)
+            assert len(rows) == n
+            for i, row in enumerate(rows):
+                assert row[i] == 1 and row[n] == (-1) ** (n - 1 - i) % p
+                assert sum(map(bool, row)) == 2
+
+
 @pytest.mark.parametrize("field", [QQ, GF101])
 def test_array_shape_and_booleans(field):
     red = IncrementalReducer(3, field)

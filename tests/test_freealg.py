@@ -339,6 +339,9 @@ def test_canonicalize_rejects_malformed():
     # a bool is not a variable index; the message names the subtree
     with pytest.raises(ValueError, match="True"):
         freealg.canonicalize((2, True, 2))
+    # the arity must be an int, not a value equal to one
+    with pytest.raises(ValueError, match="2.0"):
+        freealg.canonicalize((2.0, 1, 2))
 
 
 def _outcome(canon, tree):

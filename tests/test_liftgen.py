@@ -216,6 +216,10 @@ class TestReplay:
             liftgen.replay((("seed", "f"), ("binary-sub", 9)))
         with pytest.raises(ValueError, match="1..4"):
             liftgen.replay((("seed", "g1"), ("ternary-sub", 0)))
+        # a step that takes an argument but lacks it
+        for step in [("binary-sub",), ("ternary-mul",)]:
+            with pytest.raises(ValueError, match="one argument"):
+                liftgen.replay((("seed", "f"), step))
 
 
 class TestIdentityRows:

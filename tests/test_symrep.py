@@ -9,7 +9,7 @@ import pytest
 from lyident import freealg, liftgen, symrep
 from lyident.exactla import GF101, QQ, FieldSpec
 from lyident.symrep import Partition
-from reference import all_perms, compose, sign
+from reference import all_perms, clifton_a_matrix_reference, clifton_matrix_reference, compose, sign
 
 
 def test_partition_validation():
@@ -148,6 +148,27 @@ def test_direct_and_composed_agree_spot_checks():
             s = tuple(rng.sample(range(1, pi.n + 1), pi.n))
             direct = symrep.clifton_matrix(pi, s)
             assert tuple(tuple(int(x) for x in r) for r in tab.matrix(s)) == direct
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_clifton_matrix_matches_reference(n):
+    # each partition of n: every permutation up to n = 5; the identity, the
+    # adjacent transpositions and a seeded sample at n = 6, 7; the identity
+    # and the sample at n = 8
+    rng = random.Random(n)
+    ident = tuple(range(1, n + 1))
+    if n <= 5:
+        perms = list(all_perms(n))
+    else:
+        sample = [tuple(rng.sample(ident, n)) for _ in range({6: 20, 7: 4, 8: 2}[n])]
+        adjacent = [ident[: i - 1] + (i + 1, i) + ident[i + 1 :] for i in range(1, n)]
+        perms = [ident, *(adjacent if n < 8 else []), *sample]
+    for pi in symrep.partitions(n):
+        for s in perms:
+            assert symrep.clifton_a_matrix(pi, s) == clifton_a_matrix_reference(pi, s), (pi, s)
+            got = symrep.clifton_matrix(pi, s)
+            assert got == clifton_matrix_reference(pi, s), (pi, s)
+            assert all(type(x) is int for row in got for x in row)
 
 
 def test_rep_table_rejects_large_characteristic():
