@@ -21,9 +21,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
-from . import evallab, freealg, liftgen, pipeline, symrep
+from . import evallab, freealg, liftgen, pipeline
 from ._data import data_text
 from .exactla import QQ, FieldSpec
 
@@ -177,12 +178,6 @@ def _cmd_counts(args) -> int:
     return 0
 
 
-def _analysis_job(task):
-    pi, gen, characteristic, caps = task
-    field = QQ if characteristic == 0 else FieldSpec(characteristic)
-    return pipeline.analyze_partition(pi, gen, field, caps)
-
-
 def _parse_selector(text: str):
     if text in ("all", "sign"):
         return text
@@ -219,9 +214,6 @@ def _cmd_analyze(args) -> int:
     if args.char != 0 and args.char <= degree:
         print(f"error: characteristic must be 0 or a prime > {degree}", file=sys.stderr)
         return 1
-    if args.char > symrep._MAX_CHAR:
-        print(f"error: characteristic must be 0 or a prime <= {symrep._MAX_CHAR}", file=sys.stderr)
-        return 1
     field = QQ if args.char == 0 else FieldSpec(args.char)
     selector = _parse_selector(args.partitions)
     caps = None
@@ -234,8 +226,8 @@ def _cmd_analyze(args) -> int:
         if args.jobs > 1 and len(partitions) > 1:
             with ProcessPoolExecutor(max_workers=min(args.jobs, len(partitions))) as pool:
                 reports = list(pool.map(
-                    _analysis_job,
-                    [(pi, generation, args.char, caps) for pi in partitions],
+                    pipeline.analyze_partition,
+                    partitions, repeat(generation), repeat(field), repeat(caps),
                 ))
         else:
             reports = [pipeline.analyze_partition(pi, generation, field, caps) for pi in partitions]

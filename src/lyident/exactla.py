@@ -44,14 +44,24 @@ __all__ = [
 ]
 
 
+# Miller-Rabin on the first 13 primes as bases decides primality for every
+# p below _PRIME_TEST_LIMIT (Sorenson and Webster, 2015); the first 12 do not,
+# since 318665857834031151167461 is a strong pseudoprime to all of them
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin; raises ValueError at or above _PRIME_TEST_LIMIT."""
+    if p >= _PRIME_TEST_LIMIT:
+        raise ValueError(f"primality of {p} is not decided: characteristics must be below {_PRIME_TEST_LIMIT}")
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (p - 1) >> s, p)
+        if x != 1 and x != p - 1 and all((x := x * x % p) != p - 1 for _ in range(s - 1)):
             return False
-        d += 1
     return True
 
 
@@ -94,7 +104,8 @@ class _ModReducer:
     explicit stack, since a chain of stale rows can be thousands long).
     Subtracting a clean row never fills a pivot column, so a row is reduced
     in one pass over its own pivot columns. Entries accumulate as Python
-    ints and are reduced mod p at the end.
+    ints and are reduced mod p at the end, so an input row may hold any
+    integers: this is the one place where a row meets p.
     """
 
     def __init__(self, cols: int, p: int):

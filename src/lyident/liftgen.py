@@ -268,7 +268,7 @@ def filter_redundant(gen: GenerationSet, field: FieldSpec = GF101) -> Generation
     partition; the final ranks are returned on the result.
     """
     pis = symrep.partitions(gen.degree)
-    tables = [symrep.RepTable(pi, field) for pi in pis]
+    tables = [symrep.RepTable(pi) for pi in pis]
     reducers = [IncrementalReducer(freealg.count_types(gen.degree).all * t.dim, field) for t in tables]
     kept = []
     for ident in gen.identities:

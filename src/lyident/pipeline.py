@@ -139,17 +139,17 @@ def reduce_identities(
     Returns the reducer and a status: "ok", or an aborted marker when a
     resource cap was hit (the reducer then holds a partial row space).
     """
-    red, status, _ = _reduce(gen, symrep.RepTable(pi, field), caps)
+    red, status, _ = _reduce(gen, symrep.RepTable(pi), field, caps)
     return red, status
 
 
-def _reduce(gen, table: symrep.RepTable, caps) -> tuple[IncrementalReducer, str, int]:
+def _reduce(gen, table: symrep.RepTable, field: FieldSpec, caps) -> tuple[IncrementalReducer, str, int]:
     """reduce_identities on one partition's table, plus the number of
     identities appended."""
     if table.n != gen.degree:
         raise ValueError(f"partition of {table.n} against degree-{gen.degree} identities")
     cols, _, _ = _column_split(gen.degree, table.dim)
-    red = IncrementalReducer(cols, table.field)
+    red = IncrementalReducer(cols, field)
     start = time.monotonic()
     for k, ident in enumerate(gen.identities, 1):
         red.append(liftgen.identity_rows(ident, table))
@@ -160,16 +160,16 @@ def _reduce(gen, table: symrep.RepTable, caps) -> tuple[IncrementalReducer, str,
     return red, "ok", len(gen.identities)
 
 
-def _skew_reducer(table: symrep.RepTable, degree: int) -> IncrementalReducer:
-    """B_pi: the binary skew-symmetry relations iota + sigma, reduced."""
+def _skew_reducer(table: symrep.RepTable, degree: int, field: FieldSpec) -> IncrementalReducer:
+    """B_pi: the binary skew-symmetry relations iota + sigma, reduced over field."""
     d = table.dim
     btypes = freealg.binary_types(degree)
-    red = IncrementalReducer(len(btypes) * d, table.field)
-    eye = np.eye(d, dtype=np.int64)
+    red = IncrementalReducer(len(btypes) * d, field)
+    ident = tuple(range(1, degree + 1))
     for j, t in enumerate(btypes):
         for g in freealg.skew_generators(t):
             rows = np.zeros((d, len(btypes) * d), dtype=np.int64)
-            rows[:, j * d : (j + 1) * d] = eye + table.matrix(g.perm).astype(np.int64)
+            rows[:, j * d : (j + 1) * d] = table.element({ident: 1, g.perm: 1})
             red.append(rows)
     return red
 
@@ -215,8 +215,8 @@ def analyze_partition(
     t0 = time.monotonic()
     d = pi.dimension
     _, first_binary, _ = _column_split(gen.degree, d)
-    table = symrep.RepTable(pi, field)
-    red, status, consumed = _reduce(gen, table, caps)
+    table = symrep.RepTable(pi)
+    red, status, consumed = _reduce(gen, table, field, caps)
     if status != "ok":
         report = PartitionReport(pi, d, field, None, None, (), status, time.monotonic() - t0, red.rank, consumed)
         log.info(
@@ -225,7 +225,7 @@ def analyze_partition(
         )
         return report
     a_rows = red.tail_rows(first_binary)
-    skew = _skew_reducer(table, gen.degree)
+    skew = _skew_reducer(table, gen.degree, field)
     new_rows = tuple(tuple(row) for row in a_rows if not skew.contains(row))
     report = PartitionReport(
         pi, d, field, len(a_rows), skew.rank, new_rows, "ok", time.monotonic() - t0
@@ -305,10 +305,10 @@ def certify_new(
     vec = [0] * len(btypes)
     for j, coeff in identity.terms:
         vec[j - 1] = coeff
-    table = symrep.RepTable(sign, field)
-    not_skew_consequence = not _skew_reducer(table, degree).contains(vec)
+    table = symrep.RepTable(sign)
+    not_skew_consequence = not _skew_reducer(table, degree, field).contains(vec)
     gen = generation if generation is not None else default_generation(degree)
-    red, status, _ = _reduce(gen, table, None)
+    red, status, _ = _reduce(gen, table, field, None)
     assert status == "ok"
     _, first_binary, _ = _column_split(degree, 1)
     padded = [0] * first_binary + vec

@@ -10,8 +10,9 @@ tableaux and its (i, j) entry is e(t_i, sigma t_j):
 
 Standard tableaux are ordered lexicographically by row-reading word, which
 makes A(iota) unit lower triangular over the integers, so A(iota)^-1 and
-every R(sigma) are integer matrices, valid in any characteristic used here
-(0 or p > n).
+every R(sigma) are integer matrices. Everything here stays over the
+integers: the same matrices serve Q and every GF(p) with p > n, and the
+reducer the rows go to is the one place where p is applied.
 
 clifton_matrix evaluates R(sigma) directly as an integer matrix; RepTable
 composes cached matrices of adjacent transpositions instead, which is how the
@@ -26,8 +27,6 @@ from functools import cache
 from math import factorial
 
 import numpy as np
-
-from .exactla import QQ, FieldSpec
 
 __all__ = [
     "Partition",
@@ -214,42 +213,35 @@ def clifton_matrix(pi: Partition, sigma: tuple[int, ...]) -> tuple[tuple[int, ..
     return tuple(map(tuple, (inv @ a).tolist()))
 
 
-# the largest characteristic RepTable's int8 memo holds; lyident analyze
-# reads the same limit
-_MAX_CHAR = 127
-
-
 class RepTable:
-    """Memoized R(sigma) for one partition, composed from transpositions.
+    """Memoized integer matrices R(sigma) for one partition, composed from
+    adjacent transpositions.
 
-    Modular matrices are memoized as int8 (entries < p <= 127), which keeps a
-    full S_8 table for a 90-dimensional representation near 300 MB; int64 is
-    used in characteristic 0, where Clifton matrices are small integers.
-    Returned arrays are the memo entries themselves: treat them as read-only
-    and cast before multiplying int8 by hand.
+    A(sigma) holds only 0 and +-1, so no entry of R(sigma) exceeds the
+    largest absolute row sum of A(iota)^-1 in size: 16 for every partition
+    of n <= 8, 44 at n = 9. __init__ checks that this bound fits int8, and
+    the memo keeps every R(sigma) as int8 (a full S_8 table for a
+    90-dimensional representation takes about 330 MB), composed exactly in
+    int64. Returned arrays are the memo entries themselves: treat them as
+    read-only and cast to int64 before multiplying them by hand, since int8
+    products wrap.
     """
 
-    def __init__(self, pi: Partition, field: FieldSpec = QQ):
+    def __init__(self, pi: Partition):
         self.partition = pi
-        self.field = field
         self.n = pi.n
         self.dim = dimension(pi)
-        p = field.characteristic
-        if p > _MAX_CHAR:
-            raise ValueError(f"RepTable supports characteristic 0 or p <= {_MAX_CHAR}")
-        self._dtype = np.int8 if p else np.int64
+        bound = max(sum(map(abs, row)) for row in _a_iota_inverse(pi))
+        if bound > np.iinfo(np.int8).max:
+            raise ValueError(f"entries of R(sigma) for {pi.render()} can reach {bound}, beyond int8")
         ident = tuple(range(1, self.n + 1))
-        self._memo: dict[tuple[int, ...], np.ndarray] = {
-            ident: np.eye(self.dim, dtype=self._dtype)
-        }
+        self._memo: dict[tuple[int, ...], np.ndarray] = {ident: np.eye(self.dim, dtype=np.int8)}
         self._adjacent: dict[int, np.ndarray] = {}
         for i in range(1, self.n):
             s = ident[: i - 1] + (i + 1, i) + ident[i + 1 :]
             m = np.array(clifton_matrix(pi, s), dtype=np.int64)
-            if p:
-                m %= p
             self._adjacent[i] = m
-            self._memo[s] = m.astype(self._dtype)
+            self._memo[s] = m.astype(np.int8)
 
     def matrix(self, sigma: tuple[int, ...]) -> np.ndarray:
         hit = self._memo.get(sigma)
@@ -267,26 +259,22 @@ class RepTable:
             work[i], work[i + 1] = work[i + 1], work[i]
             stack.append(i + 1)
         m = hit.astype(np.int64)
-        p = self.field.characteristic
         while stack:
             i = stack.pop()
             m = m @ self._adjacent[i]
-            if p:
-                m %= p
             work[i - 1], work[i] = work[i], work[i - 1]
-            self._memo[tuple(work)] = m.astype(self._dtype)
+            self._memo[tuple(work)] = m.astype(np.int8)
         return self._memo[tuple(sigma)]
 
     def element(self, elt: dict[tuple[int, ...], object]) -> np.ndarray:
-        """Linear extension over integer coefficients; int64 result.
+        """The integer matrix sum of c * R(sigma) over elt's items, as int64.
 
         A coefficient that is not an integer raises ValueError.
         """
-        p = self.field.characteristic
         out = np.zeros((self.dim, self.dim), dtype=np.int64)
         for sigma, coeff in elt.items():
             c = int(coeff)
             if c != coeff:
                 raise ValueError(f"coefficient {coeff} of {sigma} is not an integer")
             out += c * self.matrix(sigma).astype(np.int64)
-        return out % p if p else out
+        return out

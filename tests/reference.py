@@ -1,12 +1,14 @@
 """Test-side references: permutations as 1-based image tuples, Clifton's
 matrices entry by entry, the expansion of an explicit identity into the
 canonical monomial basis, a recursive canonicalizer and the lifting built
-on it, the row canonical form over GF(p) in plain Python, exact
+on it, primality by trial division, the row canonical form over GF(p) in
+plain Python, exact
 evaluation in Fraction arithmetic, and the identity check that evaluates
 every basis tuple afresh.
 
 The package builds Clifton matrices in whole numpy arrays, straightens
-trees in one lean walk that interns types as it goes, evaluates
+trees in one lean walk that interns types as it goes, tests primality by
+Miller-Rabin, evaluates
 alternating identities without expanding them, reduces rows mod p on a
 lazily cleaned sparse canonical form, evaluates in integers over a common
 denominator and reads basis tuples off memoised subtree tables; the routes
@@ -225,6 +227,18 @@ def generate_reference(n: int) -> tuple:
             steps += [("ternary-mul", 1), ("ternary-mul", 3)]
             out += [(lineage + (s,), q) for s in steps if (q := lift_reference(poly, s))]
     return tuple(out)
+
+
+def is_prime_trial_division(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 def rcf_mod(rows: list[list[int]], p: int) -> list[list[int]]:

@@ -130,13 +130,16 @@ class TestAnalyze:
         assert quiet.read_bytes() == loud.read_bytes()
 
     def test_jobs_match_sequential(self, capsys, tmp_path):
-        seq, par = tmp_path / "seq.json", tmp_path / "par.json"
-        code1, _, _ = run(capsys, "analyze", "--degree", "4", "--char", "101",
-                          "--report", str(seq))
-        code2, _, _ = run(capsys, "analyze", "--degree", "4", "--char", "101",
-                          "--jobs", "3", "--report", str(par))
-        assert code1 == code2 == 0
-        assert seq.read_bytes() == par.read_bytes()
+        # the workers receive the FieldSpec itself
+        for char, jobs in (("101", "3"), ("131", "2")):
+            seq, par = tmp_path / f"seq{char}.json", tmp_path / f"par{char}.json"
+            code1, _, _ = run(capsys, "analyze", "--degree", "4", "--char", char,
+                              "--report", str(seq))
+            code2, _, _ = run(capsys, "analyze", "--degree", "4", "--char", char,
+                              "--jobs", jobs, "--report", str(par))
+            assert code1 == code2 == 0
+            assert seq.read_bytes() == par.read_bytes()
+            assert json.loads(par.read_text())["characteristic"] == int(char)
 
     def test_partition_list_selector(self, capsys, tmp_path):
         report = tmp_path / "r.json"
@@ -166,13 +169,21 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--degree", "4", "--char", "100")
         assert code == 1 and "prime" in err
 
-    def test_large_characteristic_rejected_before_generation(self, capsys, monkeypatch):
+    def test_characteristic_above_127_runs(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        code, out, _ = run(capsys, "analyze", "--degree", "5", "--char", "131",
+                           "--report", str(report))
+        assert code == 0 and len(out.splitlines()) == 7
+        assert json.loads(report.read_text())["characteristic"] == 131
+
+    def test_large_composite_rejected_before_generation(self, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("generation ran for an unusable characteristic")
 
         monkeypatch.setattr(pipeline, "default_generation", never)
-        code, _, err = run(capsys, "analyze", "--degree", "6", "--char", "131")
-        assert code == 1 and "error" in err and "127" in err
+        # 2^61 + 1 = 3 * 768614336404564651
+        code, _, err = run(capsys, "analyze", "--degree", "6", "--char", str(2**61 + 1))
+        assert code == 1 and "error" in err and "prime" in err
 
     @pytest.mark.parametrize("degree", ["3", "9"])
     def test_degree_out_of_range_rejected_before_generation(self, capsys, monkeypatch, degree):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lyident.exactla import GF101, QQ, FieldSpec, IncrementalReducer
-from reference import rcf_mod
+from reference import is_prime_trial_division, rcf_mod
 
 
 def test_fieldspec_validation():
@@ -21,6 +21,34 @@ def test_fieldspec_validation():
     for bad in (1, 4, 100, -3):
         with pytest.raises(ValueError):
             FieldSpec(bad)
+
+
+def test_fieldspec_large_primes():
+    # Miller-Rabin decides these at once; trial division would take ~1.5e9
+    # steps on 2^61 - 1
+    for p in (2**31 - 1, 10**9 + 7, 2**61 - 1, 2**64 - 59):
+        assert FieldSpec(p).characteristic == p
+    # 561 and 41041 are Carmichael numbers, 3215031751 a strong pseudoprime
+    # to the bases 2, 3, 5 and 7, and 318665857834031151167461 one to each
+    # of the first 12 primes
+    for bad in (2**61 + 1, 561, 41041, 3215031751, 318665857834031151167461):
+        with pytest.raises(ValueError, match="prime"):
+            FieldSpec(bad)
+    # above the limit the bases no longer decide primality
+    limit = 3_317_044_064_679_887_385_961_981
+    for big in (limit, 2**127 - 1):
+        with pytest.raises(ValueError, match="not decided"):
+            FieldSpec(big)
+
+
+def test_fieldspec_agrees_with_trial_division():
+    for n in range(-2, 10**4):
+        try:
+            FieldSpec(n)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (n == 0 or is_prime_trial_division(n)), n
 
 
 def test_rows_map_rationals():
@@ -233,6 +261,34 @@ def test_gf_kernel_matches_reference(p):
             assert all(red.contains(r) for r in m + more)
             probe = [rng.randrange(p) for _ in range(cols)]
             assert red.contains(probe) == (len(rcf_mod(m + more + [probe], p)) == len(ref))
+
+
+@pytest.mark.parametrize("p", [3, 101, 131])
+def test_gf_reads_unreduced_integer_rows(p):
+    # rows reach the GF(p) reducer as plain integers: negative entries,
+    # entries >= p and nonzero multiples of p stand for their residues
+    rng = random.Random(500 + p)
+    for rows, cols, rank in [(20, 30, 10), (40, 16, 14)]:
+        residues = [[x % p for x in r] for r in deficient_batch(rng, rows, cols, rank)]
+        lifted = [[x + p * rng.randint(-3, 3) for x in r] for r in residues]
+        flat = [x for r in lifted for x in r]
+        assert min(flat) < 0 and max(flat) >= p and any(x and not x % p for x in flat)
+        ref = IncrementalReducer(cols, FieldSpec(p))
+        ref.append(np.array(residues, dtype=np.int64))
+        red = IncrementalReducer(cols, FieldSpec(p))
+        red.append(np.array(lifted, dtype=np.int64))
+        assert (red.rank, red.pivots) == (ref.rank, ref.pivots)
+        assert red.tail_rows(0) == ref.tail_rows(0) == rcf_mod(residues, p)
+        for start in sorted({0, *rng.sample(range(cols + 1), 4), cols}):
+            assert red.tail_rows(start) == ref.tail_rows(start)
+        # membership of list rows: lifted members, and lifted probes that
+        # may or may not lie in the span
+        for r in residues[:5]:
+            assert red.contains([x + p * rng.randint(-3, 3) for x in r])
+        for _ in range(10):
+            probe = [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(cols)]
+            lifted_probe = [x + p * rng.randint(-3, 3) for x in probe]
+            assert red.contains(lifted_probe) == ref.contains(probe)
 
 
 def test_gf_elimination_clears_filled_pivots():

@@ -225,17 +225,17 @@ class TestReplay:
 class TestIdentityRows:
     def test_degree_3_sign_partition(self):
         f = liftgen.seed_identities()["f"]
-        tab = symrep.RepTable(symrep.Partition((1, 1, 1)), QQ)
+        tab = symrep.RepTable(symrep.Partition((1, 1, 1)))
         assert liftgen.identity_rows(f, tab).tolist() == [[3, 3]]
 
     def test_degree_3_trivial_partition(self):
         f = liftgen.seed_identities()["f"]
-        tab = symrep.RepTable(symrep.Partition((3,)), QQ)
+        tab = symrep.RepTable(symrep.Partition((3,)))
         assert liftgen.identity_rows(f, tab).tolist() == [[1, 1]]
 
     def test_degree_3_standard_partition(self):
         f = liftgen.seed_identities()["f"]
-        tab = symrep.RepTable(symrep.Partition((2, 1)), QQ)
+        tab = symrep.RepTable(symrep.Partition((2, 1)))
         assert liftgen.identity_rows(f, tab).tolist() == [
             [1, 0, 1, 0],
             [-2, 0, -2, 0],
@@ -243,7 +243,7 @@ class TestIdentityRows:
 
     def test_shape(self):
         g1 = liftgen.seed_identities()["g1"]
-        tab = symrep.RepTable(symrep.Partition((2, 1, 1)), GF101)
+        tab = symrep.RepTable(symrep.Partition((2, 1, 1)))
         rows = liftgen.identity_rows(g1, tab)
         assert rows.shape == (3, freealg.count_types(4).all * 3)
 
@@ -308,7 +308,7 @@ class TestFilter:
         g = liftgen.generate(4)
         filt = liftgen.filter_redundant(g, field)
         for pi in symrep.partitions(4):
-            tab = symrep.RepTable(pi, field)
+            tab = symrep.RepTable(pi)
             cols = freealg.count_types(4).all * tab.dim
             full, kept = (IncrementalReducer(cols, field) for _ in range(2))
             for ident in g.identities:
@@ -321,7 +321,7 @@ class TestFilter:
         g = liftgen.generate(5)
         filt = liftgen.filter_redundant(g)
         for pi in symrep.partitions(5):
-            tab = symrep.RepTable(pi, GF101)
+            tab = symrep.RepTable(pi)
             cols = freealg.count_types(5).all * tab.dim
             full, kept = (IncrementalReducer(cols, GF101) for _ in range(2))
             for ident in g.identities:

@@ -1,6 +1,7 @@
 """Consequence-matrix pipeline: hand-checked small degrees, cross-field
 agreement, and the degree-8 sign-representation identity."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from lyident import cli, freealg, liftgen, pipeline, symrep
 from lyident._data import data_text
-from lyident.exactla import GF101, QQ, IncrementalReducer
+from lyident.exactla import GF101, QQ, FieldSpec, IncrementalReducer
 from lyident.pipeline import ExplicitIdentity, ResourceCaps
 from reference import alternation_polynomial
 
@@ -17,9 +18,9 @@ def frow(row):
     return [Fraction(x) for x in row]
 
 
-def stacked_rows(gen, pi, field) -> np.ndarray:
+def stacked_rows(gen, pi) -> np.ndarray:
     """L_pi: every identity's block rows, stacked in generation order."""
-    table = symrep.RepTable(pi, field)
+    table = symrep.RepTable(pi)
     return np.concatenate([liftgen.identity_rows(ident, table) for ident in gen.identities])
 
 
@@ -38,12 +39,12 @@ def reduced(rows, cols: int, field) -> IncrementalReducer:
 class TestDegree3:
     def test_sign_rep_matrix(self):
         gen = liftgen.generate(3)
-        L = stacked_rows(gen, symrep.Partition((1, 1, 1)), QQ)
+        L = stacked_rows(gen, symrep.Partition((1, 1, 1)))
         assert [frow(r) for r in L] == [frow([3, 3])]
 
     def test_standard_rep_matrix(self):
         gen = liftgen.generate(3)
-        L = stacked_rows(gen, symrep.Partition((2, 1)), QQ)
+        L = stacked_rows(gen, symrep.Partition((2, 1)))
         assert [frow(r) for r in L] == [frow([1, 0, 1, 0]), frow([-2, 0, -2, 0])]
         red = reduced(L, 4, QQ)
         assert red.rank == 1
@@ -59,14 +60,14 @@ class TestDegree3:
     def test_sign_skews_vanish(self):
         # [[a,b],c] has the single skew iota + (b a c); the sign rep sends the
         # odd transposition to -1, so the relation is identically zero
-        B = pipeline._skew_reducer(symrep.RepTable(symrep.Partition((1, 1, 1)), QQ), 3)
+        B = pipeline._skew_reducer(symrep.RepTable(symrep.Partition((1, 1, 1))), 3, QQ)
         assert B.rank == 0 and B.cols == 1
 
     def test_standard_skews(self):
         pi = symrep.Partition((2, 1))
-        table = symrep.RepTable(pi, QQ)
+        table = symrep.RepTable(pi)
         swap = table.matrix((2, 1, 3))
-        B = pipeline._skew_reducer(table, 3)
+        B = pipeline._skew_reducer(table, 3, QQ)
         expected = reduced(np.eye(2, dtype=np.int64) + swap, 2, QQ)
         assert B.tail_rows(0) == expected.tail_rows(0)
 
@@ -83,9 +84,9 @@ class TestDegree3:
         built = []
 
         class Counting(symrep.RepTable):
-            def __init__(self, pi, field):
+            def __init__(self, pi):
                 built.append(pi)
-                super().__init__(pi, field)
+                super().__init__(pi)
 
         monkeypatch.setattr(symrep, "RepTable", Counting)
         pi = symrep.Partition((2, 1, 1))
@@ -166,7 +167,7 @@ class TestAgreement:
             for field in (QQ, GF101):
                 red, status = pipeline.reduce_identities(gen, pi, field)
                 assert status == "ok"
-                batch = reduced(stacked_rows(gen, pi, field), m * pi.dimension, field)
+                batch = reduced(stacked_rows(gen, pi), m * pi.dimension, field)
                 assert red.tail_rows(0) == batch.tail_rows(0), (field, pi.render())
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -188,9 +189,20 @@ class TestAgreement:
     def test_B_rank_QQ_matches_GF101(self):
         for n in (4, 5, 6):
             for pi in symrep.partitions(n):
-                Bq = pipeline._skew_reducer(symrep.RepTable(pi, QQ), n)
-                Bp = pipeline._skew_reducer(symrep.RepTable(pi, GF101), n)
+                table = symrep.RepTable(pi)
+                Bq = pipeline._skew_reducer(table, n, QQ)
+                Bp = pipeline._skew_reducer(table, n, GF101)
                 assert Bq.rank == Bp.rank, (n, pi.render())
+
+    @pytest.mark.parametrize("p", [131, 2**31 - 1])
+    def test_degree6_second_prime_matches_golden(self, p, gen6_filtered):
+        # the bundled degree-6 verdicts over GF(101), recomputed over primes
+        # the representation matrices were never reduced against
+        reports = pipeline.analyze_degree(6, FieldSpec(p), "all", generation=gen6_filtered)
+        payload = pipeline.report_payload(6, reports, len(gen6_filtered))
+        golden = json.loads(data_text("report_d6_c101_all.json"))
+        assert payload["characteristic"] == p
+        assert payload["partitions"] == golden["partitions"]
 
 
 # -- no new identity below degree 8 ----------------------------------------------
@@ -429,7 +441,7 @@ class TestDegree8Sign:
         assert red.tail_rows(354 - 23) == expected_A8()
 
     def test_skew_matrix(self):
-        B = pipeline._skew_reducer(symrep.RepTable(symrep.Partition((1,) * 8), QQ), 8)
+        B = pipeline._skew_reducer(symrep.RepTable(symrep.Partition((1,) * 8)), 8, QQ)
         assert B.tail_rows(0) == expected_B8()
 
     def test_one_new_identity(self, sign_reports):
@@ -439,6 +451,14 @@ class TestDegree8Sign:
         assert rep.c_rank == 10
         assert len(rep.new_rows) == 1
         assert rep.contains is False
+
+    def test_second_prime_agrees_with_rationals(self, sign_reports, gen8):
+        (qq,) = sign_reports
+        p = 2**31 - 1
+        (gf,) = pipeline.analyze_degree(8, FieldSpec(p), "sign", generation=gen8)
+        assert (gf.status, gf.a_rank, gf.c_rank) == ("ok", qq.a_rank, qq.c_rank)
+        mod_p = tuple(Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in qq.new_rows[0])
+        assert gf.new_rows == (mod_p,)
 
     def test_reconstruction(self, sign_reports):
         (rep,) = sign_reports
@@ -460,7 +480,7 @@ class TestDegree8Sign:
         # and recover the normalized row
         doubled = ExplicitIdentity(8, tuple((j, int(2 * c)) for j, c in THEOREM_TERMS))
         poly = alternation_polynomial(doubled)
-        table = symrep.RepTable(symrep.Partition((1,) * 8), QQ)
+        table = symrep.RepTable(symrep.Partition((1,) * 8))
         row = liftgen.identity_rows(poly, table)[0]
         assert not row[: 354 - 23].any()
         binary = row[354 - 23 :]

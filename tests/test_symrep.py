@@ -1,15 +1,23 @@
 """Tests for partitions, tableaux, and Clifton representation matrices."""
 
+import ast
 import random
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lyident import freealg, liftgen, symrep
-from lyident.exactla import GF101, QQ, FieldSpec
+from lyident import freealg, liftgen, pipeline, symrep
+from lyident.exactla import GF101, QQ
 from lyident.symrep import Partition
 from reference import all_perms, clifton_a_matrix_reference, clifton_matrix_reference, compose, sign
+
+
+def wide(m):
+    """An int8 memo entry as int64: int8 products wrap silently."""
+    return m.astype(np.int64)
 
 
 def test_partition_validation():
@@ -106,44 +114,44 @@ def test_homomorphism_exhaustive_small():
     for n in (3, 4):
         perms = list(all_perms(n))
         for pi in symrep.partitions(n):
-            tab = symrep.RepTable(pi, QQ)
+            tab = symrep.RepTable(pi)
             for s in perms:
                 direct = symrep.clifton_matrix(pi, s)
                 assert tuple(tuple(int(x) for x in r) for r in tab.matrix(s)) == direct
             for s in perms[:: max(1, len(perms) // 6)]:
                 for t in perms[:: max(1, len(perms) // 6)]:
                     lhs = tab.matrix(compose(s, t))
-                    assert (lhs == tab.matrix(s) @ tab.matrix(t)).all()
+                    assert (lhs == wide(tab.matrix(s)) @ wide(tab.matrix(t))).all()
 
 
 def test_homomorphism_sampled_adjacent_generators_n5():
     for pi in symrep.partitions(5):
-        tab = symrep.RepTable(pi, QQ)
+        tab = symrep.RepTable(pi)
         ident = (1, 2, 3, 4, 5)
         gens = [ident[: i - 1] + (i + 1, i) + ident[i + 1 :] for i in range(1, 5)]
         for g in gens:
             for h in gens:
-                assert (tab.matrix(compose(g, h)) == tab.matrix(g) @ tab.matrix(h)).all()
+                assert (tab.matrix(compose(g, h)) == wide(tab.matrix(g)) @ wide(tab.matrix(h))).all()
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 2), (4, 3, 1), (2, 2, 2, 2)])
 def test_homomorphism_modular_large(shape):
+    # exact over the integers, which implies the identity mod every p
     pi = Partition(shape)
-    tab = symrep.RepTable(pi, GF101)
+    tab = symrep.RepTable(pi)
     rng = random.Random(sum(shape))
     n = pi.n
     for _ in range(15):
         s = tuple(rng.sample(range(1, n + 1), n))
         t = tuple(rng.sample(range(1, n + 1), n))
-        prod = tab.matrix(s).astype(int) @ tab.matrix(t).astype(int) % 101
-        assert (tab.matrix(compose(s, t)) == prod).all()
+        assert (tab.matrix(compose(s, t)) == wide(tab.matrix(s)) @ wide(tab.matrix(t))).all()
 
 
 def test_direct_and_composed_agree_spot_checks():
     rng = random.Random(9)
     for shape in [(3, 2), (2, 2, 2), (3, 3, 2)]:
         pi = Partition(shape)
-        tab = symrep.RepTable(pi, QQ)
+        tab = symrep.RepTable(pi)
         for _ in range(5):
             s = tuple(rng.sample(range(1, pi.n + 1), pi.n))
             direct = symrep.clifton_matrix(pi, s)
@@ -171,36 +179,66 @@ def test_clifton_matrix_matches_reference(n):
             assert all(type(x) is int for row in got for x in row)
 
 
-def test_rep_table_rejects_large_characteristic():
-    # the memoised matrices are int8, so p <= 127
-    with pytest.raises(ValueError, match="p <= 127"):
-        symrep.RepTable(Partition((2, 1)), FieldSpec(131))
+def test_symrep_imports_nothing_from_exactla():
+    # the coefficient field is the reducer's business alone
+    tree = ast.parse(Path(symrep.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "exactla" not in (node.module or ""), node.module
+            assert all("exactla" not in a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert all("exactla" not in a.name for a in node.names)
+
+
+def test_rep_table_checks_int8_bound(monkeypatch):
+    # A(sigma) holds 0 and +-1, so R(sigma)'s entries are bounded by the
+    # largest absolute row sum of A(iota)^-1, which must fit int8
+    pi = Partition((2, 1))
+    monkeypatch.setattr(symrep, "_a_iota_inverse", lambda _: ((1, 0), (-64, 64)))
+    with pytest.raises(ValueError, match="128, beyond int8"):
+        symrep.RepTable(pi)
+    monkeypatch.setattr(symrep, "_a_iota_inverse", lambda _: ((1, 0), (-63, 64)))
+    symrep.RepTable(pi)
+
+
+def test_int8_bound_holds_through_degree_9():
+    # the largest absolute row sum of A(iota)^-1 over the partitions of n
+    largest = {1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 3, 7: 5, 8: 16, 9: 44}
+    for n, expected in largest.items():
+        sums = [sum(map(abs, row)) for pi in symrep.partitions(n) for row in symrep._a_iota_inverse(pi)]
+        assert max(sums) == expected, n
+        for pi in symrep.partitions(n):
+            symrep.RepTable(pi)
 
 
 def test_rep_of_element():
     ident = (1, 2, 3, 4)
-    assert symrep.RepTable(Partition((2, 2)), QQ).element({ident: 1}).tolist() == [[1, 0], [0, 1]]
+    assert symrep.RepTable(Partition((2, 2))).element({ident: 1}).tolist() == [[1, 0], [0, 1]]
     alt = {p: sign(p) for p in all_perms(4)}
-    assert symrep.RepTable(Partition((1, 1, 1, 1)), QQ).element(alt).tolist() == [[24]]
-    trivial = symrep.RepTable(Partition((4,)), QQ)
+    assert symrep.RepTable(Partition((1, 1, 1, 1))).element(alt).tolist() == [[24]]
+    trivial = symrep.RepTable(Partition((4,)))
     assert trivial.element({(2, 1, 3, 4): 1, (3, 4, 2, 1): -1}).tolist() == [[0]]
-    # integral Fractions are integers; over GF(101) the result is reduced
-    got = symrep.RepTable(Partition((2, 1)), GF101).element({(1, 2, 3): Fraction(-6, 2)})
-    assert got.tolist() == [[98, 0], [0, 98]]
+    # integral Fractions are integers, and the result is not reduced mod anything
+    got = symrep.RepTable(Partition((2, 1))).element({(1, 2, 3): Fraction(-6, 2)})
+    assert got.tolist() == [[-3, 0], [0, -3]]
 
 
 @pytest.mark.parametrize("field", [QQ, GF101], ids=["QQ", "GF101"])
 def test_rep_of_element_rejects_fractions(field):
     with pytest.raises(ValueError, match="not an integer"):
-        symrep.RepTable(Partition((1, 1)), field).element({(1, 2): Fraction(3, 2)})
+        symrep.RepTable(Partition((1, 1))).element({(1, 2): Fraction(3, 2)})
     with pytest.raises(ValueError, match="not an integer"):
-        symrep.RepTable(Partition((2, 1)), field).element({(1, 2, 3): 1, (2, 1, 3): Fraction(-1, 2)})
-    # the route a polynomial takes: 1/2 [[a,b],c] used to give zero rows
+        symrep.RepTable(Partition((2, 1))).element({(1, 2, 3): 1, (2, 1, 3): Fraction(-1, 2)})
+    # the route a polynomial takes: 1/2 [[a,b],c] used to give zero rows, and
+    # over GF(p) it must not be read as (p + 1)/2 either
     half = freealg.expand([(Fraction(1, 2), (2, (2, 1, 2), 3))])
     with pytest.raises(ValueError, match="not an integer"):
-        liftgen.identity_rows(half, symrep.RepTable(Partition((2, 1)), field))
+        liftgen.identity_rows(half, symrep.RepTable(Partition((2, 1))))
+    gen = liftgen.GenerationSet(3, (liftgen.Identity(half, (("seed", "half"),)),))
+    with pytest.raises(ValueError, match="not an integer"):
+        pipeline.reduce_identities(gen, Partition((2, 1)), field)
 
 
 def test_alternating_sum_in_sign_rep_degree8():
     alt = {p: sign(p) for p in all_perms(8)}
-    assert symrep.RepTable(Partition((1,) * 8), QQ).element(alt).tolist() == [[factorial(8)]]
+    assert symrep.RepTable(Partition((1,) * 8)).element(alt).tolist() == [[factorial(8)]]
