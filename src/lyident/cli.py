@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 
-from . import evallab, freealg, liftgen, pipeline
+from . import evallab, freealg, liftgen, pipeline, symrep
 from ._data import data_text
 from .exactla import QQ, FieldSpec
 
@@ -208,12 +208,8 @@ def _cmd_analyze(args) -> int:
     # the range and characteristic checks run before the generation set is
     # built, which can take minutes
     if degree not in pipeline._DEGREES:
-        print(f"error: analysis covers degrees {pipeline._DEGREES[0]} through "
-              f"{pipeline._DEGREES[-1]}", file=sys.stderr)
-        return 1
-    if args.char != 0 and args.char <= degree:
-        print(f"error: characteristic must be 0 or a prime > {degree}", file=sys.stderr)
-        return 1
+        raise ValueError(f"analysis covers degrees {pipeline._DEGREES[0]} through {pipeline._DEGREES[-1]}")
+    symrep.check_characteristic(args.char, degree)
     field = QQ if args.char == 0 else FieldSpec(args.char)
     selector = _parse_selector(args.partitions)
     caps = None

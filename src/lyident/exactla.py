@@ -7,9 +7,8 @@ membership and unique row canonical form (RCF), so the rank of a long stream
 of rows is available without ever materializing the stream.
 
 Both fields share one row format, {column: Python int} with nonzeros only,
-made by one normaliser: an integer or boolean array is read in one batched
-np.nonzero, any other row is cleared of denominators in integer arithmetic
-(numerator * (lcm // denominator)), so no Fraction is built on the way in.
+which liftgen.identity_rows writes; any other row, arrays included, is cleared
+of denominators in integer arithmetic, so no Fraction is built on the way in.
 Over GF(p) a row whose lcm denominator p divides has no image and is
 rejected. The entries stay Python ints, so any prime works.
 
@@ -265,27 +264,19 @@ class IncrementalReducer:
         return tuple(self._impl.pivots)
 
     def _sparse_rows(self, rows) -> list[dict[int, int]]:
-        """Rows as {column: int}, nonzeros only, each spanning its row's line:
-        an integer or boolean array in one batched np.nonzero, any other row
-        through _cleared."""
-        if isinstance(rows, np.ndarray):
-            if rows.ndim != 2 or rows.shape[1] != self.cols:
-                raise ValueError(f"array shape {rows.shape} does not fit {self.cols} columns")
-            if rows.dtype.kind in "biu":
-                if rows.dtype.kind == "b":
-                    rows = rows.astype(np.uint8)
-                at, cols = np.nonzero(rows)
-                vals = rows[at, cols].tolist()
-                cols = cols.tolist()
-                ends = np.searchsorted(at, np.arange(len(rows) + 1)).tolist()
-                return [dict(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(ends, ends[1:])]
+        """Rows as {column: int}, nonzeros only, each spanning its row's line."""
+        if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != self.cols):
+            raise ValueError(f"array shape {rows.shape} does not fit {self.cols} columns")
         return [self._cleared(r) for r in rows]
 
     def _cleared(self, row) -> dict[int, int]:
-        """A rational row times the lcm of its denominators, nonzeros only.
-
-        Over GF(p) the lcm must be prime to p, else the row has no image.
-        """
+        """A rational row times the lcm of its denominators, nonzeros only (over
+        GF(p) the lcm must be prime to p, else the row has no image); a
+        {column: int} row is checked and copied, since the reducers consume rows."""
+        if isinstance(row, dict):
+            if not all(j.__class__ is int and 0 <= j < self.cols and x.__class__ is int for j, x in row.items()):
+                raise ValueError(f"a dict row must map int columns in 0..{self.cols - 1} to ints")
+            return dict(row)
         if len(row) != self.cols:
             raise ValueError(f"row has {len(row)} entries, reducer has {self.cols} columns")
         vals = [
@@ -300,11 +291,11 @@ class IncrementalReducer:
         return {j: v.numerator * (den // v.denominator) for j, v in enumerate(vals) if v}
 
     def append(self, rows) -> int:
-        """Add rows (any iterable of row sequences); returns the rank increase."""
+        """Add rows ({column: int} dicts or row sequences); returns the rank increase."""
         return sum(self._impl.append_one(r) for r in self._sparse_rows(rows))
 
     def contains(self, row) -> bool:
-        """True iff the row lies in the current row space."""
+        """True iff the row ({column: int} or a sequence) lies in the current row space."""
         return not self._impl.reduce_only(self._cleared(row))
 
     def tail_rows(self, start: int) -> list[list]:

@@ -245,19 +245,32 @@ def generate(n: int, filtered_inputs: dict[int, GenerationSet] | None = None) ->
 # -- representation rows and rank filtering ------------------------------------
 
 
-def identity_rows(ident: Identity | freealg.Polynomial, table: symrep.RepTable) -> np.ndarray:
-    """Block row of one identity for one partition: d rows, m*d columns.
+def _column_split(degree: int, d: int) -> tuple[int, int]:
+    """(total columns, first binary column) of a partition's block rows."""
+    m = freealg.count_types(degree).all
+    b = len(freealg.binary_types(degree))
+    return m * d, (m - b) * d
 
-    Column block j holds the representation matrix of the identity's
-    component in the j-th association type (deglex order, binary types last).
-    """
+
+def _block_rows(blocks: list[tuple[int, np.ndarray]], d: int) -> list[dict[int, int]]:
+    """The d rows {column: int}, nonzeros only, of d x d blocks given with
+    their first columns, read side by side in one np.nonzero."""
+    rows: list[dict[int, int]] = [{} for _ in range(d)]
+    if blocks:
+        colmap = [start + j for start, _ in blocks for j in range(d)]
+        side = np.hstack([block for _, block in blocks])
+        at, cols = np.nonzero(side)
+        for i, c, x in zip(at.tolist(), cols.tolist(), side[at, cols].tolist()):
+            rows[i][colmap[c]] = x
+    return rows
+
+
+def identity_rows(ident: Identity | freealg.Polynomial, table: symrep.RepTable) -> list[dict[int, int]]:
+    """One identity's d block rows {column: int} for one partition: block j holds the
+    matrix of its j-th association type's component; only touched blocks are built."""
     poly = ident.polynomial if isinstance(ident, Identity) else ident
     d = table.dim
-    m = freealg.count_types(poly.degree).all
-    out = np.zeros((d, m * d), dtype=np.int64)
-    for ti, perms in poly.by_type().items():
-        out[:, (ti - 1) * d : ti * d] = table.element(perms)
-    return out
+    return _block_rows([((ti - 1) * d, table.element(perms)) for ti, perms in poly.by_type().items()], d)
 
 
 def filter_redundant(gen: GenerationSet, field: FieldSpec = GF101) -> GenerationSet:
@@ -267,9 +280,10 @@ def filter_redundant(gen: GenerationSet, field: FieldSpec = GF101) -> Generation
     circuit), so the kept set spans the same row space as the input in every
     partition; the final ranks are returned on the result.
     """
+    symrep.check_characteristic(field.characteristic, gen.degree)
     pis = symrep.partitions(gen.degree)
     tables = [symrep.RepTable(pi) for pi in pis]
-    reducers = [IncrementalReducer(freealg.count_types(gen.degree).all * t.dim, field) for t in tables]
+    reducers = [IncrementalReducer(_column_split(gen.degree, t.dim)[0], field) for t in tables]
     kept = []
     for ident in gen.identities:
         grew = False

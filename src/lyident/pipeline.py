@@ -20,8 +20,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import freealg, liftgen, symrep
 from .exactla import GF101, QQ, FieldSpec, IncrementalReducer
 
@@ -121,13 +119,6 @@ class PartitionReport:
         return not self.new_rows
 
 
-def _column_split(degree: int, d: int) -> tuple[int, int, int]:
-    """(total columns, first binary column, binary columns) for one partition."""
-    m = freealg.count_types(degree).all
-    b = len(freealg.binary_types(degree))
-    return m * d, (m - b) * d, b * d
-
-
 def reduce_identities(
     gen: liftgen.GenerationSet,
     pi: symrep.Partition,
@@ -148,8 +139,8 @@ def _reduce(gen, table: symrep.RepTable, field: FieldSpec, caps) -> tuple[Increm
     identities appended."""
     if table.n != gen.degree:
         raise ValueError(f"partition of {table.n} against degree-{gen.degree} identities")
-    cols, _, _ = _column_split(gen.degree, table.dim)
-    red = IncrementalReducer(cols, field)
+    symrep.check_characteristic(field.characteristic, gen.degree)
+    red = IncrementalReducer(liftgen._column_split(gen.degree, table.dim)[0], field)
     start = time.monotonic()
     for k, ident in enumerate(gen.identities, 1):
         red.append(liftgen.identity_rows(ident, table))
@@ -168,9 +159,7 @@ def _skew_reducer(table: symrep.RepTable, degree: int, field: FieldSpec) -> Incr
     ident = tuple(range(1, degree + 1))
     for j, t in enumerate(btypes):
         for g in freealg.skew_generators(t):
-            rows = np.zeros((d, len(btypes) * d), dtype=np.int64)
-            rows[:, j * d : (j + 1) * d] = table.element({ident: 1, g.perm: 1})
-            red.append(rows)
+            red.append(liftgen._block_rows([(j * d, table.element({ident: 1, g.perm: 1}))], d))
     return red
 
 
@@ -214,7 +203,7 @@ def analyze_partition(
 ) -> PartitionReport:
     t0 = time.monotonic()
     d = pi.dimension
-    _, first_binary, _ = _column_split(gen.degree, d)
+    _, first_binary = liftgen._column_split(gen.degree, d)
     table = symrep.RepTable(pi)
     red, status, consumed = _reduce(gen, table, field, caps)
     if status != "ok":
@@ -262,6 +251,7 @@ def analyze_degree(
     """Run the A_pi against B_pi comparison for the requested partitions."""
     if n not in _DEGREES:
         raise ValueError(f"analysis covers degrees {_DEGREES[0]} through {_DEGREES[-1]}")
+    symrep.check_characteristic(field.characteristic, n)
     gen = generation if generation is not None else default_generation(n, filtered)
     if gen.degree != n:
         raise ValueError(f"degree-{gen.degree} generation set for a degree-{n} analysis")
@@ -298,6 +288,7 @@ def certify_new(
         raise ValueError(f"identity degree {identity.degree} does not match {degree}")
     if not identity.alternating:
         raise ValueError("certification applies to alternating (sign representation) identities")
+    symrep.check_characteristic(field.characteristic, degree)
     btypes = freealg.binary_types(degree)
     if all(_phantom_type(btypes[j - 1]) for j, _ in identity.terms):
         raise ValueError("degenerate identity: every term's alternation cancels to zero")
@@ -310,7 +301,7 @@ def certify_new(
     gen = generation if generation is not None else default_generation(degree)
     red, status, _ = _reduce(gen, table, field, None)
     assert status == "ok"
-    _, first_binary, _ = _column_split(degree, 1)
+    _, first_binary = liftgen._column_split(degree, 1)
     padded = [0] * first_binary + vec
     return CertifyResult(not_skew_consequence, red.contains(padded))
 

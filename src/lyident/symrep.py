@@ -36,6 +36,7 @@ __all__ = [
     "dimension",
     "clifton_a_matrix",
     "clifton_matrix",
+    "check_characteristic",
     "RepTable",
 ]
 
@@ -211,6 +212,12 @@ def clifton_matrix(pi: Partition, sigma: tuple[int, ...]) -> tuple[tuple[int, ..
     inv = np.array(_a_iota_inverse(pi), dtype=np.int64)
     a = np.array(clifton_a_matrix(pi, sigma), dtype=np.int64)
     return tuple(map(tuple, (inv @ a).tolist()))
+
+
+def check_characteristic(characteristic: int, n: int) -> None:
+    """Raise ValueError unless characteristic is 0 or above n, where S_n stays semisimple."""
+    if characteristic != 0 and characteristic <= n:
+        raise ValueError(f"characteristic must be 0 or a prime > {n}")
 
 
 class RepTable:

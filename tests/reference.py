@@ -1,15 +1,16 @@
 """Test-side references: permutations as 1-based image tuples, Clifton's
 matrices entry by entry, the expansion of an explicit identity into the
 canonical monomial basis, a recursive canonicalizer and the lifting built
-on it, primality by trial division, the row canonical form over GF(p) in
-plain Python, exact
+on it, primality by trial division, block rows and skew relations as dense
+arrays, the row canonical form over GF(p) in plain Python, exact
 evaluation in Fraction arithmetic, and the identity check that evaluates
 every basis tuple afresh.
 
 The package builds Clifton matrices in whole numpy arrays, straightens
 trees in one lean walk that interns types as it goes, tests primality by
-Miller-Rabin, evaluates
-alternating identities without expanding them, reduces rows mod p on a
+Miller-Rabin, builds only the blocks an identity touches, straight into
+sparse rows, evaluates alternating identities without expanding them,
+reduces rows mod p on a
 lazily cleaned sparse canonical form, evaluates in integers over a common
 denominator and reads basis tuples off memoised subtree tables; the routes
 here are the independent ones the tests compare against.
@@ -19,6 +20,8 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from lyident import evallab, freealg, liftgen, pipeline, symrep
 
@@ -239,6 +242,49 @@ def is_prime_trial_division(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def identity_rows_dense(poly: freealg.Polynomial, table: symrep.RepTable) -> np.ndarray:
+    """An identity's block rows as one dense int64 array, d x m*d: column
+    block j holds the matrix of its component in the j-th association type."""
+    d = table.dim
+    out = np.zeros((d, freealg.count_types(poly.degree).all * d), dtype=np.int64)
+    for ti, perms in poly.by_type().items():
+        out[:, (ti - 1) * d : ti * d] = table.element(perms)
+    return out
+
+
+def skew_rows_dense(table: symrep.RepTable, degree: int) -> list[np.ndarray]:
+    """One dense d x b*d array per skew generator of each binary type: the
+    relation iota + sigma in that type's block."""
+    d = table.dim
+    btypes = freealg.binary_types(degree)
+    ident = tuple(range(1, degree + 1))
+    out = []
+    for j, t in enumerate(btypes):
+        for g in freealg.skew_generators(t):
+            rows = np.zeros((d, len(btypes) * d), dtype=np.int64)
+            rows[:, j * d : (j + 1) * d] = table.element({ident: 1, g.perm: 1})
+            out.append(rows)
+    return out
+
+
+def nonzero_rows(rows: np.ndarray) -> list[dict[int, int]]:
+    """Each row of an integer array as {column: Python int}, nonzeros only."""
+    return [{j: x for j, x in enumerate(line) if x} for line in rows.tolist()]
+
+
+def dense_rows(rows: list[dict[int, int]], cols: int) -> list[list[int]]:
+    """{column: int} rows written out over cols columns; a zero entry or a
+    column outside 0..cols-1 raises AssertionError."""
+    out = []
+    for row in rows:
+        assert all(type(j) is int and 0 <= j < cols and x for j, x in row.items()), row
+        line = [0] * cols
+        for j, x in row.items():
+            line[j] = x
+        out.append(line)
+    return out
 
 
 def rcf_mod(rows: list[list[int]], p: int) -> list[list[int]]:

@@ -161,9 +161,14 @@ class TestAnalyze:
         assert payload["partitions"][0]["status"] == "aborted-rows"
         assert payload["partitions"][0]["contains"] is None
 
-    def test_small_characteristic_rejected(self, capsys):
-        code, _, err = run(capsys, "analyze", "--degree", "4", "--char", "3")
-        assert code == 1 and "prime > 4" in err
+    def test_small_characteristic_rejected(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("generation ran for an unusable characteristic")
+
+        monkeypatch.setattr(pipeline, "default_generation", never)
+        for char in ("3", "4", "-2"):
+            code, out, err = run(capsys, "analyze", "--degree", "4", "--char", char)
+            assert (code, out, err) == (1, "", "error: characteristic must be 0 or a prime > 4\n")
 
     def test_non_prime_characteristic_rejected(self, capsys):
         code, _, err = run(capsys, "analyze", "--degree", "4", "--char", "100")

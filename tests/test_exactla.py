@@ -351,9 +351,7 @@ def test_gf_deep_chain_of_stale_rows():
     # every row but the last is stale and cleaning the first one needs all
     # the others: a chain far deeper than the default recursion limit
     n, p = 3000, 101
-    chain = np.zeros((n, n + 1), dtype=np.int64)
-    chain[np.arange(n), np.arange(n)] = 1
-    chain[np.arange(n), np.arange(n) + 1] = 1
+    chain = [{i: 1, i + 1: 1} for i in range(n)]
     probe = [0] * (n + 1)
     probe[0], probe[n] = 1, (-1) ** (n - 1)  # e_0 +- e_n lies in the span
     for read in ("contains", "tail_rows"):
@@ -384,6 +382,40 @@ def test_array_shape_and_booleans(field):
     assert red.contains(np.array([True, True, False])) is False
     assert red.contains(np.array([True, True, True])) is False
     assert red.contains([1, 1, 2]) and red.contains(np.array([1, 1, 2]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF101])
+def test_dict_rows_match_sequences(field):
+    # {column: int} rows reach the same RCF as the rows written out, and the
+    # reducer leaves the caller's dicts as they were
+    rows = [[2, 0, -4, 6], [0, 3, 3, 0], [2, 3, -1, 6], [0, 0, 5, 7]]
+    dicts = [{j: x for j, x in enumerate(r) if x} for r in rows]
+    copies = [dict(d) for d in dicts]
+    red, ref = IncrementalReducer(4, field), IncrementalReducer(4, field)
+    assert red.append(dicts) == ref.append(rows) == 3
+    assert dicts == copies
+    assert red.tail_rows(0) == ref.tail_rows(0)
+    assert red.contains({0: 4, 1: 3, 2: -5, 3: 12}) and not red.contains({0: 1})
+    assert red.append([{}]) == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF101, FieldSpec(2**31 - 1)])
+@pytest.mark.parametrize(
+    "bad",
+    [{-1: 1}, {4: 1}, {0: 1, 7: 2}, {1.0: 1}, {np.int64(1): 1}, {"1": 1}, {0: Fraction(1, 2)},
+     {0: Fraction(2)}, {0: 1.0}, {0: np.int64(1)}],
+    ids=["negative", "cols", "beyond", "float-col", "np-col", "str-col", "half", "whole-fraction",
+         "float", "np-value"],
+)
+def test_bad_dict_rows_rejected(field, bad):
+    red = IncrementalReducer(4, field)
+    with pytest.raises(ValueError, match="dict row"):
+        red.append([bad])
+    with pytest.raises(ValueError, match="dict row"):
+        red.append([{0: 1}, bad])
+    with pytest.raises(ValueError, match="dict row"):
+        red.contains(bad)
+    assert red.rank == 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])

@@ -1,13 +1,14 @@
 """Seeds, liftings, generation counts, lineage replay, and the rank filter."""
 
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 import reference
-from lyident import freealg, liftgen, symrep
-from lyident.exactla import GF101, QQ, IncrementalReducer
+from lyident import freealg, liftgen, pipeline, symrep
+from lyident.exactla import GF101, QQ, FieldSpec, IncrementalReducer
 
 
 def signed_renders(poly):
@@ -226,17 +227,17 @@ class TestIdentityRows:
     def test_degree_3_sign_partition(self):
         f = liftgen.seed_identities()["f"]
         tab = symrep.RepTable(symrep.Partition((1, 1, 1)))
-        assert liftgen.identity_rows(f, tab).tolist() == [[3, 3]]
+        assert reference.dense_rows(liftgen.identity_rows(f, tab), 2) == [[3, 3]]
 
     def test_degree_3_trivial_partition(self):
         f = liftgen.seed_identities()["f"]
         tab = symrep.RepTable(symrep.Partition((3,)))
-        assert liftgen.identity_rows(f, tab).tolist() == [[1, 1]]
+        assert reference.dense_rows(liftgen.identity_rows(f, tab), 2) == [[1, 1]]
 
     def test_degree_3_standard_partition(self):
         f = liftgen.seed_identities()["f"]
         tab = symrep.RepTable(symrep.Partition((2, 1)))
-        assert liftgen.identity_rows(f, tab).tolist() == [
+        assert reference.dense_rows(liftgen.identity_rows(f, tab), 4) == [
             [1, 0, 1, 0],
             [-2, 0, -2, 0],
         ]
@@ -244,8 +245,64 @@ class TestIdentityRows:
     def test_shape(self):
         g1 = liftgen.seed_identities()["g1"]
         tab = symrep.RepTable(symrep.Partition((2, 1, 1)))
-        rows = liftgen.identity_rows(g1, tab)
-        assert rows.shape == (3, freealg.count_types(4).all * 3)
+        cols = freealg.count_types(4).all * 3
+        assert liftgen._column_split(4, 3) == (cols, (freealg.count_types(4).all - 2) * 3)
+        rows = reference.dense_rows(liftgen.identity_rows(g1, tab), cols)
+        assert len(rows) == 3 and all(len(r) == cols for r in rows)
+
+    @staticmethod
+    def assert_matches_dense(idents, pi):
+        tab = symrep.RepTable(pi)
+        for ident in idents:
+            rows = liftgen.identity_rows(ident, tab)
+            assert all(type(x) is int for row in rows for x in row.values())
+            assert rows == reference.nonzero_rows(reference.identity_rows_dense(ident.polynomial, tab)), (
+                pi.render(), ident.render_lineage())
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_dense_reference(self, n):
+        gen = liftgen.generate(n)
+        for pi in symrep.partitions(n):
+            self.assert_matches_dense(gen.identities, pi)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_dense_reference_degree_7_sample(self, seed):
+        rng = random.Random(seed)
+        idents = liftgen.generate(7).identities
+        for pi in symrep.partitions(7):
+            self.assert_matches_dense(rng.sample(idents, 8), pi)
+
+    def test_matches_dense_reference_degree_8(self):
+        # binary liftings of two degree-7 generators, at the widest
+        # partition (d = 90) and the sign partition (d = 1)
+        idents = liftgen.generate(7).identities
+        lifted = [ident for k in (0, 1500) for ident in liftgen.lift_binary(idents[k])[::4]]
+        assert all(ident.degree == 8 for ident in lifted) and len(lifted) == 4
+        for pi in (symrep.Partition((4, 2, 1, 1)), symrep.Partition((1,) * 8)):
+            self.assert_matches_dense(lifted, pi)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
+    def test_skew_rows_match_dense_reference(self, n):
+        # the skew relations built block by block as _skew_reducer builds
+        # them against the dense reference, and _skew_reducer's RCF against
+        # the RCF of the reference rows
+        ident = tuple(range(1, n + 1))
+        pis = symrep.partitions(n) if n < 8 else [symrep.Partition((4, 2, 1, 1)), symrep.Partition((1,) * 8)]
+        for pi in pis:
+            tab = symrep.RepTable(pi)
+            d = tab.dim
+            dense = reference.skew_rows_dense(tab, n)
+            sparse = [
+                liftgen._block_rows([(j * d, tab.element({ident: 1, g.perm: 1}))], d)
+                for j, t in enumerate(freealg.binary_types(n))
+                for g in freealg.skew_generators(t)
+            ]
+            assert sparse == [reference.nonzero_rows(block) for block in dense], pi.render()
+            field = QQ if n < 8 else GF101
+            ref = IncrementalReducer(len(freealg.binary_types(n)) * d, field)
+            for block in dense:
+                ref.append(reference.nonzero_rows(block))
+            assert pipeline._skew_reducer(tab, n, field).tail_rows(0) == ref.tail_rows(0), pi.render()
 
 
 DEG4_KEPT = [
@@ -330,6 +387,12 @@ class TestFilter:
                 kept.append(liftgen.identity_rows(ident, tab))
             assert full.pivots == kept.pivots
             assert full.tail_rows(0) == kept.tail_rows(0)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_characteristic_at_most_degree_rejected(self, p):
+        # over GF(3) the sign rank would read 3 where Q and GF(101) give 4
+        with pytest.raises(ValueError, match=r"characteristic must be 0 or a prime > 4"):
+            liftgen.filter_redundant(liftgen.generate(4), FieldSpec(p))
 
     def test_degree_6_keeps_48(self):
         filt = liftgen.filter_redundant(liftgen.generate(6))

@@ -11,17 +11,19 @@ from lyident import cli, freealg, liftgen, pipeline, symrep
 from lyident._data import data_text
 from lyident.exactla import GF101, QQ, FieldSpec, IncrementalReducer
 from lyident.pipeline import ExplicitIdentity, ResourceCaps
-from reference import alternation_polynomial
+from reference import alternation_polynomial, dense_rows
 
 
 def frow(row):
     return [Fraction(x) for x in row]
 
 
-def stacked_rows(gen, pi) -> np.ndarray:
-    """L_pi: every identity's block rows, stacked in generation order."""
+def stacked_rows(gen, pi) -> list[list[int]]:
+    """L_pi: every identity's block rows, written out and stacked in
+    generation order."""
     table = symrep.RepTable(pi)
-    return np.concatenate([liftgen.identity_rows(ident, table) for ident in gen.identities])
+    cols, _ = liftgen._column_split(gen.degree, table.dim)
+    return [row for ident in gen.identities for row in dense_rows(liftgen.identity_rows(ident, table), cols)]
 
 
 def reduced(rows, cols: int, field) -> IncrementalReducer:
@@ -311,6 +313,30 @@ class TestSelection:
         with pytest.raises(ValueError, match="degree-4 generation"):
             pipeline.analyze_degree(5, GF101, "sign", generation=liftgen.generate(4))
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_characteristic_at_most_degree_rejected(self, p, monkeypatch):
+        # over GF(2) every partition of 4 would report a new identity; each
+        # entry point refuses such a field before it generates or reduces
+        def never(*args, **kwargs):
+            raise AssertionError("work started for an unusable characteristic")
+
+        field = FieldSpec(p)
+        gen = liftgen.generate(4)
+        pi = symrep.Partition((1,) * 4)
+        message = r"characteristic must be 0 or a prime > 4"
+        monkeypatch.setattr(pipeline, "default_generation", never)
+        with pytest.raises(ValueError, match=message):
+            pipeline.analyze_degree(4, field)
+        monkeypatch.setattr(IncrementalReducer, "append", never)
+        with pytest.raises(ValueError, match=message):
+            pipeline.analyze_degree(4, field, generation=gen)
+        with pytest.raises(ValueError, match=message):
+            pipeline.reduce_identities(gen, pi, field)
+        with pytest.raises(ValueError, match=message):
+            pipeline.analyze_partition(pi, gen, field, None)
+        with pytest.raises(ValueError, match=message):
+            pipeline.certify_new(ExplicitIdentity(4, ((1, 1),)), 4, field)
+
     def test_default_generation_small(self):
         assert len(pipeline.default_generation(4)) == 6
         assert len(pipeline.default_generation(5)) == 36
@@ -481,11 +507,11 @@ class TestDegree8Sign:
         doubled = ExplicitIdentity(8, tuple((j, int(2 * c)) for j, c in THEOREM_TERMS))
         poly = alternation_polynomial(doubled)
         table = symrep.RepTable(symrep.Partition((1,) * 8))
-        row = liftgen.identity_rows(poly, table)[0]
-        assert not row[: 354 - 23].any()
+        (row,) = dense_rows(liftgen.identity_rows(poly, table), 354)
+        assert not any(row[: 354 - 23])
         binary = row[354 - 23 :]
         lead = next(x for x in binary if x)
-        normalized = [Fraction(int(x), int(lead)) for x in binary]
+        normalized = [Fraction(x, lead) for x in binary]
         row4 = [Fraction(0)] * 23
         for j, coeff in THEOREM_TERMS:
             row4[j - 1] = coeff

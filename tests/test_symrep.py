@@ -211,6 +211,14 @@ def test_int8_bound_holds_through_degree_9():
             symrep.RepTable(pi)
 
 
+def test_check_characteristic():
+    for p in (0, 5, 7, 101):
+        symrep.check_characteristic(p, 4)
+    for p in (-5, -1, 1, 2, 3, 4):
+        with pytest.raises(ValueError, match=r"^characteristic must be 0 or a prime > 4$"):
+            symrep.check_characteristic(p, 4)
+
+
 def test_rep_of_element():
     ident = (1, 2, 3, 4)
     assert symrep.RepTable(Partition((2, 2))).element({ident: 1}).tolist() == [[1, 0], [0, 1]]
