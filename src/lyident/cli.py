@@ -205,11 +205,13 @@ def _log_to_stderr(enabled: bool):
 
 def _cmd_analyze(args) -> int:
     degree = args.degree
-    # the range and characteristic checks run before the generation set is
-    # built, which can take minutes
+    # the range, characteristic, worker and cap checks run before the
+    # generation set is built, which can take minutes
     if degree not in pipeline._DEGREES:
         raise ValueError(f"analysis covers degrees {pipeline._DEGREES[0]} through {pipeline._DEGREES[-1]}")
     symrep.check_characteristic(args.char, degree)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     field = QQ if args.char == 0 else FieldSpec(args.char)
     selector = _parse_selector(args.partitions)
     caps = None

@@ -2,12 +2,21 @@
 numerical verification of identities by substitution.
 
 An algebra is given by exact rational structure constants for the bilinear
-and trilinear operations on a chosen basis. The validator checks the six
-defining axioms exhaustively on basis tuples (multilinearity makes that
-sufficient). Algebras can be entered directly, taken from a Lie bracket
-(trilinear operation zero), or derived from a binary product satisfying the
-derivation identity {{a,b},c} = {{a,c},b} + {a,{b,c}} via the
-skew-symmetrization [a,b] = {a,b} - {b,a} and ⟨a,b,c⟩ = {c,{a,b}}.
+and trilinear operations on a chosen basis, as sparse 1-based entries.
+Algebras can be entered directly, taken from a Lie bracket (trilinear
+operation zero), or derived from a binary product satisfying the derivation
+identity {{a,b},c} = {{a,c},b} + {a,{b,c}} via the skew-symmetrization
+[a,b] = {a,b} - {b,a} and ⟨a,b,c⟩ = {c,{a,b}}.
+
+The validator checks the six defining axioms exhaustively on basis tuples
+(multilinearity makes that sufficient). Each axiom is a sum of labelled
+trees that must vanish: LY1 and LY2 are written here, and LY3-LY6 are
+liftgen's seeds f, g1, g2 and h, written as the axioms state them, so the
+pipeline and the oracle read one encoding. One walker evaluates an axiom's
+trees literally on every basis tuple in itertools.product order and reports
+the first tuple where the sum is nonzero; from_leibniz checks the
+derivation identity with the same walker, the product held as the bracket
+of an algebra whose triple product is zero.
 
 All arithmetic behind the public functions is on Python ints. An algebra
 keeps D, the lcm of the denominators of all its constants, and stores its
@@ -44,16 +53,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import freealg
+from . import freealg, liftgen, pipeline
 
 __all__ = [
     "AlgebraSC",
-    "LeibnizSC",
     "Violation",
     "InvalidProduct",
     "CheckResult",
     "validate",
-    "validate_leibniz",
     "from_leibniz",
     "from_lie",
     "evaluate",
@@ -98,11 +105,6 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def _check_dimension(dimension: int) -> None:
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
-
-
 def _from_entries(dimension: int, entries, indices: int, what: str) -> dict:
     """The nonzero constants of a list of 1-based sparse entries
     (i, ..., coeff) with `indices` indices each, keyed by 0-based index
@@ -134,28 +136,6 @@ def _from_entries(dimension: int, entries, indices: int, what: str) -> dict:
     return {key: x for key, x in flat.items() if x}
 
 
-def _from_dense(table, dimension: int, indices: int, what: str) -> dict:
-    """The nonzero constants of a dense table nested `indices` deep, keyed
-    by 0-based index tuples; None is the zero table. A level of the wrong
-    length or a float entry raises ValueError."""
-    flat: dict = {}
-
-    def walk(node, prefix):
-        if not isinstance(node, (list, tuple)) or len(node) != dimension:
-            raise ValueError(f"{what} table must be dimension^{indices}")
-        for i, x in enumerate(node):
-            if len(prefix) + 1 < indices:
-                walk(x, prefix + (i,))
-            else:
-                value = _as_fraction(x)
-                if value:
-                    flat[prefix + (i,)] = value
-
-    if table is not None:
-        walk(table, ())
-    return flat
-
-
 def _common_denominator(*tables) -> int:
     return math.lcm(*(x.denominator for table in tables for x in table.values()))
 
@@ -172,31 +152,25 @@ def _nested(flat: dict, scale: int) -> dict:
     return table
 
 
-def _basis(dimension: int, i: int) -> Vector:
-    v = [_ZERO] * dimension
-    v[i] = Fraction(1)
-    return tuple(v)
-
-
 class AlgebraSC:
     """Structure constants for one bilinear and one trilinear operation.
 
     [e_i, e_j] = Σ_k c[i][j][k] e_k and ⟨e_i, e_j, e_k⟩ = Σ_l t[i][j][k][l] e_l
-    (0-based internally, 1-based in files and witnesses). _brk holds D·c
-    and _trp holds D²·t as sparse integer tables, where _D is the lcm of
+    (0-based internally, 1-based in entries, files and witnesses). _brk holds
+    D·c and _trp holds D²·t as sparse integer tables, where _D is the lcm of
     the denominators of all the constants. The constructor does not enforce
     the axioms — validate reports violations as data.
     """
 
     __slots__ = ("dimension", "name", "_D", "_brk", "_trp")
 
-    def __init__(self, dimension: int, bilinear=None, trilinear=None, name: str = ""):
-        """From dense tables c and t; a missing one is zero."""
-        _check_dimension(dimension)
-        self._fill(dimension, name, _from_dense(bilinear, dimension, 3, "bilinear"),
-                   _from_dense(trilinear, dimension, 4, "trilinear"))
-
-    def _fill(self, dimension: int, name: str, bilinear: dict, trilinear: dict) -> None:
+    def __init__(self, dimension: int, bilinear=(), trilinear=(), name: str = ""):
+        """From 1-based sparse entries (i, j, k, coeff) and (i, j, k, l, coeff);
+        a missing table is zero."""
+        if dimension < 1:
+            raise ValueError("dimension must be positive")
+        bilinear = _from_entries(dimension, bilinear, 3, "bilinear")
+        trilinear = _from_entries(dimension, trilinear, 4, "trilinear")
         D = _common_denominator(bilinear, trilinear)
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "name", name)
@@ -206,15 +180,6 @@ class AlgebraSC:
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraSC is immutable")
-
-    @classmethod
-    def from_sparse(cls, dimension: int, bilinear=(), trilinear=(), name: str = "") -> "AlgebraSC":
-        """Build from 1-based sparse entries (i, j, k, coeff) and (i, j, k, l, coeff)."""
-        _check_dimension(dimension)
-        alg = cls.__new__(cls)
-        alg._fill(dimension, name, _from_entries(dimension, bilinear, 3, "bilinear"),
-                  _from_entries(dimension, trilinear, 4, "trilinear"))
-        return alg
 
     def zero(self) -> Vector:
         return (_ZERO,) * self.dimension
@@ -227,51 +192,13 @@ class AlgebraSC:
 
     def basis(self, i: int) -> Vector:
         """The 0-based i-th basis vector."""
-        return _basis(self.dimension, i)
+        v = [_ZERO] * self.dimension
+        v[i] = Fraction(1)
+        return tuple(v)
 
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"AlgebraSC(dim={self.dimension}{tag})"
-
-
-class LeibnizSC:
-    """A binary product table; validate_leibniz checks the derivation identity.
-
-    _mul holds the constants scaled by _D, the lcm of their denominators.
-    """
-
-    __slots__ = ("dimension", "name", "_D", "_mul")
-
-    def __init__(self, dimension: int, product=None, name: str = ""):
-        _check_dimension(dimension)
-        self._fill(dimension, name, _from_dense(product, dimension, 3, "product"))
-
-    def _fill(self, dimension: int, name: str, product: dict) -> None:
-        D = _common_denominator(product)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_D", D)
-        object.__setattr__(self, "_mul", _nested(product, D))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LeibnizSC is immutable")
-
-    @classmethod
-    def from_sparse(cls, dimension: int, product=(), name: str = "") -> "LeibnizSC":
-        _check_dimension(dimension)
-        lb = cls.__new__(cls)
-        lb._fill(dimension, name, _from_entries(dimension, product, 3, "product"))
-        return lb
-
-    def product(self, u, v) -> Vector:
-        return _exact(self._mul, self._D, self.dimension, (u, v))
-
-    def basis(self, i: int) -> Vector:
-        return _basis(self.dimension, i)
-
-    def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"LeibnizSC(dim={self.dimension}{tag})"
 
 
 # -- the integer kernel ------------------------------------------------------------
@@ -325,14 +252,6 @@ def _operate(alg: AlgebraSC, factors) -> dict:
     return _contract(alg._brk if len(factors) == 2 else alg._trp, factors)
 
 
-def _add(*vs) -> dict:
-    out: dict = {}
-    for v in vs:
-        for k, x in v.items():
-            out[k] = out.get(k, 0) + x
-    return {k: x for k, x in out.items() if x}
-
-
 def _integer_vectors(vectors) -> tuple[int, list[dict]]:
     """Each vector of rationals times the lcm s_i of its denominators, as a
     sparse integer vector, and the product of the s_i."""
@@ -363,87 +282,63 @@ def _integer_coefficients(coeffs) -> tuple[list[int], int]:
     return [c.numerator * (L // c.denominator) for c in coeffs], L
 
 
-def validate(alg: AlgebraSC) -> list[Violation]:
-    """Check the six axioms on all basis tuples; empty list means valid.
+# Each axiom as (name, terms): a sum of (coefficient, labelled tree) that
+# vanishes on every tuple of vectors. A node is (2, a, b) for [a, b] or
+# (3, a, b, c) for ⟨a, b, c⟩; every term has b + 2t = n - 1, so the scaled
+# integer tables compare all terms of an axiom alike.
+_AXIOMS = (
+    ("LY1", ((1, (2, 1, 2)), (1, (2, 2, 1)))),
+    ("LY2", ((1, (3, 1, 2, 3)), (1, (3, 2, 1, 3)))),
+    ("LY3", liftgen._SEED_TERMS["f"]),
+    ("LY4", liftgen._SEED_TERMS["g1"]),
+    ("LY5", liftgen._SEED_TERMS["g2"]),
+    ("LY6", liftgen._SEED_TERMS["h"]),
+)
 
-    Reports the first witness per violated axiom. The trilinear-derivation
-    axiom scans dimension^5 tuples, so dimensions beyond 16 are rejected.
-    """
+# the derivation identity {{a,b},c} - {{a,c},b} - {a,{b,c}} of a product,
+# held as the bracket of an algebra
+_LEIBNIZ = ("leibniz", ((1, (2, (2, 1, 2), 3)), (-1, (2, (2, 1, 3), 2)), (-1, (2, 1, (2, 2, 3)))))
+
+
+def _combine(terms, alg: AlgebraSC, vectors) -> dict:
+    """Σ c·tree at sparse integer vectors, each tree evaluated as written."""
+    out: dict = {}
+    for c, tree in terms:
+        for k, x in _eval_tree(tree, alg, vectors).items():
+            out[k] = out.get(k, 0) + c * x
+    return {k: x for k, x in out.items() if x}
+
+
+def _violations(alg: AlgebraSC, axioms) -> list[Violation]:
+    """The first basis tuple, in itertools.product order, at which each
+    axiom's sum is nonzero. Axioms of degree 5 walk dimension^5 tuples, so
+    dimensions beyond 16 are rejected."""
     d = alg.dimension
     if d > MAX_VALIDATE_DIM:
         raise ValueError(f"validation supports dimension <= {MAX_VALIDATE_DIM}, got {d}")
-    B = [{i: 1} for i in range(d)]
+    basis = [{i: 1} for i in range(d)]
     out: list[Violation] = []
-
-    def br(u, v):
-        return _bilinear(alg._brk, u, v)
-
-    def tr(u, v, w):
-        return _trilinear(alg._trp, u, v, w)
-
-    def first(axiom, gen):
-        for witness, ok in gen:
-            if not ok:
-                out.append(Violation(axiom, tuple(w + 1 for w in witness)))
-                return
-
-    first("LY1", (
-        ((i, j), not _add(br(B[i], B[j]), br(B[j], B[i])))
-        for i in range(d) for j in range(i, d)
-    ))
-    first("LY2", (
-        ((i, j, k), not _add(tr(B[i], B[j], B[k]), tr(B[j], B[i], B[k])))
-        for i in range(d) for j in range(i, d) for k in range(d)
-    ))
-    first("LY3", (
-        ((i, j, k), not _add(*(
-            _add(br(br(B[a], B[b]), B[c]), tr(B[a], B[b], B[c]))
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-        )))
-        for i in range(d) for j in range(d) for k in range(d)
-    ))
-    first("LY4", (
-        ((i, j, k, l), not _add(*(
-            tr(br(B[a], B[b]), B[c], B[l]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
-        )))
-        for i in range(d) for j in range(d) for k in range(d) for l in range(d)
-    ))
-    first("LY5", (
-        ((i, j, k, l), tr(B[i], B[j], br(B[k], B[l]))
-         == _add(br(tr(B[i], B[j], B[k]), B[l]), br(B[k], tr(B[i], B[j], B[l]))))
-        for i in range(d) for j in range(d) for k in range(d) for l in range(d)
-    ))
-    first("LY6", (
-        ((i, j, k, l, e), tr(B[i], B[j], tr(B[k], B[l], B[e])) == _add(
-            tr(tr(B[i], B[j], B[k]), B[l], B[e]),
-            tr(B[k], tr(B[i], B[j], B[l]), B[e]),
-            tr(B[k], B[l], tr(B[i], B[j], B[e])),
-        ))
-        for i in range(d) for j in range(d) for k in range(d) for l in range(d) for e in range(d)
-    ))
+    for name, terms in axioms:
+        n = liftgen._leaf_count(terms[0][1])
+        for combo in itertools.product(range(d), repeat=n):
+            if _combine(terms, alg, [basis[i] for i in combo]):
+                out.append(Violation(name, tuple(i + 1 for i in combo)))
+                break
     return out
 
 
-def validate_leibniz(lb: LeibnizSC) -> list[Violation]:
-    """Check {{a,b},c} = {{a,c},b} + {a,{b,c}} on all basis triples."""
-    d = lb.dimension
-    if d > MAX_VALIDATE_DIM:
-        raise ValueError(f"validation supports dimension <= {MAX_VALIDATE_DIM}, got {d}")
-    B = [{i: 1} for i in range(d)]
+def validate(alg: AlgebraSC) -> list[Violation]:
+    """Check the six axioms on all basis tuples; empty list means valid.
 
-    def p(u, v):
-        return _bilinear(lb._mul, u, v)
-
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                if p(p(B[i], B[j]), B[k]) != _add(p(p(B[i], B[k]), B[j]), p(B[i], p(B[j], B[k]))):
-                    return [Violation("leibniz", (i + 1, j + 1, k + 1))]
-    return []
+    Reports the first witness per violated axiom. LY1 and LY2 are symmetric
+    in their first two indices, so their first witness has i <= j.
+    """
+    return _violations(alg, _AXIOMS)
 
 
-def from_leibniz(lb: LeibnizSC) -> AlgebraSC:
-    """The algebra carried by a product satisfying the derivation identity:
+def from_leibniz(dimension: int, product=(), name: str = "") -> AlgebraSC:
+    """The algebra carried by a product, given as 1-based sparse entries
+    (i, j, k, coeff), that satisfies the derivation identity:
     [a,b] = {a,b} - {b,a} and ⟨a,b,c⟩ = {c,{a,b}}.
 
     Up to rescaling ([,] -> β[,] forces ⟨,,⟩ -> β²⟨,,⟩), this trilinear
@@ -451,39 +346,48 @@ def from_leibniz(lb: LeibnizSC) -> AlgebraSC:
     which every valid product yields a valid algebra: the cyclic axiom
     forces α + 2γ = 1 and the trilinear derivation axiom then pins
     (α, γ) = (0, ½); since {c,{b,a}} = -{c,{a,b}}, γ = ½ collapses to the
-    form used here. Raises InvalidProduct when lb fails the derivation
-    identity.
+    form used here. Raises InvalidProduct at the first basis triple where
+    the product fails the derivation identity.
     """
-    bad = validate_leibniz(lb)
+    _from_entries(dimension, product, 3, "product")  # a malformed entry is named a product entry
+    mul = AlgebraSC(dimension, product, name=name)
+    bad = _violations(mul, (_LEIBNIZ,))
     if bad:
         raise InvalidProduct(f"not a valid product: {bad[0].render()}")
-    d, D = lb.dimension, lb._D
-    B = [{i: 1} for i in range(d)]
+    D = mul._D
+    basis = [{i: 1} for i in range(dimension)]
     bilinear, trilinear = [], []
-    for i in range(d):
-        for j in range(d):
-            inner = _bilinear(lb._mul, B[i], B[j])
-            skew = _add(inner, {k: -x for k, x in _bilinear(lb._mul, B[j], B[i]).items()})
-            bilinear += [(i + 1, j + 1, k + 1, Fraction(x, D)) for k, x in skew.items()]
-            for k in range(d):
-                value = _bilinear(lb._mul, B[k], inner)
-                trilinear += [(i + 1, j + 1, k + 1, l + 1, Fraction(x, D * D)) for l, x in value.items()]
-    return AlgebraSC.from_sparse(d, bilinear, trilinear, name=lb.name)
+    for i, j in itertools.product(range(dimension), repeat=2):
+        skew = _combine(((1, (2, 1, 2)), (-1, (2, 2, 1))), mul, (basis[i], basis[j]))
+        bilinear += [(i + 1, j + 1, k + 1, Fraction(x, D)) for k, x in skew.items()]
+        for k in range(dimension):
+            value = _eval_tree((2, 3, (2, 1, 2)), mul, (basis[i], basis[j], basis[k]))
+            trilinear += [(i + 1, j + 1, k + 1, l + 1, Fraction(x, D * D)) for l, x in value.items()]
+    return AlgebraSC(dimension, bilinear, trilinear, name=name)
 
 
 def from_lie(dimension: int, bilinear=(), name: str = "") -> AlgebraSC:
     """A Lie bracket as an algebra with zero trilinear operation (the cyclic
     axiom then reduces to the Jacobi identity; validate confirms)."""
-    return AlgebraSC.from_sparse(dimension, bilinear=bilinear, name=name)
+    return AlgebraSC(dimension, bilinear, name=name)
 
 
 # -- evaluation ------------------------------------------------------------------
 
 
 def _eval_tree(tree, alg: AlgebraSC, vectors) -> dict:
-    if isinstance(tree, int):
+    """A labelled tree at sparse integer vectors, leaf v taking vectors[v - 1].
+    A node with a zero child is zero, and its later children are skipped."""
+    if tree.__class__ is int:
         return vectors[tree - 1]
-    return _operate(alg, [_eval_tree(child, alg, vectors) for child in tree[1:]])
+    a = _eval_tree(tree[1], alg, vectors)
+    b = a and _eval_tree(tree[2], alg, vectors)
+    if not b:
+        return {}
+    if len(tree) == 3:
+        return _bilinear(alg._brk, a, b)
+    c = _eval_tree(tree[3], alg, vectors)
+    return c and _trilinear(alg._trp, a, b, c)
 
 
 def _alternation(t, variables, alg: AlgebraSC, vectors, memo) -> dict:
@@ -529,8 +433,6 @@ def _check_assignment(degree: int, alg: AlgebraSC, assignment):
 def _terms(item) -> tuple[list, bool]:
     """The (coefficient, monomial) terms of a polynomial or explicit
     identity, and whether they are to be alternated over S_n."""
-    from . import pipeline  # evaluation of ExplicitIdentity; late to avoid a cycle
-
     n = item.degree
     if isinstance(item, pipeline.ExplicitIdentity):
         btypes = freealg.binary_types(n)
@@ -730,10 +632,10 @@ def load_algebra(text: str) -> AlgebraSC:
     name = doc.get("name", "")
     tables = {key: doc.get(key, []) for key in _TABLES[construction]}
     if construction == "direct":
-        return AlgebraSC.from_sparse(dim, name=name, **tables)
+        return AlgebraSC(dim, name=name, **tables)
     if construction == "lie":
         return from_lie(dim, name=name, **tables)
-    return from_leibniz(LeibnizSC.from_sparse(dim, name=name, **tables))
+    return from_leibniz(dim, name=name, **tables)
 
 
 BUNDLED = (

@@ -9,6 +9,8 @@ of rows is available without ever materializing the stream.
 Both fields share one row format, {column: Python int} with nonzeros only,
 which liftgen.identity_rows writes; any other row, arrays included, is cleared
 of denominators in integer arithmetic, so no Fraction is built on the way in.
+A float entry, Python or numpy, raises ValueError rather than enter as its
+binary value.
 Over GF(p) a row whose lcm denominator p divides has no image and is
 rejected. The entries stay Python ints, so any prime works.
 
@@ -245,6 +247,18 @@ class _RatReducer:
         return out
 
 
+def _exact_entry(x) -> int | Fraction:
+    """A row entry as an int or a Fraction; a float raises ValueError, since
+    its binary value (0.1 is 3602879701896397/2**55) is rarely the number meant."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, (np.integer, np.bool_)):
+        return int(x)
+    if isinstance(x, (float, np.floating)):
+        raise ValueError(f"float entry {x!r}: give an int or a Fraction")
+    return Fraction(x)
+
+
 class IncrementalReducer:
     """Maintains the row space of every row appended so far; tail_rows reads its RCF."""
 
@@ -279,11 +293,7 @@ class IncrementalReducer:
             return dict(row)
         if len(row) != self.cols:
             raise ValueError(f"row has {len(row)} entries, reducer has {self.cols} columns")
-        vals = [
-            x if isinstance(x, (int, Fraction))
-            else int(x) if isinstance(x, (np.integer, np.bool_)) else Fraction(x)
-            for x in row
-        ]
+        vals = [_exact_entry(x) for x in row]
         den = lcm(*[v.denominator for v in vals])
         p = self.field.characteristic
         if p and den % p == 0:

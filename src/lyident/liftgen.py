@@ -1,10 +1,16 @@
 """Defining identities of the bilinear/trilinear structure and their liftings.
 
 The seeds are the multilinear identities f (degree 3), g1 and g2 (degree 4),
-and h (degree 5), written against canonical monomials. Lifting a degree-n
-identity raises its degree by substituting a product for one variable or by
-multiplying the whole identity into a new product; the generators of degree n
-are the binary liftings of degree n-1 and the ternary liftings of degree n-2.
+and h (degree 5): the defining identities LY3-LY6 of Lie-Yamaguti algebras
+(Yamaguti 1958), written as labelled trees exactly as the axioms state them;
+expand straightens them into canonical monomials. They are the one encoding
+of those axioms: evallab.validate evaluates the same trees, literally, on an
+algebra's basis vectors.
+
+Lifting a degree-n identity raises its degree by substituting a product for
+one variable or by multiplying the whole identity into a new product; the
+generators of degree n are the binary liftings of degree n-1 and the ternary
+liftings of degree n-2.
 
 Each identity carries its lineage: the seed name followed by the lifting
 steps that produced it. Replaying a lineage from the seed terms reproduces
@@ -35,30 +41,32 @@ __all__ = [
     "filter_redundant",
 ]
 
-# seed terms as (coefficient, labeled tree); variables are 1-based
+# seed terms as (coefficient, labeled tree), each axiom as a sum that vanishes;
+# a node is (2, a, b) for [a, b] or (3, a, b, c) for <a, b, c>; variables are 1-based
 _SEED_TERMS: dict[str, tuple[tuple[int, object], ...]] = {
+    # LY3: sum over cyclic (a, b, c) of [[a, b], c] + <a, b, c>
     "f": (
-        (1, (2, (2, 1, 2), 3)),
-        (-1, (2, (2, 1, 3), 2)),
-        (1, (2, (2, 2, 3), 1)),
-        (1, (3, 1, 2, 3)),
-        (-1, (3, 1, 3, 2)),
-        (1, (3, 2, 3, 1)),
+        (1, (2, (2, 1, 2), 3)), (1, (3, 1, 2, 3)),
+        (1, (2, (2, 2, 3), 1)), (1, (3, 2, 3, 1)),
+        (1, (2, (2, 3, 1), 2)), (1, (3, 3, 1, 2)),
     ),
+    # LY4: sum over cyclic (a, b, c) of <[a, b], c, d>
     "g1": (
         (1, (3, (2, 1, 2), 3, 4)),
-        (-1, (3, (2, 1, 3), 2, 4)),
         (1, (3, (2, 2, 3), 1, 4)),
+        (1, (3, (2, 3, 1), 2, 4)),
     ),
+    # LY5: <a, b, [c, d]> = [<a, b, c>, d] + [c, <a, b, d>]
     "g2": (
         (1, (3, 1, 2, (2, 3, 4))),
         (-1, (2, (3, 1, 2, 3), 4)),
-        (1, (2, (3, 1, 2, 4), 3)),
+        (-1, (2, 3, (3, 1, 2, 4))),
     ),
+    # LY6: <a, b, <c, d, e>> = <<a, b, c>, d, e> + <c, <a, b, d>, e> + <c, d, <a, b, e>>
     "h": (
         (1, (3, 1, 2, (3, 3, 4, 5))),
         (-1, (3, (3, 1, 2, 3), 4, 5)),
-        (1, (3, (3, 1, 2, 4), 3, 5)),
+        (-1, (3, 3, (3, 1, 2, 4), 5)),
         (-1, (3, 3, 4, (3, 1, 2, 5))),
     ),
 }

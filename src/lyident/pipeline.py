@@ -85,10 +85,17 @@ class ExplicitIdentity:
 
 @dataclass(frozen=True)
 class ResourceCaps:
-    """Per-partition limits: basis rows held in memory and wall seconds."""
+    """Per-partition limits: basis rows held in memory and wall seconds.
+    None is no limit; a negative limit raises ValueError."""
 
     max_rows: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self):
+        for name in ("max_rows", "max_seconds"):
+            cap = getattr(self, name)
+            if cap is not None and cap < 0:
+                raise ValueError(f"{name} must be non-negative, got {cap}")
 
 
 @dataclass(frozen=True)

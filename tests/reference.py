@@ -497,6 +497,19 @@ def validate(alg: FractionAlgebra) -> list[evallab.Violation]:
     return out
 
 
+def leibniz_witness(dimension: int, product) -> tuple[int, ...] | None:
+    """The first basis triple (1-based), in itertools.product order, where
+    the product given by sparse entries breaks {{a,b},c} = {{a,c},b} + {a,{b,c}},
+    in Fraction arithmetic; None when it holds everywhere."""
+    mul = FractionAlgebra(dimension, product)  # the product as a bilinear operation
+    p = mul.bracket
+    B = [mul.basis(i) for i in range(dimension)]
+    for i, j, k in itertools.product(range(dimension), repeat=3):
+        if p(p(B[i], B[j]), B[k]) != _vadd(p(p(B[i], B[k]), B[j]), p(B[i], p(B[j], B[k]))):
+            return (i + 1, j + 1, k + 1)
+    return None
+
+
 def check_identity_per_tuple(item, alg: FractionAlgebra, trials: int = 20, seed: int = 0) -> evallab.CheckResult:
     """evallab.check_identity with a full Fraction evaluation per
     assignment: the same random trials, then every basis tuple in

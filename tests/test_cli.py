@@ -199,6 +199,20 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--degree", degree)
         assert code == 1 and "error" in err and "degrees 4 through 8" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "0", "--jobs must be at least 1, got 0"),
+        ("--jobs", "-3", "--jobs must be at least 1, got -3"),
+        ("--max-rows", "-1", "max_rows must be non-negative, got -1"),
+        ("--max-seconds", "-5", "max_seconds must be non-negative, got -5.0"),
+    ])
+    def test_bad_jobs_and_caps_rejected_before_generation(self, capsys, monkeypatch, flag, value, message):
+        def never(*args, **kwargs):
+            raise AssertionError("generation ran with an unusable option")
+
+        monkeypatch.setattr(pipeline, "default_generation", never)
+        code, out, err = run(capsys, "analyze", "--degree", "4", flag, value)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_reference_match_and_mismatch(self, capsys, tmp_path, monkeypatch):
         report = tmp_path / "r.json"
         code, _, _ = run(capsys, "analyze", "--degree", "4", "--char", "101",

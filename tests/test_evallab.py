@@ -13,14 +13,13 @@ from lyident import evallab, freealg, liftgen, pipeline
 from lyident._data import data_text
 from lyident.evallab import (
     AlgebraSC,
-    LeibnizSC,
+    InvalidProduct,
     check_identity,
     evaluate,
     from_leibniz,
     from_lie,
     load_algebra,
     validate,
-    validate_leibniz,
 )
 import reference
 from reference import FractionAlgebra, alternation_polynomial, check_identity_per_tuple
@@ -48,14 +47,14 @@ def cross(bundled):
 
 
 def matrix_semidirect():
-    """The 2x2 matrices acting on the plane, as a right derivation-identity
-    product on a 6-dim space: basis E11, E12, E21, E22, u1, u2 with
-    {x, y} = ([B, A], B·u) for x = (A, u), y = (B, v).
+    """The algebra of the 2x2 matrices acting on the plane, built from a
+    right derivation-identity product on a 6-dim space: basis E11, E12, E21,
+    E22, u1, u2 with {x, y} = ([B, A], B·u) for x = (A, u), y = (B, v).
 
     Its skew-symmetrized bracket has a nonzero Jacobi cyclic sum, which the
     trilinear operation must compensate — the corpus's only such member.
     """
-    return LeibnizSC.from_sparse(6, semidirect_entries(), name="matrix_semidirect")
+    return from_leibniz(6, semidirect_entries(), name="matrix_semidirect")
 
 
 def semidirect_entries(scale=1):
@@ -89,7 +88,16 @@ def random_bracket(dim, seed, density):
                 if rng.random() < density:
                     c = rng.choice((-2, -1, 1, 2))
                     entries += [(i, j, k, c), (j, i, k, -c)]
-    return AlgebraSC.from_sparse(dim, bilinear=entries)
+    return AlgebraSC(dim, bilinear=entries)
+
+
+def leibniz_or_none(dimension, product):
+    """from_leibniz of a product, or None when the product fails the
+    derivation identity."""
+    try:
+        return from_leibniz(dimension, product)
+    except InvalidProduct:
+        return None
 
 
 def nonzero_operations(alg):
@@ -108,20 +116,20 @@ class TestValidate:
         assert validate(cross) == []
 
     def test_non_antisymmetric_reports_ly1(self):
-        alg = AlgebraSC.from_sparse(2, bilinear=[(1, 2, 1, 1), (2, 1, 1, 1)])
+        alg = AlgebraSC(2, bilinear=[(1, 2, 1, 1), (2, 1, 1, 1)])
         bad = validate(alg)
         assert bad[0].axiom == "LY1"
         assert bad[0].witness == (1, 2)
         assert bad[0].render() == "LY1 fails at (e1, e2)"
 
     def test_nonzero_square_reports_ly1(self):
-        alg = AlgebraSC.from_sparse(2, bilinear=[(1, 1, 2, 1)])
+        alg = AlgebraSC(2, bilinear=[(1, 1, 2, 1)])
         bad = validate(alg)
         assert [v.axiom for v in bad] == ["LY1"]
         assert bad[0].witness == (1, 1)
 
     def test_trilinear_square_reports_ly2(self):
-        alg = AlgebraSC.from_sparse(2, trilinear=[(1, 1, 1, 1, 1)])
+        alg = AlgebraSC(2, trilinear=[(1, 1, 1, 1, 1)])
         bad = validate(alg)
         assert bad[0].axiom == "LY2"
         assert bad[0].witness == (1, 1, 1)
@@ -145,56 +153,128 @@ class TestValidate:
             validate(AlgebraSC(17))
 
     def test_bad_table_shapes(self):
-        with pytest.raises(ValueError, match="dimension\\^3"):
-            AlgebraSC(2, bilinear=[[[0], [0]], [[0], [0]]])
+        with pytest.raises(ValueError, match=r"bilinear entry \(1, 2, 1\): expected 3 indices"):
+            AlgebraSC(2, bilinear=[(1, 2, 1)])
+        with pytest.raises(ValueError, match=r"trilinear entry \(1, 2, 1, 1\): expected 4 indices"):
+            AlgebraSC(2, trilinear=[(1, 2, 1, 1)])
+        with pytest.raises(ValueError, match="bilinear must be a list of entries"):
+            AlgebraSC(2, bilinear={(1, 2, 1): 1})
         with pytest.raises(ValueError, match="positive"):
             AlgebraSC(0)
 
     def test_float_constants_rejected(self):
         # 0.1 would be read as its binary value 3602879701896397/2**55
-        with pytest.raises(ValueError, match="float entry 0.1"):
-            AlgebraSC(1, [[[0.1]]])
-        with pytest.raises(ValueError, match="float entry 0.5"):
-            AlgebraSC(1, trilinear=[[[[0.5]]]])
-        assert AlgebraSC(1, [[["1/10"]]]).bracket(vec(1), vec(1)) == vec(F(1, 10))
+        with pytest.raises(ValueError, match=r"bilinear entry \(1, 1, 1, 0.1\): the coefficient must be"):
+            AlgebraSC(1, [(1, 1, 1, 0.1)])
+        with pytest.raises(ValueError, match=r"trilinear entry \(1, 1, 1, 1, 0.5\): the coefficient must be"):
+            AlgebraSC(1, trilinear=[(1, 1, 1, 1, 0.5)])
+        assert AlgebraSC(1, [(1, 1, 1, "1/10")]).bracket(vec(1), vec(1)) == vec(F(1, 10))
+        assert AlgebraSC(1, [(1, 1, 1, F(1, 10))]).bracket(vec(1), vec(1)) == vec(F(1, 10))
+
+
+def corpus_tables(seed):
+    """A seeded random (dimension, bilinear, trilinear) of one of three kinds,
+    no axiom imposed: any bracket and triple product, a skew bracket with no
+    triple product (Jacobi is LY3), or both skew in their first two
+    arguments."""
+    rng = random.Random(seed)
+    d, kind = rng.randint(1, 3), seed % 3
+    bilinear, trilinear = [], []
+    for i, j, k in itertools.product(range(1, d + 1), repeat=3):
+        if (kind == 0 or i < j) and rng.random() < 0.3:
+            c = F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+            bilinear += [(i, j, k, c)] if kind == 0 else [(i, j, k, c), (j, i, k, -c)]
+    for i, j, k, l in itertools.product(range(1, d + 1), repeat=4):
+        if kind != 1 and (kind == 0 or i < j) and rng.random() < 0.1:
+            c = rng.choice((-1, 1))
+            trilinear += [(i, j, k, l, c)] if kind == 0 else [(i, j, k, l, c), (j, i, k, l, -c)]
+    return d, bilinear, trilinear
+
+
+class TestValidateCorpus:
+    """validate, which walks liftgen's seed trees, against the hand-written
+    Fraction loops of tests/reference.py: the same violations and the same
+    first witnesses."""
+
+    def test_axioms_read_from_liftgen(self):
+        assert [name for name, _ in evallab._AXIOMS] == [f"LY{k}" for k in range(1, 7)]
+        for (_, terms), seed in zip(evallab._AXIOMS[2:], ("f", "g1", "g2", "h")):
+            assert terms is liftgen._SEED_TERMS[seed]
+
+    def test_random_tables_match_reference(self):
+        verdicts = []
+        for seed in range(300):
+            d, bilinear, trilinear = corpus_tables(seed)
+            got = validate(AlgebraSC(d, bilinear, trilinear))
+            assert got == reference.validate(FractionAlgebra(d, bilinear, trilinear)), seed
+            verdicts.append([v.axiom for v in got])
+        # valid, non-skew and skew-but-not-Jacobi tables all occur, and
+        # every axiom fails somewhere
+        assert verdicts.count([]) >= 20
+        assert sum(v[:1] == ["LY1"] for v in verdicts) >= 20
+        assert sum(v[:1] == ["LY3"] for v in verdicts[1::3]) >= 10
+        assert {a for v in verdicts for a in v} == {f"LY{k}" for k in range(1, 7)}
+
+    def test_valid_algebras_match_reference(self, bundled):
+        algebras = list(bundled.values()) + [matrix_semidirect()]
+        # the valid 3-dim products with two entries, 1 and -1, and a
+        # nonzero derived operation
+        cells = list(itertools.product((1, 2, 3), repeat=3))
+        for first, second in itertools.combinations(cells, 2):
+            alg = leibniz_or_none(3, [(*first, 1), (*second, -1)])
+            if alg is not None and any(nonzero_operations(alg)):
+                algebras.append(alg)
+        assert len(algebras) >= 40
+        for alg in algebras:
+            assert validate(alg) == reference.validate(FractionAlgebra.of(alg)) == []
 
 
 class TestLeibniz:
     def test_nilpotent_square_is_valid(self):
-        lb = LeibnizSC.from_sparse(2, [(1, 1, 2, 1)])
-        assert validate_leibniz(lb) == []
+        # {e1, e1} = e2: [,] vanishes and ⟨e1, e1, e1⟩ = {e1, e2} = 0
+        alg = from_leibniz(2, [(1, 1, 2, 1)], name="sq")
+        assert alg.name == "sq" and not any(nonzero_operations(alg))
 
     def test_lie_bracket_is_valid(self):
-        lb = LeibnizSC.from_sparse(3, [
+        alg = from_leibniz(3, [
             (1, 2, 3, 1), (2, 1, 3, -1),
             (2, 3, 1, 1), (3, 2, 1, -1),
             (3, 1, 2, 1), (1, 3, 2, -1),
         ])
-        assert validate_leibniz(lb) == []
+        e1, e2 = alg.basis(0), alg.basis(1)
+        assert alg.bracket(e1, e2) == vec(0, 0, 2)  # {e1,e2} - {e2,e1}
+        assert alg.triple(e1, e2, e1) == vec(0, -1, 0)  # {e1, {e1, e2}} = {e1, e3}
+        assert validate(alg) == []
 
     def test_idempotent_is_invalid(self):
-        lb = LeibnizSC.from_sparse(1, [(1, 1, 1, 1)])
-        bad = validate_leibniz(lb)
-        assert [v.axiom for v in bad] == ["leibniz"]
-        assert bad[0].witness == (1, 1, 1)
+        with pytest.raises(InvalidProduct) as info:
+            from_leibniz(1, [(1, 1, 1, 1)])
+        assert str(info.value) == "not a valid product: leibniz fails at (e1, e1, e1)"
 
     def test_from_leibniz_rejects_invalid(self):
-        lb = LeibnizSC.from_sparse(1, [(1, 1, 1, 1)])
-        with pytest.raises(evallab.InvalidProduct, match="e1, e1, e1"):
-            from_leibniz(lb)
+        # {{e2,e1},e2} = {e3,e2} = 0, but {{e2,e2},e1} + {e2,{e1,e2}} = {e2,e3} = e1/2:
+        # the first failing triple in product order
+        with pytest.raises(InvalidProduct, match=r"leibniz fails at \(e2, e1, e2\)$"):
+            from_leibniz(3, [(1, 2, 3, 1), (2, 3, 1, F(1, 2))])
 
     def test_float_product_rejected(self):
-        with pytest.raises(ValueError, match="float entry 0.1"):
-            LeibnizSC(1, [[[0.1]]])
+        with pytest.raises(ValueError, match=r"product entry \(1, 1, 1, 0.1\): the coefficient must be"):
+            from_leibniz(1, [(1, 1, 1, 0.1)])
+
+    def test_dimension_cap(self):
+        with pytest.raises(ValueError, match="dimension <= 16"):
+            from_leibniz(17)
+        with pytest.raises(ValueError, match="positive"):
+            from_leibniz(0)
 
     def test_abelian_gives_zero_algebra(self):
-        alg = from_leibniz(LeibnizSC(3))
+        alg = from_leibniz(3)
         assert alg.bracket(alg.basis(0), alg.basis(1)) == alg.zero()
         assert alg.triple(alg.basis(0), alg.basis(1), alg.basis(2)) == alg.zero()
         assert validate(alg) == []
 
     def test_nilpotent_derivation(self):
-        alg = from_leibniz(LeibnizSC.from_sparse(2, [(1, 1, 2, 1)]))
+        alg = from_leibniz(2, [(1, 1, 2, 1)])
         assert validate(alg) == []
 
     def test_bundled_nonlie_derived_operations(self, bundled):
@@ -213,11 +293,10 @@ class TestLeibnizCorpus:
         valid = derived = 0
         for coeffs in itertools.product((-1, 0, 1), repeat=8):
             entries = [(i, j, k, c) for (i, j, k), c in zip(cells, coeffs) if c]
-            lb = LeibnizSC.from_sparse(2, entries)
-            if validate_leibniz(lb):
+            alg = leibniz_or_none(2, entries)
+            if alg is None:
                 continue
             valid += 1
-            alg = from_leibniz(lb)
             assert validate(alg) == [], entries
             if any(nonzero_operations(alg)):
                 derived += 1
@@ -232,21 +311,41 @@ class TestLeibnizCorpus:
             for combo in itertools.combinations(cells, nnz):
                 for signs in itertools.product((1, -1), repeat=nnz):
                     entries = [(i, j, k, s) for (i, j, k), s in zip(combo, signs)]
-                    lb = LeibnizSC.from_sparse(3, entries)
-                    if validate_leibniz(lb):
+                    alg = leibniz_or_none(3, entries)
+                    if alg is None:
                         continue
                     valid += 1
-                    alg = from_leibniz(lb)
                     assert validate(alg) == [], entries
                     if any(nonzero_operations(alg)):
                         derived += 1
         assert valid == 288
         assert derived == 246
 
+    def test_verdicts_match_reference(self):
+        """from_leibniz rejects a product at the first triple where the
+        Fraction loops of tests/reference.py find the derivation identity
+        broken, and otherwise derives their operations."""
+        rejected = accepted = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            d = rng.randint(1, 3)
+            product = [(i, j, k, F(rng.choice((-1, 1, 2)), rng.choice((1, 2))))
+                       for i, j, k in itertools.product(range(1, d + 1), repeat=3) if rng.random() < 0.15]
+            witness = reference.leibniz_witness(d, product)
+            if witness is None:
+                accepted += 1
+                got = FractionAlgebra.of(from_leibniz(d, product))
+                want = FractionAlgebra.from_product(d, product)
+                assert (got.c, got.t) == (want.c, want.t), seed
+                continue
+            rejected += 1
+            with pytest.raises(InvalidProduct) as info:
+                from_leibniz(d, product)
+            assert str(info.value) == f"not a valid product: {evallab.Violation('leibniz', witness).render()}"
+        assert rejected >= 20 and accepted >= 20
+
     def test_matrix_semidirect_member(self):
-        lb = matrix_semidirect()
-        assert validate_leibniz(lb) == []
-        alg = from_leibniz(lb)
+        alg = matrix_semidirect()  # from_leibniz accepts the product
         # the derived bracket genuinely fails Jacobi somewhere...
         def jac(i, j, k):
             B = [alg.basis(x) for x in (i, j, k)]
@@ -278,18 +377,18 @@ class TestSearch:
                 for combo in itertools.combinations(cells, nnz):
                     for signs in itertools.product((1, -1), repeat=nnz):
                         entries = [(i, j, k, s) for (i, j, k), s in zip(combo, signs)]
-                        lb = LeibnizSC.from_sparse(3, entries)
-                        if validate_leibniz(lb):
+                        alg = leibniz_or_none(3, entries)
+                        if alg is None:
                             continue
-                        B = [lb.basis(x) for x in range(3)]
+                        mul = AlgebraSC(3, entries)  # the product as a bracket
+                        B = [mul.basis(x) for x in range(3)]
                         not_lie = any(
-                            any(x + y for x, y in zip(lb.product(B[i], B[j]),
-                                                      lb.product(B[j], B[i])))
+                            any(x + y for x, y in zip(mul.bracket(B[i], B[j]),
+                                                      mul.bracket(B[j], B[i])))
                             for i in range(3) for j in range(i, 3)
                         )
                         if not not_lie:
                             continue
-                        alg = from_leibniz(lb)
                         if all(nonzero_operations(alg)):
                             yield entries
 
@@ -297,7 +396,7 @@ class TestSearch:
         assert first == [(1, 1, 2, 1), (1, 3, 3, 1), (3, 1, 3, -1)]
         # and its derived algebra agrees with the bundled file's
         alg = bundled["nonlie_leibniz"]
-        rebuilt = from_leibniz(LeibnizSC.from_sparse(3, first))
+        rebuilt = from_leibniz(3, first)
         basis = [alg.basis(i) for i in range(3)]
         for u, v in itertools.product(basis, repeat=2):
             assert alg.bracket(u, v) == rebuilt.bracket(u, v)
@@ -359,7 +458,7 @@ class TestEvaluate:
         rng = random.Random(11)
         # every binary alternation of degree 5 or 6 vanishes on
         # matrix_semidirect; a random table gives nonzero values
-        semidirect = from_leibniz(matrix_semidirect())
+        semidirect = matrix_semidirect()
         for alg in (semidirect, random_bracket(6, 1, 0.3)):
             for _ in range(3):
                 vs = tuple(
@@ -400,7 +499,7 @@ class TestEvaluate:
 
     def test_phantom_type_alternation_vanishes(self):
         # [[a,b],[c,d]] has an even skew generator: its alternation is zero
-        alg = from_leibniz(matrix_semidirect())
+        alg = matrix_semidirect()
         ident = pipeline.ExplicitIdentity(4, ((1, F(1)),))
         assert not alternation_polynomial(ident)
         vs = tuple(vec(*range(i, i + 6)) for i in range(4))
@@ -572,7 +671,7 @@ class TestIntegerKernel:
 
     def test_fractional_constants(self):
         bilinear, trilinear = fractional_entries(6)
-        alg = AlgebraSC.from_sparse(3, bilinear, trilinear)
+        alg = AlgebraSC(3, bilinear, trilinear)
         ref = FractionAlgebra(3, bilinear, trilinear)
         assert alg._D == 6
         seeds = liftgen.seed_identities()
@@ -590,7 +689,7 @@ class TestIntegerKernel:
         bilinear = [(1, 2, 3, F(1, 2)), (2, 1, 3, F(-1, 2)), (2, 3, 1, F(1, 2)),
                     (3, 2, 1, F(-1, 2)), (3, 1, 2, F(1, 2)), (1, 3, 2, F(-1, 2))]
         trilinear = [(1, 2, 3, 1, F(1, 3)), (2, 1, 3, 1, F(-1, 3))]
-        alg = AlgebraSC.from_sparse(3, bilinear, trilinear)
+        alg = AlgebraSC(3, bilinear, trilinear)
         bad = validate(alg)
         assert bad == reference.validate(FractionAlgebra(3, bilinear, trilinear))
         assert bad[0] == evallab.Violation("LY3", (1, 2, 3))
@@ -625,14 +724,14 @@ class TestIntegerKernel:
                 if rng.random() < 0.1:
                     c = F(rng.choice((-3, -1, 1, 3)), 2)
                     bilinear += [(i, j, k, c), (j, i, k, -c)]
-        alg = AlgebraSC.from_sparse(8, bilinear)
+        alg = AlgebraSC(8, bilinear)
         assert alg._D == 2
         theorem, corrupted = self.assert_theorem_agrees(alg, FractionAlgebra(8, bilinear))
         assert any(theorem) and any(corrupted) and theorem != corrupted
 
     def test_leibniz_with_fractional_product(self):
         entries = semidirect_entries(F(1, 2))
-        alg = from_leibniz(LeibnizSC.from_sparse(6, entries))
+        alg = from_leibniz(6, entries)
         ref = FractionAlgebra.from_product(6, entries)
         assert alg._D == 4  # brackets in halves, triple products in quarters
         assert validate(alg) == reference.validate(ref) == []
@@ -700,9 +799,9 @@ class TestLoadAlgebra:
 
     def test_sparse_entries_checked(self):
         with pytest.raises(ValueError, match=r"bilinear entry \(0, 1, 1, 1\)"):
-            AlgebraSC.from_sparse(2, bilinear=[(0, 1, 1, 1)])
+            AlgebraSC(2, bilinear=[(0, 1, 1, 1)])
         with pytest.raises(ValueError, match=r"product entry \(1, 1, 3, 1\)"):
-            LeibnizSC.from_sparse(2, [(1, 1, 3, 1)])
+            from_leibniz(2, [(1, 1, 3, 1)])
         # int and string coefficients, in files and in code, read alike
         doc = {"dimension": 2, "construction": "lie", "bilinear": [[1, 2, 1, 2], [2, 1, 1, "-2"]]}
         alg = load_algebra(json.dumps(doc))

@@ -6,6 +6,7 @@ checked against the plain-Python reference RCF for several primes.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -72,9 +73,12 @@ def test_gf_reducer_reads_fractions():
     assert red.contains([1, Fraction(-1, 2)])
     assert not red.contains([1, Fraction(1, 2)])
     assert red.append([[Fraction(1, 3), Fraction(-1, 6)]]) == 0
-    # a float array is read exactly too, not truncated
-    assert red.append(np.array([[1.0, -0.5]])) == 0
-    assert red.append(np.array([[1.0, 0.5]])) == 1
+    # a float array is refused rather than read as binary values; an
+    # integer array is read exactly
+    with pytest.raises(ValueError, match="float entry"):
+        red.append(np.array([[1.0, -0.5]]))
+    assert red.append(np.array([[2, -1]])) == 0
+    assert red.append(np.array([[2, 1]])) == 1
     with pytest.raises(ValueError, match="denominator"):
         red.contains([1, Fraction(1, 101)])
 
@@ -416,6 +420,26 @@ def test_bad_dict_rows_rejected(field, bad):
     with pytest.raises(ValueError, match="dict row"):
         red.contains(bad)
     assert red.rank == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF101])
+def test_float_entries_rejected(field):
+    # 0.1 would enter as its binary value 3602879701896397/2**55
+    red = IncrementalReducer(2, field)
+    for rows, entry in (
+        ([[0.1, 0.3]], "0.1"),
+        ([[1, 2], [3, 0.5]], "0.5"),
+        ([[np.float64(2.0), 1]], "np.float64(2.0)"),
+        (np.array([[1.0, 3.0]]), "np.float64(1.0)"),
+        (np.array([[0, 2]], dtype=np.float32), "np.float32(0.0)"),
+    ):
+        with pytest.raises(ValueError, match=f"float entry {re.escape(entry)}"):
+            red.append(rows)
+        with pytest.raises(ValueError, match=f"float entry {re.escape(entry)}"):
+            red.contains(rows[-1])
+    assert red.rank == 0
+    # exact entries of the same rows still enter
+    assert red.append([[Fraction(1, 10), Fraction(3, 10)], np.array([1, 3])]) == 1
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])

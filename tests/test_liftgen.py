@@ -26,7 +26,29 @@ SEED_RENDERS = {
 }
 
 
+# the seeds' canonical terms as (type index, leaf labels, coefficient)
+SEED_CANONICAL_TERMS = {
+    "f": [(1, (1, 2, 3), 1), (1, (1, 3, 2), -1), (1, (2, 3, 1), 1),
+          (2, (1, 2, 3), 1), (2, (1, 3, 2), -1), (2, (2, 3, 1), 1)],
+    "g1": [(3, (1, 2, 3, 4), 1), (3, (1, 3, 2, 4), -1), (3, (2, 3, 1, 4), 1)],
+    "g2": [(1, (1, 2, 3, 4), -1), (1, (1, 2, 4, 3), 1), (2, (1, 2, 3, 4), 1)],
+    "h": [(1, (1, 2, 3, 4, 5), 1), (1, (3, 4, 1, 2, 5), -1),
+          (2, (1, 2, 3, 4, 5), -1), (2, (1, 2, 4, 3, 5), 1)],
+}
+
+
 class TestSeeds:
+    def test_literal_seeds_expand_to_canonical_terms(self):
+        # the seeds are written as LY3-LY6 state them, e.g. f as the cyclic
+        # sum of [[a,b],c] + <a,b,c>; straightened they give the pinned terms
+        assert liftgen._SEED_TERMS["f"][4:] == ((1, (2, (2, 3, 1), 2)), (1, (3, 3, 1, 2)))
+        assert liftgen._SEED_TERMS["h"][2] == (-1, (3, 3, (3, 1, 2, 4), 5))
+        seeds = liftgen.seed_identities()
+        for name, terms in SEED_CANONICAL_TERMS.items():
+            poly = freealg.expand(liftgen._SEED_TERMS[name])
+            assert [(m.type_index, m.perm, c) for m, c in poly.sorted_terms()] == terms
+            assert seeds[name].polynomial == poly
+
     def test_seed_polynomials(self):
         seeds = liftgen.seed_identities()
         assert set(seeds) == {"f", "g1", "g2", "h"}

@@ -278,6 +278,14 @@ class TestCaps:
         (done,) = pipeline.analyze_degree(4, GF101, "sign", generation=gen, caps=ResourceCaps(max_rows=5))
         assert (done.status, done.rank_reached, done.identities_consumed) == ("ok", None, None)
 
+    def test_negative_caps_rejected(self):
+        with pytest.raises(ValueError, match="max_rows must be non-negative, got -1"):
+            ResourceCaps(max_rows=-1)
+        with pytest.raises(ValueError, match="max_seconds must be non-negative, got -0.5"):
+            ResourceCaps(max_seconds=-0.5)
+        # zero caps abort at once, and are kept for that
+        assert ResourceCaps(max_rows=0, max_seconds=0.0) == ResourceCaps(0, 0.0)
+
     def test_uncapped_default(self):
         reports = pipeline.analyze_degree(4, GF101, "sign", generation=liftgen.generate(4))
         assert reports[0].status == "ok"
