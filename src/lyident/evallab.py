@@ -191,7 +191,9 @@ class AlgebraSC:
         return _exact(self._trp, self._D ** 2, self.dimension, (u, v, w))
 
     def basis(self, i: int) -> Vector:
-        """The 0-based i-th basis vector."""
+        """The 0-based i-th basis vector, 0 <= i < dimension."""
+        if not 0 <= i < self.dimension:
+            raise ValueError(f"basis index {i} out of range 0..{self.dimension - 1}")
         v = [_ZERO] * self.dimension
         v[i] = Fraction(1)
         return tuple(v)

@@ -6,26 +6,25 @@ the row space of everything appended so far and reads back its rank, row
 membership and unique row canonical form (RCF), so the rank of a long stream
 of rows is available without ever materializing the stream.
 
-Both fields share one row format, {column: Python int} with nonzeros only,
-which liftgen.identity_rows writes; any other row, arrays included, is cleared
-of denominators in integer arithmetic, so no Fraction is built on the way in.
+Rows enter in one format, {column: Python int} with nonzeros only, which
+liftgen.identity_rows writes; any other row, arrays included, is cleared of
+denominators in integer arithmetic, so no Fraction is built on the way in.
 A float entry, Python or numpy, raises ValueError rather than enter as its
-binary value.
-Over GF(p) a row whose lcm denominator p divides has no image and is
-rejected. The entries stay Python ints, so any prime works.
+binary value. Over GF(p) a row whose lcm denominator p divides has no image
+and is rejected. The entries stay Python ints, so any prime works.
 
-Over a prime field the reducer keeps the RCF, sparse and reduced lazily:
-each row is stored under its pivot column as its nonzero entries right of
-an implicit leading 1, in parallel lists of columns and values, with the
-rank at which it was last cleaned. A new pivot does not touch the older
-rows; a row is cleaned of the newer pivot columns the first time it is
-used after the rank grew. A clean row vanishes on every other pivot
-column, so a row is reduced in one pass over its own pivot columns and no
-subtraction fills another, and tail_rows reads the cleaned rows. Over the
-rationals each basis row is the RCF row as a primitive integer vector
-(content stripped, positive leading entry) in the row format, which avoids
-fraction blowup during elimination; Fractions and leading 1s appear only in
-tail_rows.
+Both fields share one algorithm, the RCF stored sparse and cleaned lazily.
+Each basis row lives under its pivot column as its nonzero entries right of
+the pivot, in parallel lists of columns and values, beside its pivot entry
+and the rank at which it was last cleaned. The pivot entry is 1 over GF(p);
+over Q the row is a primitive integer vector with a positive pivot entry,
+which avoids fraction blowup. A new pivot does not touch the older rows; a
+row is cleaned of the newer pivot columns the first time it is used after
+the rank grew. A clean row vanishes on every other pivot column, so a row
+is reduced in one pass over its own pivot columns and no subtraction fills
+another. The field's arithmetic shows in three places only: subtracting a
+clean row, normalising a new or cleaned row, and the entries tail_rows
+reads back (Fractions over Q).
 """
 
 from __future__ import annotations
@@ -74,6 +73,8 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        if c.__class__ is not int:
+            raise ValueError(f"characteristic must be an int, got {c!r}")
         if c != 0 and not _is_prime(c):
             raise ValueError(f"characteristic must be 0 or prime, got {c}")
 
@@ -83,168 +84,6 @@ class FieldSpec:
 
 QQ = FieldSpec(0)
 GF101 = FieldSpec(101)
-
-
-# -- incremental row reduction -------------------------------------------------
-
-# Both reducers take and return rows as {column: int} with nonzeros only,
-# keep their basis rows under ascending pivots, and answer reduce_only,
-# append_one and tail_rows(start).
-
-
-class _ModReducer:
-    """Reduced row canonical form over GF(p), stored sparse and cleaned lazily.
-
-    Each basis row lives under its pivot column as its entries to the right
-    of an implicit leading 1: parallel lists of columns and values, ints in
-    [1, p), which take less memory than a dict. Beside each row is the rank
-    at which it was last cleaned, and a row cleaned at the current rank
-    vanishes on every other pivot column. A new pivot leaves the older rows
-    as they are; a row is cleaned only when it is next used, by subtracting
-    the rows of the pivot columns it holds, which are cleaned first (on an
-    explicit stack, since a chain of stale rows can be thousands long).
-    Subtracting a clean row never fills a pivot column, so a row is reduced
-    in one pass over its own pivot columns. Entries accumulate as Python
-    ints and are reduced mod p at the end, so an input row may hold any
-    integers: this is the one place where a row meets p.
-    """
-
-    def __init__(self, cols: int, p: int):
-        self.p = p
-        self.cols = cols
-        self.pivots: list[int] = []  # ascending
-        self.rows: dict[int, tuple[list[int], list[int]]] = {}  # pivot column -> (columns, values)
-        self.cleaned: dict[int, int] = {}  # pivot column -> rank at its last cleaning
-
-    def _clean(self, hits: list[int]) -> None:
-        """Clean the rows under the pivot columns hits, and the rows they
-        depend on, at the current rank."""
-        rank, rows, cleaned = len(self.pivots), self.rows, self.cleaned
-        pivot_cols = rows.keys()
-        stack = [c for c in hits if cleaned[c] < rank]
-        while stack:
-            c = stack[-1]
-            if cleaned[c] < rank:
-                cols = rows[c][0]
-                if not pivot_cols.isdisjoint(cols):
-                    inner = [j for j in cols if j in rows]
-                    stale = [j for j in inner if cleaned[j] < rank]
-                    if stale:
-                        # each lies right of c, so the walk ends
-                        stack += stale
-                        continue
-                    row = self._subtract(dict(zip(*rows[c])), inner)
-                    rows[c] = (list(row), list(row.values()))
-                cleaned[c] = rank
-            stack.pop()
-
-    def _subtract(self, row: dict[int, int], hits: list[int]) -> dict[int, int]:
-        """row minus the clean basis rows that clear its pivot columns hits,
-        entries reduced to [1, p); consumes row."""
-        p, rows = self.p, self.rows
-        for c in hits:
-            f = row.pop(c) % p
-            if f:
-                f = p - f
-                cols, vals = rows[c]
-                for j, v in zip(cols, vals):
-                    row[j] = row.get(j, 0) + f * v
-        return {j: r for j, x in row.items() if (r := x % p)}
-
-    def reduce_only(self, row: dict[int, int]) -> dict[int, int]:
-        """row minus the basis combination clearing every pivot column,
-        entries reduced to [1, p); consumes row."""
-        hits = [c for c in row if c in self.rows]
-        self._clean(hits)
-        return self._subtract(row, hits)
-
-    def append_one(self, row: dict[int, int]) -> bool:
-        """Reduce row and keep what is left as a basis row; True iff the rank grew."""
-        rest = self.reduce_only(row)
-        if not rest:
-            return False
-        c = min(rest)
-        inv = pow(rest.pop(c), -1, self.p)
-        self.rows[c] = (list(rest), [x * inv % self.p for x in rest.values()])
-        insort(self.pivots, c)
-        self.cleaned[c] = len(self.pivots)
-        return True
-
-    def tail_rows(self, start: int) -> list[list[int]]:
-        """The RCF rows with pivot column >= start, restricted to start:."""
-        tail = self.pivots[bisect_left(self.pivots, start) :]
-        self._clean(tail)
-        out = []
-        for c in tail:
-            line = [0] * (self.cols - start)
-            line[c - start] = 1
-            for j, x in zip(*self.rows[c]):
-                line[j - start] = x
-            out.append(line)
-        return out
-
-
-class _RatReducer:
-    """RCF basis over the rationals, rows kept as primitive integer vectors.
-
-    Every entry grows as far as it needs to. An RCF row vanishes on every
-    other pivot column, so clearing one pivot never disturbs another.
-    """
-
-    def __init__(self, cols: int):
-        self.cols = cols
-        self.pivots: list[int] = []  # ascending
-        self.rows: dict[int, dict[int, int]] = {}
-
-    @staticmethod
-    def _primitive(row: dict[int, int]) -> dict[int, int]:
-        """row divided by its content, zeros dropped."""
-        g = gcd(*row.values())
-        return {j: x // g for j, x in row.items() if x}
-
-    @staticmethod
-    def _eliminate(row: dict[int, int], c: int, base: dict[int, int]) -> dict[int, int]:
-        """row scaled by the least positive integer that lets it subtract a
-        multiple of base to clear column c (base[c] > 0); in place when no
-        scaling is needed, and zeros are left in."""
-        x, b = row[c], base[c]
-        g = gcd(x, b)
-        if b != g:
-            row = {j: u * (b // g) for j, u in row.items()}
-        x //= g
-        for j, v in base.items():
-            row[j] = row.get(j, 0) - x * v
-        return row
-
-    def reduce_only(self, row: dict[int, int]) -> dict[int, int]:
-        """A multiple of row minus the basis combination clearing every
-        pivot column, zeros dropped; consumes row."""
-        for c in sorted(c for c in row if c in self.rows):
-            row = self._eliminate(row, c, self.rows[c])
-        return {j: x for j, x in row.items() if x}
-
-    def append_one(self, row: dict[int, int]) -> bool:
-        """Reduce row and keep what is left as a basis row; True iff the rank grew."""
-        out = self.reduce_only(row)
-        if not out:
-            return False
-        c = min(out)
-        out = self._primitive({j: -x for j, x in out.items()} if out[c] < 0 else out)
-        # the old rows vanish on c once out's multiples are taken off; their
-        # pivot entries only scale by positive factors (out[pc] == 0)
-        for pc in [pc for pc in self.pivots if c in self.rows[pc]]:
-            self.rows[pc] = self._primitive(self._eliminate(self.rows[pc], c, out))
-        insort(self.pivots, c)
-        self.rows[c] = out
-        return True
-
-    def tail_rows(self, start: int) -> list[list[Fraction]]:
-        """The RCF rows with pivot column >= start, restricted to start:."""
-        out = []
-        for c in self.pivots[bisect_left(self.pivots, start) :]:
-            row = self.rows[c]
-            out.append([Fraction(row.get(j, 0), row[c]) for j in range(start, self.cols)])
-        return out
 
 
 def _exact_entry(x) -> int | Fraction:
@@ -260,22 +99,120 @@ def _exact_entry(x) -> int | Fraction:
 
 
 class IncrementalReducer:
-    """Maintains the row space of every row appended so far; tail_rows reads its RCF."""
+    """Maintains the row space of every row appended so far; tail_rows reads its RCF.
+
+    The RCF is kept sparse and cleaned lazily (see the module docstring):
+    _rows maps each pivot column to the (columns, values) of its row right
+    of the pivot, _leads to its pivot entry and _cleaned to the rank at
+    which it was last cleaned. Cleaning a row subtracts the rows of the
+    pivot columns it holds, which are cleaned first, on an explicit stack,
+    since a chain of stale rows can be thousands long. Over GF(p) entries
+    accumulate as Python ints and are reduced mod p at the end, so an
+    input row may hold any integers: this is the one place where a row
+    meets p.
+    """
 
     def __init__(self, cols: int, field: FieldSpec = QQ):
         if cols < 0:
             raise ValueError("column count must be nonnegative")
         self.cols = cols
         self.field = field
-        self._impl = _ModReducer(cols, field.characteristic) if field.characteristic else _RatReducer(cols)
+        self._p = field.characteristic
+        self._pivots: list[int] = []  # ascending
+        self._rows: dict[int, tuple[list[int], list[int]]] = {}
+        self._leads: dict[int, int] = {}
+        self._cleaned: dict[int, int] = {}
 
     @property
     def rank(self) -> int:
-        return len(self._impl.pivots)
+        return len(self._pivots)
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(self._impl.pivots)
+        return tuple(self._pivots)
+
+    def _clean(self, hits: list[int]) -> None:
+        """Clean the rows under the pivot columns hits, and the rows they
+        depend on, at the current rank."""
+        rank, rows, cleaned = len(self._pivots), self._rows, self._cleaned
+        pivot_cols = rows.keys()
+        stack = [c for c in hits if cleaned[c] < rank]
+        while stack:
+            c = stack[-1]
+            if cleaned[c] < rank:
+                cols = rows[c][0]
+                if not pivot_cols.isdisjoint(cols):
+                    inner = [j for j in cols if j in rows]
+                    stale = [j for j in inner if cleaned[j] < rank]
+                    if stale:
+                        # each lies right of c, so the walk ends
+                        stack += stale
+                        continue
+                    row = dict(zip(*rows[c]))
+                    row[c] = self._leads[c]
+                    row = self._subtract(row, inner)
+                    self._put(c, row.pop(c), row)
+                cleaned[c] = rank
+            stack.pop()
+
+    def _subtract(self, row: dict[int, int], hits: list[int]) -> dict[int, int]:
+        """row minus the clean basis rows that clear its pivot columns hits,
+        nonzeros only: over GF(p) with entries reduced to [1, p), over Q
+        after scaling row, at each hit, by the least positive integer that
+        keeps it integral. Consumes row."""
+        p, rows = self._p, self._rows
+        if p:
+            for c in hits:
+                f = row.pop(c) % p
+                if f:
+                    f = p - f
+                    cols, vals = rows[c]
+                    for j, v in zip(cols, vals):
+                        row[j] = row.get(j, 0) + f * v
+            return {j: r for j, x in row.items() if (r := x % p)}
+        leads = self._leads
+        for c in hits:
+            x, lead = row.pop(c), leads[c]
+            g = gcd(x, lead)
+            if g != lead:
+                row = {j: y * (lead // g) for j, y in row.items()}
+            f = -(x // g)
+            cols, vals = rows[c]
+            for j, v in zip(cols, vals):
+                row[j] = row.get(j, 0) + f * v
+        return {j: x for j, x in row.items() if x}
+
+    def _put(self, c: int, lead: int, row: dict[int, int]) -> None:
+        """Store lead at pivot column c plus the nonzero entries row, all
+        right of c, as the basis row under c: scaled to a leading 1 over
+        GF(p), primitive with a positive lead over Q."""
+        p = self._p
+        if p:
+            f, lead = pow(lead, -1, p), 1
+            vals = [x * f % p for x in row.values()] if f != 1 else list(row.values())
+        else:
+            g = gcd(lead, *row.values()) if lead > 0 else -gcd(lead, *row.values())
+            lead //= g
+            vals = [x // g for x in row.values()]
+        self._rows[c] = (list(row), vals)
+        self._leads[c] = lead
+
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        """row, reduced by the basis on every pivot column it holds; consumes row."""
+        hits = [c for c in row if c in self._rows]
+        self._clean(hits)
+        return self._subtract(row, hits)
+
+    def _append_one(self, row: dict[int, int]) -> bool:
+        """Reduce row and keep what is left as a basis row; True iff the rank grew."""
+        rest = self._reduce(row)
+        if not rest:
+            return False
+        c = min(rest)
+        self._put(c, rest.pop(c), rest)
+        insort(self._pivots, c)
+        self._cleaned[c] = len(self._pivots)
+        return True
 
     def _sparse_rows(self, rows) -> list[dict[int, int]]:
         """Rows as {column: int}, nonzeros only, each spanning its row's line."""
@@ -286,7 +223,7 @@ class IncrementalReducer:
     def _cleared(self, row) -> dict[int, int]:
         """A rational row times the lcm of its denominators, nonzeros only (over
         GF(p) the lcm must be prime to p, else the row has no image); a
-        {column: int} row is checked and copied, since the reducers consume rows."""
+        {column: int} row is checked and copied, since reduction consumes rows."""
         if isinstance(row, dict):
             if not all(j.__class__ is int and 0 <= j < self.cols and x.__class__ is int for j, x in row.items()):
                 raise ValueError(f"a dict row must map int columns in 0..{self.cols - 1} to ints")
@@ -295,26 +232,41 @@ class IncrementalReducer:
             raise ValueError(f"row has {len(row)} entries, reducer has {self.cols} columns")
         vals = [_exact_entry(x) for x in row]
         den = lcm(*[v.denominator for v in vals])
-        p = self.field.characteristic
+        p = self._p
         if p and den % p == 0:
             raise ValueError(f"row has no image in GF({p}): its denominator {den} is divisible by {p}")
         return {j: v.numerator * (den // v.denominator) for j, v in enumerate(vals) if v}
 
     def append(self, rows) -> int:
         """Add rows ({column: int} dicts or row sequences); returns the rank increase."""
-        return sum(self._impl.append_one(r) for r in self._sparse_rows(rows))
+        return sum(self._append_one(r) for r in self._sparse_rows(rows))
 
     def contains(self, row) -> bool:
         """True iff the row ({column: int} or a sequence) lies in the current row space."""
-        return not self._impl.reduce_only(self._cleared(row))
+        return not self._reduce(self._cleared(row))
 
     def tail_rows(self, start: int) -> list[list]:
         """Exact RCF rows with pivot column >= start, restricted to start:.
 
         Echelon rows vanish left of their pivot, so the restriction loses
         nothing; tail_rows(0) is the whole RCF (leading 1s, pivot columns
-        cleared). Rows come back in pivot order.
+        cleared). Rows come back in pivot order: ints over GF(p),
+        Fractions over Q.
         """
         if not 0 <= start <= self.cols:
             raise ValueError(f"start {start} out of range for {self.cols} columns")
-        return self._impl.tail_rows(start)
+        tail = self._pivots[bisect_left(self._pivots, start) :]
+        self._clean(tail)
+        p = self._p
+        zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+        out = []
+        for c in tail:
+            cols, vals = self._rows[c]
+            if not p:
+                vals = [Fraction(x, self._leads[c]) for x in vals]
+            line = [zero] * (self.cols - start)
+            line[c - start] = one
+            for j, x in zip(cols, vals):
+                line[j - start] = x
+            out.append(line)
+        return out

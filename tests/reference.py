@@ -2,7 +2,7 @@
 matrices entry by entry, the expansion of an explicit identity into the
 canonical monomial basis, a recursive canonicalizer and the lifting built
 on it, primality by trial division, block rows and skew relations as dense
-arrays, the row canonical form over GF(p) in plain Python, exact
+arrays, the row canonical form over GF(p) and over Q in plain Python, exact
 evaluation in Fraction arithmetic, and the identity check that evaluates
 every basis tuple afresh.
 
@@ -10,10 +10,10 @@ The package builds Clifton matrices in whole numpy arrays, straightens
 trees in one lean walk that interns types as it goes, tests primality by
 Miller-Rabin, builds only the blocks an identity touches, straight into
 sparse rows, evaluates alternating identities without expanding them,
-reduces rows mod p on a
-lazily cleaned sparse canonical form, evaluates in integers over a common
-denominator and reads basis tuples off memoised subtree tables; the routes
-here are the independent ones the tests compare against.
+reduces rows over Q and mod p on one lazily cleaned sparse canonical
+form, evaluates in integers over a common denominator and reads basis
+tuples off memoised subtree tables; the routes here are the independent
+ones the tests compare against.
 """
 
 import functools
@@ -302,6 +302,25 @@ def rcf_mod(rows: list[list[int]], p: int) -> list[list[int]]:
         for i, r in enumerate(m):
             if i != rank and r[c]:
                 m[i] = [(x - r[c] * y) % p for x, y in zip(r, m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+def rcf_rational(rows: list[list]) -> list[list[Fraction]]:
+    """Row canonical form of rational rows over Q: textbook Gauss-Jordan on
+    Fractions, zero rows dropped."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        k = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[rank], m[k] = m[k], m[rank]
+        lead = m[rank][c]
+        m[rank] = [x / lead for x in m[rank]]
+        for i, r in enumerate(m):
+            if i != rank and r[c]:
+                m[i] = [x - r[c] * y for x, y in zip(r, m[rank])]
         rank += 1
     return m[:rank]
 

@@ -148,6 +148,13 @@ class TestValidate:
         assert cross.triple(cross.basis(0), cross.basis(1), cross.basis(2)) == cross.zero()
         assert validate(cross) == []
 
+    def test_basis_index_range(self, cross):
+        # a negative index would otherwise wrap round to the last vector
+        assert cross.basis(2) == (0, 0, 1)
+        for bad in (-1, -3, 3, 4):
+            with pytest.raises(ValueError, match="out of range 0..2"):
+                cross.basis(bad)
+
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="dimension <= 16"):
             validate(AlgebraSC(17))

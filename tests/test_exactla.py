@@ -1,19 +1,22 @@
 """Tests for exact row reduction over the rationals and prime fields.
 
 The reducer's tail_rows(0) is the row canonical form (RCF) of everything
-appended; the rcf tests state its properties there, and the GF(p) kernel is
-checked against the plain-Python reference RCF for several primes.
+appended; the rcf tests state its properties there. One lazily cleaned
+kernel serves both fields; it is checked against the plain-Python reference
+RCF over Q and over several primes, and its stored rows are checked
+directly.
 """
 
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
 
 from lyident.exactla import GF101, QQ, FieldSpec, IncrementalReducer
-from reference import is_prime_trial_division, rcf_mod
+from reference import is_prime_trial_division, rcf_mod, rcf_rational
 
 
 def test_fieldspec_validation():
@@ -21,6 +24,14 @@ def test_fieldspec_validation():
     assert FieldSpec(101).characteristic == 101
     for bad in (1, 4, 100, -3):
         with pytest.raises(ValueError):
+            FieldSpec(bad)
+
+
+def test_fieldspec_rejects_non_int():
+    # the characteristic alone picks the field arithmetic, so it must be an
+    # int: 3.0 would pass the primality test and fail later in pow
+    for bad in (3.0, 101.0, 0.0, True, False, np.int64(101), Fraction(101), "101", None):
+        with pytest.raises(ValueError, match="must be an int"):
             FieldSpec(bad)
 
 
@@ -307,59 +318,96 @@ def test_gf_elimination_clears_filled_pivots():
     assert red.tail_rows(0) == rcf_mod([[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1]], 101)
 
 
+def rcf_reference(rows, field):
+    """The reference RCF of rows over field."""
+    p = field.characteristic
+    return rcf_mod(rows, p) if p else rcf_rational(rows)
+
+
+def random_entry(rng, field, density):
+    """A random entry that is nonzero with probability about density."""
+    if rng.random() >= density:
+        return 0
+    p = field.characteristic
+    return rng.randrange(p) if p else rng.randint(-9, 9)
+
+
 def assert_cleaned_rows_reduced(red):
-    """Every basis row cleaned at the current rank vanishes on all other
-    pivot columns (each row holds only its entries right of its pivot)."""
-    impl = red._impl
-    for c, (cols, vals) in impl.rows.items():
-        assert all(j > c for j in cols) and all(0 < v < impl.p for v in vals)
-        if impl.cleaned[c] == red.rank:
-            assert not set(cols) & set(impl.rows), c
+    """Each basis row holds only its entries right of its pivot: ints in
+    [1, p) with pivot entry 1 over GF(p), a primitive integer vector with a
+    positive pivot entry over Q. Every row cleaned at the current rank
+    vanishes on all other pivot columns."""
+    p = red.field.characteristic
+    for c, (cols, vals) in red._rows.items():
+        lead = red._leads[c]
+        assert all(j > c for j in cols) and all(type(v) is int and v for v in vals)
+        if p:
+            assert lead == 1 and all(0 < v < p for v in vals)
+        else:
+            assert type(lead) is int and lead > 0 and gcd(lead, *vals) == 1, c
+        if red._cleaned[c] == red.rank:
+            assert not set(cols) & set(red._rows), c
 
 
-@pytest.mark.parametrize("p", [3, 101])
-def test_gf_lazy_cleaning_interleaved(p):
+FIELDS = [FieldSpec(3), GF101, QQ]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_lazy_cleaning_interleaved(field):
     # appends, membership tests and tail_rows in a random order; each step
-    # cleans some rows and leaves others stale
+    # cleans some rows and leaves others stale, and every clean row is
+    # already the reference RCF row under its pivot
+    p = field.characteristic
     rng = random.Random(300 + p)
     cols = 30
-    red = IncrementalReducer(cols, FieldSpec(p))
+    red = IncrementalReducer(cols, field)
     seen = []
     for _ in range(25):
         step = rng.choice(["append", "append", "contains", "tail"])
         if step == "append":
             batch = deficient_batch(rng, rng.randint(1, 4), cols, rng.randint(1, 3))
             # a sparse row too, so that later pivots land among older rows
-            batch.append([rng.randrange(p) if rng.random() < 0.2 else 0 for _ in range(cols)])
+            batch.append([random_entry(rng, field, 0.2) for _ in range(cols)])
             red.append(batch)
             seen += batch
-        ref = rcf_mod(seen, p) if seen else []
+        ref = rcf_reference(seen, field) if seen else []
         if step == "contains":
-            probe = [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(cols)]
-            assert red.contains(probe) == (len(rcf_mod(seen + [probe], p)) == len(ref))
+            probe = [random_entry(rng, field, 0.3) for _ in range(cols)]
+            assert red.contains(probe) == (len(rcf_reference(seen + [probe], field)) == len(ref))
             if seen:
-                coeffs = [rng.randrange(p) for _ in seen]
+                coeffs = [rng.randint(-3, 3) for _ in seen]
                 assert red.contains([sum(k * r[j] for k, r in zip(coeffs, seen)) for j in range(cols)])
         if step == "tail":
             for start in sorted({0, *rng.sample(range(cols + 1), 3)}):
                 assert red.tail_rows(start) == tail_of(ref, start)
         assert_cleaned_rows_reduced(red)
         assert red.rank == len(ref)
-    assert red.tail_rows(0) == rcf_mod(seen, p)
+        by_pivot = {next(j for j, x in enumerate(r) if x): r for r in ref}
+        assert set(red.pivots) == set(by_pivot)
+        for c in red.pivots:
+            if red._cleaned[c] == red.rank:
+                cols_c, vals_c = red._rows[c]
+                lead = red._leads[c]
+                line = [0] * cols
+                for j, x in zip([c, *cols_c], [lead, *vals_c]):
+                    line[j] = x if p else Fraction(x, lead)
+                assert line == by_pivot[c], c
+    assert red.tail_rows(0) == rcf_reference(seen, field)
     assert_cleaned_rows_reduced(red)
-    assert all(red._impl.cleaned[c] == red.rank for c in red.pivots)
+    assert all(red._cleaned[c] == red.rank for c in red.pivots)
 
 
-def test_gf_deep_chain_of_stale_rows():
+@pytest.mark.parametrize("field", [GF101, QQ], ids=repr)
+def test_deep_chain_of_stale_rows(field):
     # rows e_i + e_(i+1) appended in order never meet an existing pivot, so
     # every row but the last is stale and cleaning the first one needs all
     # the others: a chain far deeper than the default recursion limit
-    n, p = 3000, 101
+    n, p = 3000, field.characteristic
     chain = [{i: 1, i + 1: 1} for i in range(n)]
     probe = [0] * (n + 1)
     probe[0], probe[n] = 1, (-1) ** (n - 1)  # e_0 +- e_n lies in the span
     for read in ("contains", "tail_rows"):
-        red = IncrementalReducer(n + 1, FieldSpec(p))
+        red = IncrementalReducer(n + 1, field)
         assert red.append(chain) == n
         if read == "contains":
             assert red.contains(probe)
@@ -369,8 +417,10 @@ def test_gf_deep_chain_of_stale_rows():
             rows = red.tail_rows(0)
             assert len(rows) == n
             for i, row in enumerate(rows):
-                assert row[i] == 1 and row[n] == (-1) ** (n - 1 - i) % p
+                last = (-1) ** (n - 1 - i)
+                assert row[i] == 1 and row[n] == (last % p if p else last)
                 assert sum(map(bool, row)) == 2
+            assert_cleaned_rows_reduced(red)
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])

@@ -122,6 +122,13 @@ class TestExplicitIdentity:
         with pytest.raises(ValueError, match="zero coefficient"):
             ExplicitIdentity(3, ((1, 0),))
 
+    def test_rejects_float_coefficient(self):
+        # 0.1 would render and evaluate as 3602879701896397/36028797018963968
+        for coeff in (0.1, 1.0, np.float64(-1.5), np.float32(2.0)):
+            with pytest.raises(ValueError, match="float coefficient"):
+                ExplicitIdentity(3, ((1, coeff),))
+        assert ExplicitIdentity(3, ((1, Fraction(1, 10)),)).terms == ((1, Fraction(1, 10)),)
+
     def test_reconstruct_round_trip(self):
         row = [0, Fraction(2), 0, Fraction(-1, 2), 0]
         with pytest.raises(ValueError):
@@ -204,6 +211,15 @@ class TestAgreement:
         payload = pipeline.report_payload(6, reports, len(gen6_filtered))
         golden = json.loads(data_text("report_d6_c101_all.json"))
         assert payload["characteristic"] == p
+        assert payload["partitions"] == golden["partitions"]
+
+    def test_degree7_rationals_match_golden(self, gen7_filtered):
+        # the bundled degree-7 verdicts over GF(101), recomputed over Q: all
+        # 15 partitions contained, with the same ranks
+        reports = pipeline.analyze_degree(7, QQ, "all", generation=gen7_filtered)
+        payload = pipeline.report_payload(7, reports, len(gen7_filtered))
+        golden = json.loads(data_text("report_d7_c101_all.json"))
+        assert payload["characteristic"] == 0
         assert payload["partitions"] == golden["partitions"]
 
 
