@@ -12,11 +12,7 @@ The validator checks the six defining axioms exhaustively on basis tuples
 (multilinearity makes that sufficient). Each axiom is a sum of labelled
 trees that must vanish: LY1 and LY2 are written here, and LY3-LY6 are
 liftgen's seeds f, g1, g2 and h, written as the axioms state them, so the
-pipeline and the oracle read one encoding. One walker evaluates an axiom's
-trees literally on every basis tuple in itertools.product order and reports
-the first tuple where the sum is nonzero; from_leibniz checks the
-derivation identity with the same walker, the product held as the bracket
-of an algebra whose triple product is zero.
+pipeline and the oracle read one encoding.
 
 All arithmetic behind the public functions is on Python ints. An algebra
 keeps D, the lcm of the denominators of all its constants, and stores its
@@ -35,13 +31,17 @@ recursion over variable subsets: the alternation of [A, B] is a signed sum
 over the shuffles of its variables, which keeps the n!-term sum exact and
 cheap.
 
-check_identity then walks every basis tuple in itertools.product order and
-stops at the first nonzero value. A non-alternating identity is read off
-memoised tables there: each subtree type is evaluated once on all basis
-sub-tuples of its leaves, keeping only the nonzero values as sparse
-vectors, so a tuple costs one lookup per child of each term's root and one
-product. An alternating identity vanishes on a tuple with a repeated
-index, which counts as checked without being evaluated.
+One sweep walks the basis tuples in itertools.product order and reports
+the first at which a sum of labelled trees is nonzero. validate runs each
+axiom's trees through it as written, from_leibniz the derivation identity
+(the product held as the bracket of an algebra whose triple product is
+zero), and check_identity the trees of a non-alternating identity. Each
+tree shape, the tree without its leaf labels, is evaluated once per sweep
+on all basis sub-tuples of its leaves, keeping only the nonzero values as
+sparse vectors, so a tuple costs one lookup per child of each term's root
+and one product. An alternating identity vanishes on a tuple with a
+repeated index: check_identity counts such a tuple as checked without
+evaluating it, and evaluates the others.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import freealg, liftgen, pipeline
 
@@ -62,7 +63,6 @@ __all__ = [
     "CheckResult",
     "validate",
     "from_leibniz",
-    "from_lie",
     "evaluate",
     "check_identity",
     "load_algebra",
@@ -302,30 +302,82 @@ _AXIOMS = (
 _LEIBNIZ = ("leibniz", ((1, (2, (2, 1, 2), 3)), (-1, (2, (2, 1, 3), 2)), (-1, (2, 1, (2, 2, 3)))))
 
 
-def _combine(terms, alg: AlgebraSC, vectors) -> dict:
-    """Σ c·tree at sparse integer vectors, each tree evaluated as written."""
-    out: dict = {}
+def _shape(tree):
+    """The tree with its leaf labels dropped: () for a leaf, the tuple of its
+    children's shapes for a node."""
+    return () if tree.__class__ is int else tuple(_shape(child) for child in tree[1:])
+
+
+def _leaves(tree) -> tuple[int, ...]:
+    """The labels at the tree's leaves, in leaf order."""
+    return (tree,) if tree.__class__ is int else sum((_leaves(child) for child in tree[1:]), ())
+
+
+def _table(shape, alg: AlgebraSC, memo: dict) -> dict:
+    """The nonzero values of a tree shape on basis vectors: a map from the
+    basis indices at its leaves, in leaf order, to a sparse integer vector,
+    scaled by D^(k-1) for k leaves. memo is keyed by shape, so the trees of
+    one sweep share their subtrees' tables."""
+    table = memo.get(shape)
+    if table is None:
+        if not shape:
+            table = {(i,): {i: 1} for i in range(alg.dimension)}
+        else:
+            table = {}
+            for picked in itertools.product(*(_table(s, alg, memo).items() for s in shape)):
+                value = _operate(alg, [v for _, v in picked])
+                if value:
+                    table[sum((k for k, _ in picked), ())] = value
+        memo[shape] = table
+    return table
+
+
+def _sweep(terms, alg: AlgebraSC, n: int):
+    """The first tuple of n basis indices, in itertools.product order, at
+    which Σ c·tree over the (integer coefficient, labelled tree) terms is
+    nonzero, as (1-based position, tuple, sparse integer value); None if
+    there is none. Each term combines the tables of its root's children on
+    a tuple: a key missing from one of them makes the term zero there."""
+    memo: dict = {}
+    plan = []
     for c, tree in terms:
-        for k, x in _eval_tree(tree, alg, vectors).items():
-            out[k] = out.get(k, 0) + c * x
-    return {k: x for k, x in out.items() if x}
+        children = (tree,) if tree.__class__ is int else tree[1:]  # a leaf is its own factor
+        parts = []
+        for child in children:
+            first, *rest = (v - 1 for v in _leaves(child))
+            # the key's indices, as a tuple even for one leaf, which a slice keeps
+            key = itemgetter(first, *rest) if rest else itemgetter(slice(first, first + 1))
+            parts.append((_table(_shape(child), alg, memo), key))
+        plan.append((c, parts))
+    for position, combo in enumerate(itertools.product(range(alg.dimension), repeat=n), start=1):
+        out: dict = {}
+        for c, parts in plan:
+            factors = []
+            for table, key in parts:
+                factor = table.get(key(combo))
+                if factor is None:
+                    break
+                factors.append(factor)
+            else:
+                value = factors[0] if len(factors) == 1 else _operate(alg, factors)
+                for k, x in value.items():
+                    out[k] = out.get(k, 0) + c * x
+        if any(out.values()):
+            return position, combo, {k: x for k, x in out.items() if x}
+    return None
 
 
 def _violations(alg: AlgebraSC, axioms) -> list[Violation]:
     """The first basis tuple, in itertools.product order, at which each
     axiom's sum is nonzero. Axioms of degree 5 walk dimension^5 tuples, so
     dimensions beyond 16 are rejected."""
-    d = alg.dimension
-    if d > MAX_VALIDATE_DIM:
-        raise ValueError(f"validation supports dimension <= {MAX_VALIDATE_DIM}, got {d}")
-    basis = [{i: 1} for i in range(d)]
+    if alg.dimension > MAX_VALIDATE_DIM:
+        raise ValueError(f"validation supports dimension <= {MAX_VALIDATE_DIM}, got {alg.dimension}")
     out: list[Violation] = []
     for name, terms in axioms:
-        n = liftgen._leaf_count(terms[0][1])
-        for combo in itertools.product(range(d), repeat=n):
-            if _combine(terms, alg, [basis[i] for i in combo]):
-                out.append(Violation(name, tuple(i + 1 for i in combo)))
-                break
+        hit = _sweep(terms, alg, liftgen._leaf_count(terms[0][1]))
+        if hit is not None:
+            out.append(Violation(name, tuple(i + 1 for i in hit[1])))
     return out
 
 
@@ -356,22 +408,16 @@ def from_leibniz(dimension: int, product=(), name: str = "") -> AlgebraSC:
     bad = _violations(mul, (_LEIBNIZ,))
     if bad:
         raise InvalidProduct(f"not a valid product: {bad[0].render()}")
-    D = mul._D
-    basis = [{i: 1} for i in range(dimension)]
+    D, brk = mul._D, mul._brk
     bilinear, trilinear = [], []
-    for i, j in itertools.product(range(dimension), repeat=2):
-        skew = _combine(((1, (2, 1, 2)), (-1, (2, 2, 1))), mul, (basis[i], basis[j]))
-        bilinear += [(i + 1, j + 1, k + 1, Fraction(x, D)) for k, x in skew.items()]
-        for k in range(dimension):
-            value = _eval_tree((2, 3, (2, 1, 2)), mul, (basis[i], basis[j], basis[k]))
-            trilinear += [(i + 1, j + 1, k + 1, l + 1, Fraction(x, D * D)) for l, x in value.items()]
+    for i, row in brk.items():
+        for j, product_ij in row.items():
+            for k, x in product_ij.items():  # [e_i, e_j] gains {e_i, e_j} and [e_j, e_i] loses it
+                bilinear += [(i + 1, j + 1, k + 1, Fraction(x, D)), (j + 1, i + 1, k + 1, Fraction(-x, D))]
+            for k in range(dimension):
+                value = _bilinear(brk, {k: 1}, product_ij)
+                trilinear += [(i + 1, j + 1, k + 1, l + 1, Fraction(x, D * D)) for l, x in value.items()]
     return AlgebraSC(dimension, bilinear, trilinear, name=name)
-
-
-def from_lie(dimension: int, bilinear=(), name: str = "") -> AlgebraSC:
-    """A Lie bracket as an algebra with zero trilinear operation (the cyclic
-    axiom then reduces to the Jacobi identity; validate confirms)."""
-    return AlgebraSC(dimension, bilinear, name=name)
 
 
 # -- evaluation ------------------------------------------------------------------
@@ -485,79 +531,6 @@ class CheckResult:
 EXHAUSTIVE_LIMIT = 10 ** 6
 
 
-def _subtree_table(t, alg: AlgebraSC, memo: dict) -> dict:
-    """The nonzero values of the association type t on basis vectors: a map
-    from the basis indices at its leaves, in leaf order, to a sparse integer
-    vector, scaled by D^(k-1) for k leaves. The table depends on the type
-    alone, so memo is keyed by interned type and shared by every term of a
-    call."""
-    table = memo.get(t)
-    if table is None:
-        if t.arity == 0:
-            table = {(i,): {i: 1} for i in range(alg.dimension)}
-        else:
-            table = {}
-            children = [_subtree_table(c, alg, memo) for c in t.children]
-            for picked in itertools.product(*(c.items() for c in children)):
-                value = _operate(alg, [v for _, v in picked])
-                if value:
-                    table[sum((k for k, _ in picked), ())] = value
-        memo[t] = table
-    return table
-
-
-def _basis_value(item, alg: AlgebraSC):
-    """A function from a tuple of basis indices to the value there, or to
-    None where the value is zero.
-
-    A non-alternating identity combines, per term, the subtree tables of the
-    root's children: a key missing from one of them makes the term zero. An
-    alternating identity is zero on a tuple with a repeated index and is
-    evaluated on the others.
-    """
-    n, d = item.degree, alg.dimension
-    terms, alternating = _terms(item)
-    if alternating:
-        def value_at(combo):
-            if len(set(combo)) < n:
-                return None
-            value = evaluate(item, alg, tuple(alg.basis(i) for i in combo))
-            return value if any(value) else None
-        return value_at
-
-    coeffs, denominator = _integer_coefficients(c for c, _ in terms)
-    scale = denominator * alg._D ** (n - 1)
-    memo: dict = {}
-    plan = []
-    for a, (_, mono) in zip(coeffs, terms):
-        children = mono.type.children or (mono.type,)  # a degree-1 term is its own factor
-        parts, start = [], 0
-        for child in children:
-            labels = mono.perm[start:start + child.degree]
-            parts.append((_subtree_table(child, alg, memo), tuple(v - 1 for v in labels)))
-            start += child.degree
-        plan.append((a, parts))
-
-    def value_at(combo):
-        out: dict = {}
-        for a, parts in plan:
-            factors = []
-            for table, positions in parts:
-                factor = table.get(tuple(combo[p] for p in positions))
-                if factor is None:
-                    break
-                factors.append(factor)
-            else:
-                value = factors[0] if len(factors) == 1 else _operate(alg, factors)
-                for k, x in value.items():
-                    out[k] = out.get(k, 0) + a * x
-        if not any(out.values()):
-            return None
-        return _fractions(out, scale, d)
-
-    return value_at
-
-
 def check_identity(item, alg: AlgebraSC, trials: int = 20, seed: int = 0) -> CheckResult:
     """Evaluate on `trials` pseudorandom small-rational assignments, then on
     every basis tuple when dimension^degree is within reach; the first
@@ -565,12 +538,12 @@ def check_identity(item, alg: AlgebraSC, trials: int = 20, seed: int = 0) -> Che
     the trials plus the basis tuples walked up to it.
 
     The basis tuples are walked in itertools.product order. A
-    non-alternating identity is read off tables of its subtrees' nonzero
-    values on basis tuples, each built once per call; an alternating one
-    is evaluated on the tuples of distinct indices, and every tuple with a
-    repeated index counts as checked without evaluation, since an
-    alternating map vanishes there. No trials with dimension^degree out of
-    reach would evaluate nothing, and raises ValueError.
+    non-alternating identity runs its terms' labelled trees through _sweep;
+    an alternating one is evaluated on the tuples of distinct indices, and
+    every tuple with a repeated index counts as checked without evaluation,
+    since an alternating map vanishes there. No trials with
+    dimension^degree out of reach would evaluate nothing, and raises
+    ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -591,11 +564,24 @@ def check_identity(item, alg: AlgebraSC, trials: int = 20, seed: int = 0) -> Che
         if any(value):
             return CheckResult(False, checked, vectors, value)
     if d ** degree <= EXHAUSTIVE_LIMIT:
-        value_at = _basis_value(item, alg)
-        for position, combo in enumerate(itertools.product(range(d), repeat=degree), start=1):
-            value = value_at(combo)
-            if value is not None:
-                return CheckResult(False, checked + position, tuple(alg.basis(i) for i in combo), value)
+        terms, alternating = _terms(item)
+        hit = None
+        if alternating:
+            for position, combo in enumerate(itertools.product(range(d), repeat=degree), start=1):
+                if len(set(combo)) == degree:
+                    value = evaluate(item, alg, tuple(alg.basis(i) for i in combo))
+                    if any(value):
+                        hit = position, combo, value
+                        break
+        else:
+            coeffs, denominator = _integer_coefficients(c for c, _ in terms)
+            trees = [(a, freealg.labeled_tree(mono)) for a, (_, mono) in zip(coeffs, terms)]
+            hit = _sweep(trees, alg, degree)
+            if hit is not None:
+                hit = *hit[:2], _fractions(hit[2], denominator * alg._D ** (degree - 1), d)
+        if hit is not None:
+            position, combo, value = hit
+            return CheckResult(False, checked + position, tuple(alg.basis(i) for i in combo), value)
         checked += d ** degree
     return CheckResult(True, checked)
 
@@ -633,11 +619,9 @@ def load_algebra(text: str) -> AlgebraSC:
         raise ValueError(f"the {construction} construction does not read {', '.join(unread)}")
     name = doc.get("name", "")
     tables = {key: doc.get(key, []) for key in _TABLES[construction]}
-    if construction == "direct":
-        return AlgebraSC(dim, name=name, **tables)
-    if construction == "lie":
-        return from_lie(dim, name=name, **tables)
-    return from_leibniz(dim, name=name, **tables)
+    if construction == "leibniz":
+        return from_leibniz(dim, name=name, **tables)
+    return AlgebraSC(dim, name=name, **tables)  # a lie table is a bracket with no triple product
 
 
 BUNDLED = (

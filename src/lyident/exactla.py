@@ -113,8 +113,8 @@ class IncrementalReducer:
     """
 
     def __init__(self, cols: int, field: FieldSpec = QQ):
-        if cols < 0:
-            raise ValueError("column count must be nonnegative")
+        if type(cols) is not int or cols < 0:
+            raise ValueError(f"column count must be a nonnegative int, got {cols!r}")
         self.cols = cols
         self.field = field
         self._p = field.characteristic

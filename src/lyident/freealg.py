@@ -17,6 +17,7 @@ child. Types render as '-' (leaf), '[UV]' (binary), '<UVW>' (ternary).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
@@ -169,57 +170,17 @@ class TypeCounts(NamedTuple):
     mixed: int
 
 
-def _c2(x: int) -> int:
-    """Unordered pairs with repetition from x choices."""
-    return x * (x + 1) // 2
-
-
-def _pair_count(counts, m: int) -> int:
-    total = 0
-    for i in range(1, (m - 1) // 2 + 1):
-        total += counts(m - i) * counts(i)
-    if m % 2 == 0:
-        total += _c2(counts(m // 2))
-    return total
-
-
-@cache
-def _bt(n: int) -> int:
-    if n == 1:
-        return 1
-    total = _pair_count(_bt, n)
-    for k in range(1, n - 1):
-        total += _pair_count(_bt, n - k) * _bt(k)
-    return total
-
-
-@cache
-def _tern(n: int) -> int:
-    if n == 1:
-        return 1
-    total = 0
-    for k in range(1, n - 1):
-        total += _pair_count(_tern, n - k) * _tern(k)
-    return total
-
-
-@cache
-def _bin(n: int) -> int:
-    if n == 1:
-        return 1
-    return _pair_count(_bin, n)
-
-
 def count_types(n: int) -> TypeCounts:
-    """Counts (all, binary, ternary, mixed) from the counting recurrences.
+    """Counts (all, binary, ternary, mixed) of the enumerated types of degree n.
 
     For n = 1 the leaf is a single class-less type; it is reported as both
     binary and ternary (1, 1, 1, 0) to match the reference table.
     """
     if n == 1:
         return TypeCounts(1, 1, 1, 0)
-    bt, b, t = _bt(n), _bin(n), _tern(n)
-    return TypeCounts(bt, b, t, bt - b - t)
+    types = enumerate_types(n)
+    codes = Counter(t.class_code for t in types)
+    return TypeCounts(len(types), codes[CLASS_BINARY], codes[CLASS_TERNARY], codes[CLASS_MIXED])
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import freealg, liftgen, symrep
 from .exactla import GF101, QQ, FieldSpec, IncrementalReducer
 
@@ -65,9 +63,9 @@ class ExplicitIdentity:
         for j, coeff in self.terms:
             if not 1 <= j <= b:
                 raise ValueError(f"binary type index {j} out of range 1..{b}")
-            if isinstance(coeff, (float, np.floating)):
-                # 0.1 would enter as its binary value 3602879701896397/2**55
-                raise ValueError(f"float coefficient {coeff!r}: give an int or a Fraction")
+            if type(coeff) is not int and not isinstance(coeff, Fraction):
+                # render needs an exact number; a float would enter as its binary value
+                raise ValueError(f"coefficient {coeff!r}: give an int or a Fraction")
             if not coeff:
                 raise ValueError("zero coefficient in explicit identity")
 

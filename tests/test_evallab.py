@@ -17,7 +17,6 @@ from lyident.evallab import (
     check_identity,
     evaluate,
     from_leibniz,
-    from_lie,
     load_algebra,
     validate,
 )
@@ -135,7 +134,7 @@ class TestValidate:
         assert bad[0].witness == (1, 1, 1)
 
     def test_non_jacobi_bracket_reports_ly3(self):
-        alg = from_lie(3, bilinear=[
+        alg = AlgebraSC(3, bilinear=[
             (1, 2, 3, 1), (2, 1, 3, -1),
             (1, 3, 1, 1), (3, 1, 1, -1),
         ])
@@ -179,20 +178,21 @@ class TestValidate:
         assert AlgebraSC(1, [(1, 1, 1, F(1, 10))]).bracket(vec(1), vec(1)) == vec(F(1, 10))
 
 
-def corpus_tables(seed):
+def corpus_tables(seed, dimension=None, densities=(0.3, 0.1)):
     """A seeded random (dimension, bilinear, trilinear) of one of three kinds,
     no axiom imposed: any bracket and triple product, a skew bracket with no
     triple product (Jacobi is LY3), or both skew in their first two
-    arguments."""
+    arguments. The dimension is drawn from 1..3 unless given; densities are
+    the chances of a bilinear and of a trilinear entry."""
     rng = random.Random(seed)
-    d, kind = rng.randint(1, 3), seed % 3
+    d, kind = dimension or rng.randint(1, 3), seed % 3
     bilinear, trilinear = [], []
     for i, j, k in itertools.product(range(1, d + 1), repeat=3):
-        if (kind == 0 or i < j) and rng.random() < 0.3:
+        if (kind == 0 or i < j) and rng.random() < densities[0]:
             c = F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
             bilinear += [(i, j, k, c)] if kind == 0 else [(i, j, k, c), (j, i, k, -c)]
     for i, j, k, l in itertools.product(range(1, d + 1), repeat=4):
-        if kind != 1 and (kind == 0 or i < j) and rng.random() < 0.1:
+        if kind != 1 and (kind == 0 or i < j) and rng.random() < densities[1]:
             c = rng.choice((-1, 1))
             trilinear += [(i, j, k, l, c)] if kind == 0 else [(i, j, k, l, c), (j, i, k, l, -c)]
     return d, bilinear, trilinear
@@ -221,6 +221,19 @@ class TestValidateCorpus:
         assert sum(v[:1] == ["LY1"] for v in verdicts) >= 20
         assert sum(v[:1] == ["LY3"] for v in verdicts[1::3]) >= 10
         assert {a for v in verdicts for a in v} == {f"LY{k}" for k in range(1, 7)}
+
+    def test_four_dim_tables_match_reference(self):
+        # sparse tables with a nonzero triple product, so that the degree-4
+        # and degree-5 axioms find their first witnesses past the first tuples
+        verdicts = []
+        for seed in (s for s in range(90) if s % 3 != 1):
+            d, bilinear, trilinear = corpus_tables(seed, dimension=4, densities=(0.1, 0.03))
+            assert trilinear, seed
+            got = validate(AlgebraSC(d, bilinear, trilinear))
+            assert got == reference.validate(FractionAlgebra(d, bilinear, trilinear)), seed
+            verdicts.append(got)
+        assert {v.axiom for got in verdicts for v in got} == {f"LY{k}" for k in range(1, 7)}
+        assert any(v.witness[0] > 1 for got in verdicts for v in got)
 
     def test_valid_algebras_match_reference(self, bundled):
         algebras = list(bundled.values()) + [matrix_semidirect()]
@@ -619,7 +632,7 @@ class TestBasisSweep:
         poly = liftgen.seed_identities()["h"].polynomial
         memo = {}
         for mono in poly.terms:
-            assert evallab._subtree_table(mono.type, zero, memo) == {}
+            assert evallab._table(evallab._shape(freealg.labeled_tree(mono)), zero, memo) == {}
         got = self.assert_matches_reference(poly, zero)
         assert got.passed and got.assignments_checked == 3 ** poly.degree
 

@@ -192,6 +192,13 @@ def test_append_row_in_span_keeps_snapshot(field):
     assert red.tail_rows(0) == snap
 
 
+@pytest.mark.parametrize("cols", [3.0, True, -1], ids=["float", "bool", "negative"])
+def test_column_count_must_be_nonnegative_int(cols):
+    # a float count once let append accept a row and tail_rows fail later
+    with pytest.raises(ValueError, match=rf"column count must be a nonnegative int, got {cols!r}"):
+        IncrementalReducer(cols, GF101)
+
+
 def test_append_width_mismatch():
     red = IncrementalReducer(4, QQ)
     with pytest.raises(ValueError):

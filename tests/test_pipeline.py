@@ -2,6 +2,7 @@
 agreement, and the degree-8 sign-representation identity."""
 
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -125,9 +126,20 @@ class TestExplicitIdentity:
     def test_rejects_float_coefficient(self):
         # 0.1 would render and evaluate as 3602879701896397/36028797018963968
         for coeff in (0.1, 1.0, np.float64(-1.5), np.float32(2.0)):
-            with pytest.raises(ValueError, match="float coefficient"):
+            with pytest.raises(ValueError, match="give an int or a Fraction"):
                 ExplicitIdentity(3, ((1, coeff),))
         assert ExplicitIdentity(3, ((1, Fraction(1, 10)),)).terms == ((1, Fraction(1, 10)),)
+
+    @pytest.mark.parametrize("coeff", ["1/2", 1 + 0j, True, 0.5], ids=["str", "complex", "bool", "float"])
+    def test_rejects_coefficient_not_int_or_fraction(self, coeff):
+        # each of these would construct and then break render()
+        with pytest.raises(ValueError, match=rf"coefficient {re.escape(repr(coeff))}: give an int or a Fraction"):
+            ExplicitIdentity(3, ((1, coeff),))
+
+    @pytest.mark.parametrize("coeff", [3, -2, Fraction(-1, 2)])
+    def test_accepts_int_and_fraction_coefficients(self, coeff):
+        ident = ExplicitIdentity(3, ((1, coeff),))
+        assert ident.terms == ((1, coeff),) and ident.render()
 
     def test_reconstruct_round_trip(self):
         row = [0, Fraction(2), 0, Fraction(-1, 2), 0]
