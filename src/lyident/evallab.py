@@ -40,8 +40,10 @@ tree shape, the tree without its leaf labels, is evaluated once per sweep
 on all basis sub-tuples of its leaves, keeping only the nonzero values as
 sparse vectors, so a tuple costs one lookup per child of each term's root
 and one product. An alternating identity vanishes on a tuple with a
-repeated index: check_identity counts such a tuple as checked without
-evaluating it, and evaluates the others.
+repeated index and is ± its value on the sorted tuple on any other, so
+check_identity evaluates it once per set of distinct indices, through the
+alternation recursion on basis vectors with one memo for the whole walk,
+and reports the first nonzero set at the position of its sorted tuple.
 """
 
 from __future__ import annotations
@@ -184,12 +186,6 @@ class AlgebraSC:
     def zero(self) -> Vector:
         return (_ZERO,) * self.dimension
 
-    def bracket(self, u, v) -> Vector:
-        return _exact(self._brk, self._D, self.dimension, (u, v))
-
-    def triple(self, u, v, w) -> Vector:
-        return _exact(self._trp, self._D ** 2, self.dimension, (u, v, w))
-
     def basis(self, i: int) -> Vector:
         """The 0-based i-th basis vector, 0 <= i < dimension."""
         if not 0 <= i < self.dimension:
@@ -243,15 +239,10 @@ def _trilinear(table: dict, u: dict, v: dict, w: dict) -> dict:
     return {l: x for l, x in out.items() if x}
 
 
-def _contract(table: dict, factors) -> dict:
-    """The bilinear (two factors) or trilinear (three) operation of table."""
-    return _bilinear(table, *factors) if len(factors) == 2 else _trilinear(table, *factors)
-
-
 def _operate(alg: AlgebraSC, factors) -> dict:
     """The bracket (two factors) or the triple product (three) in alg's
     scaled integer constants."""
-    return _contract(alg._brk if len(factors) == 2 else alg._trp, factors)
+    return _bilinear(alg._brk, *factors) if len(factors) == 2 else _trilinear(alg._trp, *factors)
 
 
 def _integer_vectors(vectors) -> tuple[int, list[dict]]:
@@ -268,13 +259,6 @@ def _integer_vectors(vectors) -> tuple[int, list[dict]]:
 def _fractions(v: dict, denominator: int, dimension: int) -> Vector:
     """The sparse integer vector v divided by denominator, as Fractions."""
     return tuple(Fraction(v[k], denominator) if v.get(k) else _ZERO for k in range(dimension))
-
-
-def _exact(table: dict, scale: int, dimension: int, vectors) -> Vector:
-    """The operation whose constants `table` holds scaled by `scale`, on
-    vectors of rationals."""
-    s, ints = _integer_vectors(vectors)
-    return _fractions(_contract(table, ints), scale * s, dimension)
 
 
 def _integer_coefficients(coeffs) -> tuple[list[int], int]:
@@ -468,6 +452,25 @@ def _alternation(t, variables, alg: AlgebraSC, vectors, memo) -> dict:
     return memo[key]
 
 
+def _alternating_sweep(terms, alg: AlgebraSC, n: int):
+    """_sweep's hit for the alternation of Σ c·t over (integer coefficient,
+    binary type) terms: the first set of n distinct basis indices, in
+    itertools.combinations order, at which it is nonzero, returned as its
+    sorted tuple at that tuple's position in itertools.product order. Each
+    set is evaluated once, with one _alternation memo for the whole walk."""
+    d = alg.dimension
+    vectors, memo = [{i: 1} for i in range(d)], {}
+    for combo in itertools.combinations(range(d), n):
+        out: dict = {}
+        for c, t in terms:
+            for k, x in _alternation(t, combo, alg, vectors, memo).items():
+                out[k] = out.get(k, 0) + c * x
+        if any(out.values()):
+            position = 1 + sum(i * d ** (n - 1 - k) for k, i in enumerate(combo))
+            return position, combo, {k: x for k, x in out.items() if x}
+    return None
+
+
 def _check_assignment(degree: int, alg: AlgebraSC, assignment):
     vectors = tuple(tuple(_as_fraction(x) for x in v) for v in assignment)
     if len(vectors) != degree:
@@ -538,12 +541,10 @@ def check_identity(item, alg: AlgebraSC, trials: int = 20, seed: int = 0) -> Che
     the trials plus the basis tuples walked up to it.
 
     The basis tuples are walked in itertools.product order. A
-    non-alternating identity runs its terms' labelled trees through _sweep;
-    an alternating one is evaluated on the tuples of distinct indices, and
-    every tuple with a repeated index counts as checked without evaluation,
-    since an alternating map vanishes there. No trials with
-    dimension^degree out of reach would evaluate nothing, and raises
-    ValueError.
+    non-alternating identity runs its terms' labelled trees through _sweep,
+    an alternating one its terms' binary types through _alternating_sweep.
+    No trials with dimension^degree out of reach would evaluate nothing,
+    and raises ValueError.
     """
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
@@ -565,22 +566,14 @@ def check_identity(item, alg: AlgebraSC, trials: int = 20, seed: int = 0) -> Che
             return CheckResult(False, checked, vectors, value)
     if d ** degree <= EXHAUSTIVE_LIMIT:
         terms, alternating = _terms(item)
-        hit = None
+        coeffs, denominator = _integer_coefficients(c for c, _ in terms)
         if alternating:
-            for position, combo in enumerate(itertools.product(range(d), repeat=degree), start=1):
-                if len(set(combo)) == degree:
-                    value = evaluate(item, alg, tuple(alg.basis(i) for i in combo))
-                    if any(value):
-                        hit = position, combo, value
-                        break
+            hit = _alternating_sweep([(a, mono.type) for a, (_, mono) in zip(coeffs, terms)], alg, degree)
         else:
-            coeffs, denominator = _integer_coefficients(c for c, _ in terms)
-            trees = [(a, freealg.labeled_tree(mono)) for a, (_, mono) in zip(coeffs, terms)]
-            hit = _sweep(trees, alg, degree)
-            if hit is not None:
-                hit = *hit[:2], _fractions(hit[2], denominator * alg._D ** (degree - 1), d)
+            hit = _sweep([(a, freealg.labeled_tree(mono)) for a, (_, mono) in zip(coeffs, terms)], alg, degree)
         if hit is not None:
             position, combo, value = hit
+            value = _fractions(value, denominator * alg._D ** (degree - 1), d)
             return CheckResult(False, checked + position, tuple(alg.basis(i) for i in combo), value)
         checked += d ** degree
     return CheckResult(True, checked)

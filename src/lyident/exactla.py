@@ -6,12 +6,13 @@ the row space of everything appended so far and reads back its rank, row
 membership and unique row canonical form (RCF), so the rank of a long stream
 of rows is available without ever materializing the stream.
 
-Rows enter in one format, {column: Python int} with nonzeros only, which
-liftgen.identity_rows writes; any other row, arrays included, is cleared of
-denominators in integer arithmetic, so no Fraction is built on the way in.
-A float entry, Python or numpy, raises ValueError rather than enter as its
-binary value. Over GF(p) a row whose lcm denominator p divides has no image
-and is rejected. The entries stay Python ints, so any prime works.
+Rows come in two kinds: {column: int} dicts with nonzeros only, which
+liftgen.identity_rows writes, and lists or tuples of int or Fraction
+entries, which are cleared of denominators in integer arithmetic, so no
+Fraction is built on the way in. Any other row or entry (an array, a
+float, a bool, a string) raises ValueError naming it; a float would enter
+as its binary value. Over GF(p) a row whose lcm denominator p divides has
+no image and is rejected. The entries stay Python ints, so any prime works.
 
 Both fields share one algorithm, the RCF stored sparse and cleaned lazily.
 Each basis row lives under its pivot column as its nonzero entries right of
@@ -33,8 +34,6 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
 
 __all__ = [
     "FieldSpec",
@@ -87,15 +86,12 @@ GF101 = FieldSpec(101)
 
 
 def _exact_entry(x) -> int | Fraction:
-    """A row entry as an int or a Fraction; a float raises ValueError, since
-    its binary value (0.1 is 3602879701896397/2**55) is rarely the number meant."""
-    if isinstance(x, (int, Fraction)):
+    """A row entry, an int or a Fraction; anything else raises ValueError. A
+    float is refused since its binary value (0.1 is 3602879701896397/2**55)
+    is rarely the number meant."""
+    if type(x) is int or isinstance(x, Fraction):
         return x
-    if isinstance(x, (np.integer, np.bool_)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        raise ValueError(f"float entry {x!r}: give an int or a Fraction")
-    return Fraction(x)
+    raise ValueError(f"{type(x).__name__} entry {x!r}: give an int or a Fraction")
 
 
 class IncrementalReducer:
@@ -126,10 +122,6 @@ class IncrementalReducer:
     @property
     def rank(self) -> int:
         return len(self._pivots)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(self._pivots)
 
     def _clean(self, hits: list[int]) -> None:
         """Clean the rows under the pivot columns hits, and the rows they
@@ -214,20 +206,16 @@ class IncrementalReducer:
         self._cleaned[c] = len(self._pivots)
         return True
 
-    def _sparse_rows(self, rows) -> list[dict[int, int]]:
-        """Rows as {column: int}, nonzeros only, each spanning its row's line."""
-        if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != self.cols):
-            raise ValueError(f"array shape {rows.shape} does not fit {self.cols} columns")
-        return [self._cleared(r) for r in rows]
-
     def _cleared(self, row) -> dict[int, int]:
-        """A rational row times the lcm of its denominators, nonzeros only (over
-        GF(p) the lcm must be prime to p, else the row has no image); a
+        """A list or tuple row times the lcm of its denominators, nonzeros only
+        (over GF(p) the lcm must be prime to p, else the row has no image); a
         {column: int} row is checked and copied, since reduction consumes rows."""
         if isinstance(row, dict):
             if not all(j.__class__ is int and 0 <= j < self.cols and x.__class__ is int for j, x in row.items()):
                 raise ValueError(f"a dict row must map int columns in 0..{self.cols - 1} to ints")
             return dict(row)
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"{type(row).__name__} row: give a {{column: int}} dict, a list or a tuple")
         if len(row) != self.cols:
             raise ValueError(f"row has {len(row)} entries, reducer has {self.cols} columns")
         vals = [_exact_entry(x) for x in row]
@@ -238,11 +226,12 @@ class IncrementalReducer:
         return {j: v.numerator * (den // v.denominator) for j, v in enumerate(vals) if v}
 
     def append(self, rows) -> int:
-        """Add rows ({column: int} dicts or row sequences); returns the rank increase."""
-        return sum(self._append_one(r) for r in self._sparse_rows(rows))
+        """Add rows ({column: int} dicts, lists or tuples); returns the rank
+        increase. A bad row adds none of them."""
+        return sum(self._append_one(r) for r in [self._cleared(r) for r in rows])
 
     def contains(self, row) -> bool:
-        """True iff the row ({column: int} or a sequence) lies in the current row space."""
+        """True iff the row ({column: int}, a list or a tuple) lies in the current row space."""
         return not self._reduce(self._cleared(row))
 
     def tail_rows(self, start: int) -> list[list]:

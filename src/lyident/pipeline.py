@@ -255,17 +255,19 @@ def analyze_degree(
     field: FieldSpec = GF101,
     partitions="all",
     generation: liftgen.GenerationSet | None = None,
-    filtered: bool = True,
     caps: ResourceCaps | None = None,
 ) -> list[PartitionReport]:
-    """Run the A_pi against B_pi comparison for the requested partitions."""
+    """Run the A_pi against B_pi comparison for the requested partitions,
+    on the filtered default_generation(n) unless a generation set is given.
+    The arguments are checked before any generation set is built."""
     if n not in _DEGREES:
         raise ValueError(f"analysis covers degrees {_DEGREES[0]} through {_DEGREES[-1]}")
     symrep.check_characteristic(field.characteristic, n)
-    gen = generation if generation is not None else default_generation(n, filtered)
+    pis = select_partitions(n, partitions)
+    gen = generation if generation is not None else default_generation(n)
     if gen.degree != n:
         raise ValueError(f"degree-{gen.degree} generation set for a degree-{n} analysis")
-    return [analyze_partition(pi, gen, field, caps) for pi in select_partitions(n, partitions)]
+    return [analyze_partition(pi, gen, field, caps) for pi in pis]
 
 
 def reconstruct_identity(row, degree: int) -> ExplicitIdentity:

@@ -224,6 +224,9 @@ class RepTable:
     """Memoized integer matrices R(sigma) for one partition, composed from
     adjacent transpositions.
 
+    __init__ stores R(iota) and each R(s_i); any other R(sigma) is
+    R(sigma s_i) R(s_i) at sigma's first descent i, memoised recursively.
+
     A(sigma) holds only 0 and +-1, so no entry of R(sigma) exceeds the
     largest absolute row sum of A(iota)^-1 in size: 16 for every partition
     of n <= 8, 44 at n = 9. __init__ checks that this bound fits int8, and
@@ -252,26 +255,18 @@ class RepTable:
 
     def matrix(self, sigma: tuple[int, ...]) -> np.ndarray:
         hit = self._memo.get(sigma)
-        if hit is not None:
-            return hit
-        # peel descents: sigma = tau o s_i o s_j ... with tau memoized
-        work = list(sigma)
-        stack: list[int] = []
-        while True:
-            key = tuple(work)
-            hit = self._memo.get(key)
-            if hit is not None:
-                break
-            i = next(k for k in range(self.n - 1) if work[k] > work[k + 1])
-            work[i], work[i + 1] = work[i + 1], work[i]
-            stack.append(i + 1)
-        m = hit.astype(np.int64)
-        while stack:
-            i = stack.pop()
-            m = m @ self._adjacent[i]
-            work[i - 1], work[i] = work[i], work[i - 1]
-            self._memo[tuple(work)] = m.astype(np.int8)
-        return self._memo[tuple(sigma)]
+        return self._compose(sigma) if hit is None else hit
+
+    def _compose(self, sigma: tuple[int, ...]) -> np.ndarray:
+        """R(sigma) for a sigma not in the memo, from tau = sigma s_i (its
+        entries at i and i + 1 swapped) at its first descent i."""
+        i = next(k for k in range(1, self.n) if sigma[k - 1] > sigma[k])
+        tau = sigma[: i - 1] + (sigma[i], sigma[i - 1]) + sigma[i + 1 :]
+        m = self._memo.get(tau)
+        if m is None:
+            m = self._compose(tau)
+        self._memo[sigma] = m = (m.astype(np.int64) @ self._adjacent[i]).astype(np.int8)
+        return m
 
     def element(self, elt: dict[tuple[int, ...], object]) -> np.ndarray:
         """The integer matrix sum of c * R(sigma) over elt's items, as int64.

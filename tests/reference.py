@@ -325,6 +325,25 @@ def rcf_rational(rows: list[list]) -> list[list[Fraction]]:
     return m[:rank]
 
 
+def pivots(red) -> tuple[int, ...]:
+    """A reducer's pivot columns: the leading-1 columns of its RCF."""
+    return tuple(next(j for j, x in enumerate(row) if x) for row in red.tail_rows(0))
+
+
+_BRACKET = freealg.expand([(1, (2, 1, 2))])
+_TRIPLE = freealg.expand([(1, (3, 1, 2, 3))])
+
+
+def bracket(alg: evallab.AlgebraSC, u, v) -> tuple:
+    """[u, v] in an evallab algebra: the one-term polynomial [x1, x2] at (u, v)."""
+    return evallab.evaluate(_BRACKET, alg, (u, v))
+
+
+def triple(alg: evallab.AlgebraSC, u, v, w) -> tuple:
+    """⟨u, v, w⟩ in an evallab algebra: the one-term polynomial ⟨x1, x2, x3⟩ at (u, v, w)."""
+    return evallab.evaluate(_TRIPLE, alg, (u, v, w))
+
+
 class FractionAlgebra:
     """Structure constants as Fractions in sparse tables
     c[(i, j)] = {k: x} and t[(i, j, k)] = {l: x} (0-based), with the
@@ -363,19 +382,19 @@ class FractionAlgebra:
 
     @classmethod
     def of(cls, alg) -> "FractionAlgebra":
-        """The constants of an evallab algebra, read through its public
-        bracket and triple product on basis vectors."""
+        """The constants of an evallab algebra, read through bracket and
+        triple on basis vectors."""
         d = alg.dimension
         basis = [alg.basis(i) for i in range(d)]
         bilinear = [
             (i + 1, j + 1, k + 1, x)
             for i, j in itertools.product(range(d), repeat=2)
-            for k, x in enumerate(alg.bracket(basis[i], basis[j])) if x
+            for k, x in enumerate(bracket(alg, basis[i], basis[j])) if x
         ]
         trilinear = [
             (i + 1, j + 1, k + 1, l + 1, x)
             for i, j, k in itertools.product(range(d), repeat=3)
-            for l, x in enumerate(alg.triple(basis[i], basis[j], basis[k])) if x
+            for l, x in enumerate(triple(alg, basis[i], basis[j], basis[k])) if x
         ]
         return cls(d, bilinear, trilinear)
 

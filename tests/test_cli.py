@@ -2,7 +2,9 @@
 names each module exports."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import pkgutil
 import re
@@ -521,4 +523,39 @@ def test_every_exported_name_is_used_outside_tests():
         for name in getattr(importlib.import_module(f"lyident.{info.name}"), "__all__", ())
         if name not in used and not re.search(rf"\b{name}\b", pyproject)
     ]
+    assert unused == []
+
+
+def _public_members(cls) -> set[str]:
+    """The public methods, properties, dataclass or NamedTuple fields and
+    __slots__ entries that cls defines itself."""
+    names = {*getattr(cls, "__slots__", ()), *getattr(cls, "_fields", ())}
+    if dataclasses.is_dataclass(cls):
+        names |= {f.name for f in dataclasses.fields(cls)}
+    names |= {name for name, value in vars(cls).items()
+              if inspect.isfunction(value) or isinstance(value, (property, staticmethod, classmethod))}
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_every_exported_class_member_is_used_outside_tests():
+    # the members of an exported class follow the same rule: each is read as
+    # an attribute or passed as a keyword by the package, the benchmark or
+    # the acceptance tests, which state the paper's criteria
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in [*(root / "src" / "lyident").glob("*.py"), *(root / "bench").glob("*.py"),
+                 root / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                used.add(node.arg)
+    unused = []
+    for info in pkgutil.iter_modules(lyident.__path__):
+        mod = importlib.import_module(f"lyident.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            cls = getattr(mod, name)
+            if inspect.isclass(cls):
+                unused += [f"lyident.{info.name}.{name}.{member}"
+                           for member in sorted(_public_members(cls) - used)]
     assert unused == []

@@ -21,7 +21,7 @@ from lyident.evallab import (
     validate,
 )
 import reference
-from reference import FractionAlgebra, alternation_polynomial, check_identity_per_tuple
+from reference import FractionAlgebra, alternation_polynomial, bracket, check_identity_per_tuple, triple
 
 F = Fraction
 
@@ -103,8 +103,8 @@ def nonzero_operations(alg):
     """Whether the bracket, and whether the triple product, is nonzero on
     some tuple of basis vectors."""
     B = [alg.basis(i) for i in range(alg.dimension)]
-    return (any(any(alg.bracket(u, v)) for u, v in itertools.product(B, repeat=2)),
-            any(any(alg.triple(u, v, w)) for u, v, w in itertools.product(B, repeat=3)))
+    return (any(any(bracket(alg, u, v)) for u, v in itertools.product(B, repeat=2)),
+            any(any(triple(alg, u, v, w)) for u, v, w in itertools.product(B, repeat=3)))
 
 
 class TestValidate:
@@ -144,7 +144,7 @@ class TestValidate:
 
     def test_lie_construction_is_jacobi_test(self, cross):
         # with zero trilinear operation the cyclic axiom is exactly Jacobi
-        assert cross.triple(cross.basis(0), cross.basis(1), cross.basis(2)) == cross.zero()
+        assert triple(cross, cross.basis(0), cross.basis(1), cross.basis(2)) == cross.zero()
         assert validate(cross) == []
 
     def test_basis_index_range(self, cross):
@@ -174,8 +174,8 @@ class TestValidate:
             AlgebraSC(1, [(1, 1, 1, 0.1)])
         with pytest.raises(ValueError, match=r"trilinear entry \(1, 1, 1, 1, 0.5\): the coefficient must be"):
             AlgebraSC(1, trilinear=[(1, 1, 1, 1, 0.5)])
-        assert AlgebraSC(1, [(1, 1, 1, "1/10")]).bracket(vec(1), vec(1)) == vec(F(1, 10))
-        assert AlgebraSC(1, [(1, 1, 1, F(1, 10))]).bracket(vec(1), vec(1)) == vec(F(1, 10))
+        assert bracket(AlgebraSC(1, [(1, 1, 1, "1/10")]), vec(1), vec(1)) == vec(F(1, 10))
+        assert bracket(AlgebraSC(1, [(1, 1, 1, F(1, 10))]), vec(1), vec(1)) == vec(F(1, 10))
 
 
 def corpus_tables(seed, dimension=None, densities=(0.3, 0.1)):
@@ -262,8 +262,8 @@ class TestLeibniz:
             (3, 1, 2, 1), (1, 3, 2, -1),
         ])
         e1, e2 = alg.basis(0), alg.basis(1)
-        assert alg.bracket(e1, e2) == vec(0, 0, 2)  # {e1,e2} - {e2,e1}
-        assert alg.triple(e1, e2, e1) == vec(0, -1, 0)  # {e1, {e1, e2}} = {e1, e3}
+        assert bracket(alg, e1, e2) == vec(0, 0, 2)  # {e1,e2} - {e2,e1}
+        assert triple(alg, e1, e2, e1) == vec(0, -1, 0)  # {e1, {e1, e2}} = {e1, e3}
         assert validate(alg) == []
 
     def test_idempotent_is_invalid(self):
@@ -289,8 +289,8 @@ class TestLeibniz:
 
     def test_abelian_gives_zero_algebra(self):
         alg = from_leibniz(3)
-        assert alg.bracket(alg.basis(0), alg.basis(1)) == alg.zero()
-        assert alg.triple(alg.basis(0), alg.basis(1), alg.basis(2)) == alg.zero()
+        assert bracket(alg, alg.basis(0), alg.basis(1)) == alg.zero()
+        assert triple(alg, alg.basis(0), alg.basis(1), alg.basis(2)) == alg.zero()
         assert validate(alg) == []
 
     def test_nilpotent_derivation(self):
@@ -300,8 +300,8 @@ class TestLeibniz:
     def test_bundled_nonlie_derived_operations(self, bundled):
         alg = bundled["nonlie_leibniz"]
         e1, e3 = alg.basis(0), alg.basis(2)
-        assert alg.bracket(e1, e3) == vec(0, 0, 2)
-        assert alg.triple(e1, e3, e1) == vec(0, 0, 1)
+        assert bracket(alg, e1, e3) == vec(0, 0, 2)
+        assert triple(alg, e1, e3, e1) == vec(0, 0, 1)
         assert validate(alg) == []
 
 
@@ -371,7 +371,7 @@ class TestLeibnizCorpus:
             B = [alg.basis(x) for x in (i, j, k)]
             out = alg.zero()
             for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-                term = alg.bracket(alg.bracket(B[a], B[b]), B[c])
+                term = bracket(alg, bracket(alg, B[a], B[b]), B[c])
                 out = tuple(x + y for x, y in zip(out, term))
             return out
         assert any(
@@ -403,8 +403,8 @@ class TestSearch:
                         mul = AlgebraSC(3, entries)  # the product as a bracket
                         B = [mul.basis(x) for x in range(3)]
                         not_lie = any(
-                            any(x + y for x, y in zip(mul.bracket(B[i], B[j]),
-                                                      mul.bracket(B[j], B[i])))
+                            any(x + y for x, y in zip(bracket(mul, B[i], B[j]),
+                                                      bracket(mul, B[j], B[i])))
                             for i in range(3) for j in range(i, 3)
                         )
                         if not not_lie:
@@ -419,9 +419,9 @@ class TestSearch:
         rebuilt = from_leibniz(3, first)
         basis = [alg.basis(i) for i in range(3)]
         for u, v in itertools.product(basis, repeat=2):
-            assert alg.bracket(u, v) == rebuilt.bracket(u, v)
+            assert bracket(alg, u, v) == bracket(rebuilt, u, v)
         for u, v, w in itertools.product(basis, repeat=3):
-            assert alg.triple(u, v, w) == rebuilt.triple(u, v, w)
+            assert triple(alg, u, v, w) == triple(rebuilt, u, v, w)
 
 
 class TestEvaluate:
@@ -657,7 +657,19 @@ class TestBasisSweep:
         jacobi = pipeline.ExplicitIdentity(3, ((1, F(1)),))
         calls.clear()
         assert check_identity(jacobi, cross, trials=0).passed
-        assert len(calls) == 6  # the tuples of three distinct indices
+        assert calls == []  # the basis phase walks index sets without evaluate
+
+    def test_alternating_witness_past_the_first_set(self):
+        # on matrix_semidirect these vanish on the first index sets, so the
+        # set walk must place its witness where the tuple walk finds it;
+        # the degree-5 ones pass after all C(6, 5) sets
+        alg = matrix_semidirect()
+        cases = [((3, ((1, F(1)),)), 12), ((4, ((2, F(1)),)), 53),
+                 ((4, ((1, F(1, 2)), (2, F(-3, 4)))), 53), ((5, ((1, F(1)), (3, F(2)))), None)]
+        for (n, terms), position in cases:
+            got = self.assert_matches_reference(pipeline.ExplicitIdentity(n, terms), alg)
+            assert got.passed == (position is None)
+            assert got.assignments_checked == (position or 6 ** n)
 
 
 def fractional_entries(seed):
@@ -779,8 +791,8 @@ class TestLoadAlgebra:
             ' "bilinear": [[1, 2, 1, "1/3"], [2, 1, 1, "-1/3"]],'
             ' "trilinear": [[1, 2, 1, 2, "5"], [2, 1, 1, 2, "-5"]]}'
         )
-        assert alg.bracket(alg.basis(0), alg.basis(1)) == vec(F(1, 3), 0)
-        assert alg.triple(alg.basis(0), alg.basis(1), alg.basis(0)) == vec(0, 5)
+        assert bracket(alg, alg.basis(0), alg.basis(1)) == vec(F(1, 3), 0)
+        assert triple(alg, alg.basis(0), alg.basis(1), alg.basis(0)) == vec(0, 5)
 
     def test_unknown_construction(self):
         with pytest.raises(ValueError, match="unknown construction"):
@@ -825,5 +837,5 @@ class TestLoadAlgebra:
         # int and string coefficients, in files and in code, read alike
         doc = {"dimension": 2, "construction": "lie", "bilinear": [[1, 2, 1, 2], [2, 1, 1, "-2"]]}
         alg = load_algebra(json.dumps(doc))
-        assert alg.bracket(alg.basis(0), alg.basis(1)) == vec(2, 0)
-        assert alg.bracket(alg.basis(1), alg.basis(0)) == vec(-2, 0)
+        assert bracket(alg, alg.basis(0), alg.basis(1)) == vec(2, 0)
+        assert bracket(alg, alg.basis(1), alg.basis(0)) == vec(-2, 0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from lyident.exactla import GF101, QQ, FieldSpec, IncrementalReducer
-from reference import is_prime_trial_division, rcf_mod, rcf_rational
+from reference import is_prime_trial_division, pivots, rcf_mod, rcf_rational
 
 
 def test_fieldspec_validation():
@@ -84,12 +84,12 @@ def test_gf_reducer_reads_fractions():
     assert red.contains([1, Fraction(-1, 2)])
     assert not red.contains([1, Fraction(1, 2)])
     assert red.append([[Fraction(1, 3), Fraction(-1, 6)]]) == 0
-    # a float array is refused rather than read as binary values; an
-    # integer array is read exactly
-    with pytest.raises(ValueError, match="float entry"):
-        red.append(np.array([[1.0, -0.5]]))
-    assert red.append(np.array([[2, -1]])) == 0
-    assert red.append(np.array([[2, 1]])) == 1
+    # arrays are refused, float or integer; the same rows as lists enter
+    for rows in (np.array([[1.0, -0.5]]), np.array([[2, -1]])):
+        with pytest.raises(ValueError, match="ndarray row"):
+            red.append(rows)
+    assert red.append([[2, -1]]) == 0
+    assert red.append([(2, 1)]) == 1
     with pytest.raises(ValueError, match="denominator"):
         red.contains([1, Fraction(1, 101)])
 
@@ -169,7 +169,7 @@ def test_incremental_matches_batch(field):
         bulk.append(m)
         assert sum(deltas) == bulk.rank == one.rank
         assert one.tail_rows(0) == bulk.tail_rows(0)
-        assert one.pivots == bulk.pivots
+        assert pivots(one) == pivots(bulk)
 
 
 def test_append_duplicate_row():
@@ -226,7 +226,7 @@ def test_contains_tracks_pivots():
     red.append([[1, 1, 0], [0, 1, 1]])
     assert red.contains([1, 0, -1])
     assert not red.contains([1, 0, 0])
-    assert red.pivots == (0, 1)
+    assert pivots(red) == (0, 1)
 
 
 def test_rational_entries_stay_exact():
@@ -261,16 +261,16 @@ def test_gf_kernel_matches_reference(p):
     for rows, cols, rank in [(30, 40, 12), (60, 25, 20), (12, 50, 12)]:
         m = deficient_batch(rng, rows, cols, rank)
         ref = rcf_mod(m, p)
-        pivots = tuple(next(j for j, x in enumerate(r) if x) for r in ref)
+        leads = tuple(next(j for j, x in enumerate(r) if x) for r in ref)
         whole = IncrementalReducer(cols, FieldSpec(p))
-        whole.append(np.array(m))
+        whole.append(m)
         pieces = IncrementalReducer(cols, FieldSpec(p))
         cuts = sorted(rng.sample(range(1, rows), 5))
         for lo, hi in zip([0, *cuts], [*cuts, rows]):
             pieces.append(m[lo:hi])
         for red in (whole, pieces):
-            assert (red.rank, red.pivots) == (len(ref), pivots)
-            for start in sorted({0, *rng.sample(range(cols + 1), 4), pivots[-1], cols}):
+            assert (red.rank, pivots(red)) == (len(ref), leads)
+            for start in sorted({0, *rng.sample(range(cols + 1), 4), leads[-1], cols}):
                 assert red.tail_rows(start) == tail_of(ref, start)
             assert all(red.contains(r) for r in m)
         # appends and membership tests after tail_rows calls still see the
@@ -296,10 +296,10 @@ def test_gf_reads_unreduced_integer_rows(p):
         flat = [x for r in lifted for x in r]
         assert min(flat) < 0 and max(flat) >= p and any(x and not x % p for x in flat)
         ref = IncrementalReducer(cols, FieldSpec(p))
-        ref.append(np.array(residues, dtype=np.int64))
+        ref.append(residues)
         red = IncrementalReducer(cols, FieldSpec(p))
-        red.append(np.array(lifted, dtype=np.int64))
-        assert (red.rank, red.pivots) == (ref.rank, ref.pivots)
+        red.append(lifted)
+        assert (red.rank, pivots(red)) == (ref.rank, pivots(ref))
         assert red.tail_rows(0) == ref.tail_rows(0) == rcf_mod(residues, p)
         for start in sorted({0, *rng.sample(range(cols + 1), 4), cols}):
             assert red.tail_rows(start) == ref.tail_rows(start)
@@ -321,7 +321,7 @@ def test_gf_elimination_clears_filled_pivots():
     assert red.contains([1, 0, 0, 100])
     assert not red.contains([1, 0, 0, 1])
     assert red.append([[1, 0, 0, 1]]) == 1
-    assert red.pivots == (0, 1, 3)
+    assert pivots(red) == (0, 1, 3)
     assert red.tail_rows(0) == rcf_mod([[1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1]], 101)
 
 
@@ -390,8 +390,9 @@ def test_lazy_cleaning_interleaved(field):
         assert_cleaned_rows_reduced(red)
         assert red.rank == len(ref)
         by_pivot = {next(j for j, x in enumerate(r) if x): r for r in ref}
-        assert set(red.pivots) == set(by_pivot)
-        for c in red.pivots:
+        # the pivots read from _rows: tail_rows would clean every stale row
+        assert set(red._rows) == set(by_pivot)
+        for c in red._rows:
             if red._cleaned[c] == red.rank:
                 cols_c, vals_c = red._rows[c]
                 lead = red._leads[c]
@@ -401,7 +402,7 @@ def test_lazy_cleaning_interleaved(field):
                 assert line == by_pivot[c], c
     assert red.tail_rows(0) == rcf_reference(seen, field)
     assert_cleaned_rows_reduced(red)
-    assert all(red._cleaned[c] == red.rank for c in red.pivots)
+    assert all(red._cleaned[c] == red.rank for c in red._rows)
 
 
 @pytest.mark.parametrize("field", [GF101, QQ], ids=repr)
@@ -432,17 +433,25 @@ def test_deep_chain_of_stale_rows(field):
 
 @pytest.mark.parametrize("field", [QQ, GF101])
 def test_array_shape_and_booleans(field):
+    # rows are dicts, lists or tuples: an array, of any shape, is refused at
+    # its first row, and so is a flat list or a bare int; booleans are not
+    # read as 0/1
     red = IncrementalReducer(3, field)
-    for bad in (np.array([1, 2, 3]), np.array([1.0, 2.0, 3.0]), np.zeros((2, 4), dtype=np.int64)):
-        with pytest.raises(ValueError, match="shape"):
+    for bad, what in ((np.array([1, 2, 3]), "int64 row"), (np.array([1.0, 2.0, 3.0]), "float64 row"),
+                      (np.zeros((2, 4), dtype=np.int64), "ndarray row"),
+                      (np.array([[True, False, True]]), "ndarray row"), ([1, 2, 3], "int row")):
+        with pytest.raises(ValueError, match=what):
             red.append(bad)
+    for bad, what in ((np.array([1, 1, 2]), "ndarray row"), (3, "int row"),
+                      ([True, True, False], "bool entry True")):
+        with pytest.raises(ValueError, match=what):
+            red.contains(bad)
+    with pytest.raises(ValueError, match="bool entry True"):
+        red.append([[True, False, True], [False, True, True]])
     assert red.rank == 0
-    # booleans read as 0/1
-    assert red.append(np.array([[True, False, True], [False, True, True]])) == 2
+    assert red.append([[1, 0, 1], (0, 1, 1)]) == 2
     assert red.tail_rows(0) == rcf([[1, 0, 1], [0, 1, 1]], field)
-    assert red.contains(np.array([True, True, False])) is False
-    assert red.contains(np.array([True, True, True])) is False
-    assert red.contains([1, 1, 2]) and red.contains(np.array([1, 1, 2]))
+    assert red.contains([1, 1, 2]) and red.contains((1, 1, 2))
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])
@@ -486,38 +495,42 @@ def test_float_entries_rejected(field):
     for rows, entry in (
         ([[0.1, 0.3]], "0.1"),
         ([[1, 2], [3, 0.5]], "0.5"),
-        ([[np.float64(2.0), 1]], "np.float64(2.0)"),
-        (np.array([[1.0, 3.0]]), "np.float64(1.0)"),
-        (np.array([[0, 2]], dtype=np.float32), "np.float32(0.0)"),
+        ([[1, np.float64(2.0)]], "float64 entry np.float64(2.0)"),
+        ([[np.float32(0.0), 2]], "float32 entry np.float32(0.0)"),
     ):
-        with pytest.raises(ValueError, match=f"float entry {re.escape(entry)}"):
+        with pytest.raises(ValueError, match=re.escape(entry)):
             red.append(rows)
-        with pytest.raises(ValueError, match=f"float entry {re.escape(entry)}"):
+        with pytest.raises(ValueError, match=re.escape(entry)):
             red.contains(rows[-1])
+    # a float array is refused as a row before its entries are read
+    with pytest.raises(ValueError, match="ndarray row"):
+        red.append(np.array([[1.0, 3.0]]))
     assert red.rank == 0
     # exact entries of the same rows still enter
-    assert red.append([[Fraction(1, 10), Fraction(3, 10)], np.array([1, 3])]) == 1
+    assert red.append([[Fraction(1, 10), Fraction(3, 10)], (1, 3)]) == 1
 
 
 @pytest.mark.parametrize("field", [QQ, GF101])
 def test_rational_forms_agree_near_int64_limit(field):
-    # entries near 2**62: any product of two overflows int64, so a basis
-    # holding numpy integers would overflow during elimination
+    # entries near 2**62: any product of two overflows int64, so rows enter
+    # as Python ints and an int64 array of them is refused
     big = 2**62 + 11
     r0 = [big, 1, 0, 3, big - 1, 5]
     r1 = [1, big, 2, 0, 7, big - 3]
     r2 = [a - b for a, b in zip(r0, r1)]
     r3 = [0, 0, 1, big, 1, 1]
     rows = [r0, r1, r2, r3]
+    with pytest.raises(ValueError, match="ndarray row"):
+        IncrementalReducer(6, field).append(np.array(rows, dtype=np.int64))
     forms = [
-        np.array(rows, dtype=np.int64),
+        rows,
         [[Fraction(x) for x in r] for r in rows],
         [[Fraction(x, 3) for x in r] for r in rows],
     ]
     reducers = []
     for form in forms:
         red = IncrementalReducer(6, field)
-        assert all(type(x) is int for row in red._sparse_rows(form) for x in row.values())
+        assert all(type(x) is int for row in form for x in red._cleared(row).values())
         assert red.append(form) == 3
         reducers.append(red)
     first = reducers[0]
@@ -525,5 +538,5 @@ def test_rational_forms_agree_near_int64_limit(field):
     assert all(first.contains(r) for r in rows)
     assert not first.contains([1, 0, 0, 0, 0, 0])
     for red in reducers[1:]:
-        assert (red.rank, red.pivots) == (first.rank, first.pivots)
+        assert (red.rank, pivots(red)) == (first.rank, pivots(first))
         assert red.tail_rows(0) == first.tail_rows(0)

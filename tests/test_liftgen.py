@@ -407,8 +407,18 @@ class TestFilter:
                 full.append(liftgen.identity_rows(ident, tab))
             for ident in filt.identities:
                 kept.append(liftgen.identity_rows(ident, tab))
-            assert full.pivots == kept.pivots
-            assert full.tail_rows(0) == kept.tail_rows(0)
+            assert full.tail_rows(0) == kept.tail_rows(0)  # the same RCF, so the same pivots
+
+    def test_gf101_filter_keeps_the_rational_row_space_degree_6(self, gen6_filtered):
+        # the degree-8 result over Q lifts the GF(101)-filtered sets, so no
+        # identity may be redundant mod 101 only: over Q the full set and the
+        # filtered one reach the GF(101) rank in every partition, so they
+        # span one row space
+        rational = liftgen.filter_redundant(liftgen.generate(6), QQ)
+        assert rational.ranks == gen6_filtered.ranks
+        for pi, rank in gen6_filtered.ranks.items():
+            red, status = pipeline.reduce_identities(gen6_filtered, pi, QQ)
+            assert (status, red.rank) == ("ok", rank), pi.render()
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_characteristic_at_most_degree_rejected(self, p):

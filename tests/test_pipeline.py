@@ -71,7 +71,7 @@ class TestDegree3:
         table = symrep.RepTable(pi)
         swap = table.matrix((2, 1, 3))
         B = pipeline._skew_reducer(table, 3, QQ)
-        expected = reduced(np.eye(2, dtype=np.int64) + swap, 2, QQ)
+        expected = reduced((np.eye(2, dtype=np.int64) + swap).tolist(), 2, QQ)
         assert B.tail_rows(0) == expected.tail_rows(0)
 
     def test_jacobi_not_a_consequence(self):
@@ -338,6 +338,16 @@ class TestSelection:
     def test_wrong_n_partition(self):
         with pytest.raises(ValueError, match="not a partition of"):
             pipeline.analyze_degree(4, GF101, ["2+1"], generation=liftgen.generate(4))
+
+    @pytest.mark.parametrize("partitions", [["3+2"], ["6", "4+1+1", "7"]])
+    def test_wrong_n_partition_rejected_before_generation(self, monkeypatch, partitions):
+        # building the degree-6 set runs the rank filter over 252 identities
+        def never(*args, **kwargs):
+            raise AssertionError("generation ran for a partition of the wrong degree")
+
+        monkeypatch.setattr(pipeline, "default_generation", never)
+        with pytest.raises(ValueError, match="is not a partition of 6"):
+            pipeline.analyze_degree(6, GF101, partitions)
 
     def test_degree_range(self):
         with pytest.raises(ValueError, match="degrees 4 through 8"):
