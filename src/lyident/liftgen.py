@@ -273,10 +273,9 @@ def _block_rows(blocks: list[tuple[int, np.ndarray]], d: int) -> list[dict[int, 
     return rows
 
 
-def identity_rows(ident: Identity | freealg.Polynomial, table: symrep.RepTable) -> list[dict[int, int]]:
-    """One identity's d block rows {column: int} for one partition: block j holds the
+def identity_rows(poly: freealg.Polynomial, table: symrep.RepTable) -> list[dict[int, int]]:
+    """A polynomial's d block rows {column: int} for one partition: block j holds the
     matrix of its j-th association type's component; only touched blocks are built."""
-    poly = ident.polynomial if isinstance(ident, Identity) else ident
     d = table.dim
     return _block_rows([((ti - 1) * d, table.element(perms)) for ti, perms in poly.by_type().items()], d)
 
@@ -284,21 +283,20 @@ def identity_rows(ident: Identity | freealg.Polynomial, table: symrep.RepTable) 
 def filter_redundant(gen: GenerationSet, field: FieldSpec = GF101) -> GenerationSet:
     """Keep the identities that grow some partition's accumulated row space.
 
-    Every identity is appended to every partition's reducer (no short
-    circuit), so the kept set spans the same row space as the input in every
-    partition; the final ranks are returned on the result.
+    One partition at a time, with its own table and reducer, every identity
+    is appended in order (no short circuit), so the kept set spans the same
+    row space as the input in every partition; the final ranks are returned
+    on the result.
     """
     symrep.check_characteristic(field.characteristic, gen.degree)
-    pis = symrep.partitions(gen.degree)
-    tables = [symrep.RepTable(pi) for pi in pis]
-    reducers = [IncrementalReducer(_column_split(gen.degree, t.dim)[0], field) for t in tables]
-    kept = []
-    for ident in gen.identities:
-        grew = False
-        for table, red in zip(tables, reducers):
-            if red.append(identity_rows(ident, table)):
-                grew = True
-        if grew:
-            kept.append(ident)
-    ranks = {pi: red.rank for pi, red in zip(pis, reducers)}
-    return GenerationSet(gen.degree, tuple(kept), filtered=True, ranks=ranks)
+    grew: set[int] = set()
+    ranks = {}
+    for pi in symrep.partitions(gen.degree):
+        table = symrep.RepTable(pi)
+        red = IncrementalReducer(_column_split(gen.degree, table.dim)[0], field)
+        for k, ident in enumerate(gen.identities):
+            if red.append(identity_rows(ident.polynomial, table)):
+                grew.add(k)
+        ranks[pi] = red.rank
+    kept = tuple(gen.identities[k] for k in sorted(grew))
+    return GenerationSet(gen.degree, kept, filtered=True, ranks=ranks)

@@ -89,15 +89,18 @@ class ExplicitIdentity:
 @dataclass(frozen=True)
 class ResourceCaps:
     """Per-partition limits: basis rows held in memory and wall seconds.
-    None is no limit; a negative limit raises ValueError."""
+    None (or an infinite time) is no limit; a negative or NaN limit, or a
+    row limit that is not an int, raises ValueError."""
 
     max_rows: int | None = None
     max_seconds: float | None = None
 
     def __post_init__(self):
+        if self.max_rows is not None and type(self.max_rows) is not int:
+            raise ValueError(f"max_rows must be an int, got {self.max_rows!r}")
         for name in ("max_rows", "max_seconds"):
             cap = getattr(self, name)
-            if cap is not None and cap < 0:
+            if cap is not None and not cap >= 0:
                 raise ValueError(f"{name} must be non-negative, got {cap}")
 
 
@@ -153,7 +156,7 @@ def _reduce(gen, table: symrep.RepTable, field: FieldSpec, caps) -> tuple[Increm
     red = IncrementalReducer(liftgen._column_split(gen.degree, table.dim)[0], field)
     start = time.monotonic()
     for k, ident in enumerate(gen.identities, 1):
-        red.append(liftgen.identity_rows(ident, table))
+        red.append(liftgen.identity_rows(ident.polynomial, table))
         if caps and caps.max_rows is not None and red.rank > caps.max_rows:
             return red, "aborted-rows", k
         if caps and caps.max_seconds is not None and time.monotonic() - start > caps.max_seconds:
@@ -237,6 +240,8 @@ def analyze_partition(
 
 
 def select_partitions(n: int, selector) -> tuple[symrep.Partition, ...]:
+    """The partitions of n that selector names: "all", "sign", or a list of
+    partitions or their renderings; an empty or repeated list raises ValueError."""
     if selector == "all":
         return symrep.partitions(n)
     if selector == "sign":
@@ -246,7 +251,11 @@ def select_partitions(n: int, selector) -> tuple[symrep.Partition, ...]:
         pi = symrep.parse_partition(item) if isinstance(item, str) else item
         if pi.n != n:
             raise ValueError(f"partition {pi.render()} is not a partition of {n}")
+        if pi in out:
+            raise ValueError(f"partition {pi.render()} is selected twice")
         out.append(pi)
+    if not out:
+        raise ValueError("no partition selected")
     return tuple(out)
 
 
@@ -328,10 +337,10 @@ def _entry_str(x) -> str:
 
 def report_payload(degree: int, reports: list[PartitionReport], generated: int) -> dict:
     """Deterministic report body; wall times live in timings_payload."""
-    fields = {rep.field.characteristic for rep in reports}
+    (characteristic,) = {rep.field.characteristic for rep in reports}
     return {
         "degree": degree,
-        "characteristic": sorted(fields)[0] if len(fields) == 1 else sorted(fields),
+        "characteristic": characteristic,
         "identities": generated,
         "partitions": [
             {

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
 
 import numpy as np
 
@@ -130,18 +129,8 @@ def standard_tableaux(pi: Partition) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
 
 def dimension(pi: Partition) -> int:
-    """Hook length formula."""
-    shape = pi.parts
-    cols = [0] * shape[0]
-    for row in shape:
-        for c in range(row):
-            cols[c] += 1
-    num = factorial(pi.n)
-    den = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            den *= (row - j) + (cols[j] - i) - 1
-    return num // den
+    """The number of standard tableaux of shape pi."""
+    return len(standard_tableaux(pi))
 
 
 @cache
@@ -230,11 +219,11 @@ class RepTable:
     A(sigma) holds only 0 and +-1, so no entry of R(sigma) exceeds the
     largest absolute row sum of A(iota)^-1 in size: 16 for every partition
     of n <= 8, 44 at n = 9. __init__ checks that this bound fits int8, and
-    the memo keeps every R(sigma) as int8 (a full S_8 table for a
-    90-dimensional representation takes about 330 MB), composed exactly in
-    int64. Returned arrays are the memo entries themselves: treat them as
-    read-only and cast to int64 before multiplying them by hand, since int8
-    products wrap.
+    the memo keeps every R(sigma) as int8, composed exactly in int64: over
+    the 1,616 degree-8 generators the memo for 4+2+1^2 (d = 90) holds 3,844
+    matrices, 31 MB as int8 against 249 MB as int64. Returned arrays are
+    the memo entries themselves: treat them as read-only and cast to int64
+    before multiplying them by hand, since int8 products wrap.
     """
 
     def __init__(self, pi: Partition):

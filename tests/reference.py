@@ -1,29 +1,33 @@
 """Test-side references: permutations as 1-based image tuples, Clifton's
-matrices entry by entry, the expansion of an explicit identity into the
-canonical monomial basis, a recursive canonicalizer and the lifting built
-on it, primality by trial division, block rows and skew relations as dense
-arrays, the row canonical form over GF(p) and over Q in plain Python, exact
-evaluation in Fraction arithmetic, and the identity check that evaluates
-every basis tuple afresh.
+matrices entry by entry, representation dimensions by the hook length
+formula, the expansion of an explicit identity into the canonical monomial
+basis, a recursive canonicalizer and the lifting built on it, primality by
+trial division, block rows and skew relations as dense arrays, the rank
+filter with identities as the outer loop, the row canonical form over GF(p)
+and over Q in plain Python, exact evaluation in Fraction arithmetic, and
+the identity check that evaluates every basis tuple afresh.
 
-The package builds Clifton matrices in whole numpy arrays, straightens
-trees in one lean walk that interns types as it goes, tests primality by
-Miller-Rabin, builds only the blocks an identity touches, straight into
-sparse rows, evaluates alternating identities without expanding them,
-reduces rows over Q and mod p on one lazily cleaned sparse canonical
-form, evaluates in integers over a common denominator and reads basis
-tuples off memoised subtree tables; the routes here are the independent
-ones the tests compare against.
+The package builds Clifton matrices in whole numpy arrays, counts standard
+tableaux for dimensions, straightens trees in one lean walk that interns
+types as it goes, tests primality by Miller-Rabin, builds only the blocks
+an identity touches, straight into sparse rows, filters one partition at a
+time, evaluates alternating identities without expanding them, reduces
+rows over Q and mod p on one lazily cleaned sparse canonical form,
+evaluates in integers over a common denominator and reads basis tuples off
+memoised subtree tables; the routes here are the independent ones the
+tests compare against.
 """
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
 from lyident import evallab, freealg, liftgen, pipeline, symrep
+from lyident.exactla import IncrementalReducer
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -89,6 +93,18 @@ def clifton_a_matrix_reference(pi, sigma: tuple[int, ...]) -> tuple[tuple[int, .
             for t in tabs
         ))
     return tuple(out)
+
+
+def hook_dimension(pi) -> int:
+    """The dimension of the irreducible representation of shape pi, by the
+    hook length formula: n! over the product of the hook lengths."""
+    shape = pi.parts
+    cols = [sum(1 for row in shape if row > c) for c in range(shape[0])]
+    den = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            den *= (row - j) + (cols[j] - i) - 1
+    return math.factorial(pi.n) // den
 
 
 def clifton_matrix_reference(pi, sigma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -252,6 +268,25 @@ def identity_rows_dense(poly: freealg.Polynomial, table: symrep.RepTable) -> np.
     for ti, perms in poly.by_type().items():
         out[:, (ti - 1) * d : ti * d] = table.element(perms)
     return out
+
+
+def filter_identity_outermost(gen: liftgen.GenerationSet, field) -> tuple[tuple, dict]:
+    """The rank filter with identities as the outer loop: a table and a
+    reducer for every partition, all held at once, and each identity
+    appended to every reducer in turn; it is kept when some rank grew.
+    Returns the kept identities and each partition's final rank."""
+    pis = symrep.partitions(gen.degree)
+    tables = [symrep.RepTable(pi) for pi in pis]
+    reducers = [IncrementalReducer(liftgen._column_split(gen.degree, t.dim)[0], field) for t in tables]
+    kept = []
+    for ident in gen.identities:
+        grew = False
+        for table, red in zip(tables, reducers):
+            if red.append(liftgen.identity_rows(ident.polynomial, table)):
+                grew = True
+        if grew:
+            kept.append(ident)
+    return tuple(kept), {pi: red.rank for pi, red in zip(pis, reducers)}
 
 
 def skew_rows_dense(table: symrep.RepTable, degree: int) -> list[np.ndarray]:

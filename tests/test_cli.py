@@ -206,6 +206,9 @@ class TestAnalyze:
         ("--jobs", "-3", "--jobs must be at least 1, got -3"),
         ("--max-rows", "-1", "max_rows must be non-negative, got -1"),
         ("--max-seconds", "-5", "max_seconds must be non-negative, got -5.0"),
+        ("--max-seconds", "nan", "max_seconds must be non-negative, got nan"),
+        ("--partitions", ",", "no partition selected"),
+        ("--partitions", "3+1,3+1", "partition 3+1 is selected twice"),
     ])
     def test_bad_jobs_and_caps_rejected_before_generation(self, capsys, monkeypatch, flag, value, message):
         def never(*args, **kwargs):
@@ -522,6 +525,31 @@ def test_every_exported_name_is_used_outside_tests():
         for info in pkgutil.iter_modules(lyident.__path__)
         for name in getattr(importlib.import_module(f"lyident.{info.name}"), "__all__", ())
         if name not in used and not re.search(rf"\b{name}\b", pyproject)
+    ]
+    assert unused == []
+
+
+def test_every_bundled_data_file_is_used_by_the_package():
+    # data that only the tests read lives under tests/data: every file under
+    # src/lyident/data is named by a string in the package's code (docstrings
+    # aside), or is a bundled algebra
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "lyident"
+    named = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+        }
+        named |= {node.value for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings}
+    data = package / "data"
+    unused = [
+        path.relative_to(data).as_posix() for path in sorted(data.rglob("*"))
+        if path.is_file() and path.relative_to(data).as_posix() not in named
+        and not (path.parent.name == "algebras" and path.suffix == ".json" and path.stem in evallab.BUNDLED)
     ]
     assert unused == []
 

@@ -1,6 +1,8 @@
 """Seeds, liftings, generation counts, lineage replay, and the rank filter."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 from math import factorial
 
@@ -249,17 +251,17 @@ class TestIdentityRows:
     def test_degree_3_sign_partition(self):
         f = liftgen.seed_identities()["f"]
         tab = symrep.RepTable(symrep.Partition((1, 1, 1)))
-        assert reference.dense_rows(liftgen.identity_rows(f, tab), 2) == [[3, 3]]
+        assert reference.dense_rows(liftgen.identity_rows(f.polynomial, tab), 2) == [[3, 3]]
 
     def test_degree_3_trivial_partition(self):
         f = liftgen.seed_identities()["f"]
         tab = symrep.RepTable(symrep.Partition((3,)))
-        assert reference.dense_rows(liftgen.identity_rows(f, tab), 2) == [[1, 1]]
+        assert reference.dense_rows(liftgen.identity_rows(f.polynomial, tab), 2) == [[1, 1]]
 
     def test_degree_3_standard_partition(self):
         f = liftgen.seed_identities()["f"]
         tab = symrep.RepTable(symrep.Partition((2, 1)))
-        assert reference.dense_rows(liftgen.identity_rows(f, tab), 4) == [
+        assert reference.dense_rows(liftgen.identity_rows(f.polynomial, tab), 4) == [
             [1, 0, 1, 0],
             [-2, 0, -2, 0],
         ]
@@ -269,14 +271,14 @@ class TestIdentityRows:
         tab = symrep.RepTable(symrep.Partition((2, 1, 1)))
         cols = freealg.count_types(4).all * 3
         assert liftgen._column_split(4, 3) == (cols, (freealg.count_types(4).all - 2) * 3)
-        rows = reference.dense_rows(liftgen.identity_rows(g1, tab), cols)
+        rows = reference.dense_rows(liftgen.identity_rows(g1.polynomial, tab), cols)
         assert len(rows) == 3 and all(len(r) == cols for r in rows)
 
     @staticmethod
     def assert_matches_dense(idents, pi):
         tab = symrep.RepTable(pi)
         for ident in idents:
-            rows = liftgen.identity_rows(ident, tab)
+            rows = liftgen.identity_rows(ident.polynomial, tab)
             assert all(type(x) is int for row in rows for x in row.values())
             assert rows == reference.nonzero_rows(reference.identity_rows_dense(ident.polynomial, tab)), (
                 pi.render(), ident.render_lineage())
@@ -391,9 +393,9 @@ class TestFilter:
             cols = freealg.count_types(4).all * tab.dim
             full, kept = (IncrementalReducer(cols, field) for _ in range(2))
             for ident in g.identities:
-                full.append(liftgen.identity_rows(ident, tab))
+                full.append(liftgen.identity_rows(ident.polynomial, tab))
             for ident in filt.identities:
-                kept.append(liftgen.identity_rows(ident, tab))
+                kept.append(liftgen.identity_rows(ident.polynomial, tab))
             assert full.tail_rows(0) == kept.tail_rows(0)
 
     def test_row_space_equality_degree_5(self):
@@ -404,9 +406,9 @@ class TestFilter:
             cols = freealg.count_types(5).all * tab.dim
             full, kept = (IncrementalReducer(cols, GF101) for _ in range(2))
             for ident in g.identities:
-                full.append(liftgen.identity_rows(ident, tab))
+                full.append(liftgen.identity_rows(ident.polynomial, tab))
             for ident in filt.identities:
-                kept.append(liftgen.identity_rows(ident, tab))
+                kept.append(liftgen.identity_rows(ident.polynomial, tab))
             assert full.tail_rows(0) == kept.tail_rows(0)  # the same RCF, so the same pivots
 
     def test_gf101_filter_keeps_the_rational_row_space_degree_6(self, gen6_filtered):
@@ -425,6 +427,58 @@ class TestFilter:
         # over GF(3) the sign rank would read 3 where Q and GF(101) give 4
         with pytest.raises(ValueError, match=r"characteristic must be 0 or a prime > 4"):
             liftgen.filter_redundant(liftgen.generate(4), FieldSpec(p))
+
+    @staticmethod
+    def stratified_sample(gen, seed: int, per_stratum: int = 2) -> liftgen.GenerationSet:
+        """per_stratum identities of each (seed, last lifting step) stratum,
+        drawn with seed, in generation order."""
+        strata: dict[tuple, list[int]] = {}
+        for k, ident in enumerate(gen.identities):
+            strata.setdefault((ident.lineage[0][1], ident.lineage[-1][0]), []).append(k)
+        rng = random.Random(seed)
+        picked = sorted(k for key in sorted(strata) for k in rng.sample(strata[key], per_stratum))
+        return liftgen.GenerationSet(gen.degree, tuple(gen.identities[k] for k in picked))
+
+    @staticmethod
+    def assert_matches_identity_outermost(gen, field):
+        filt = liftgen.filter_redundant(gen, field)
+        kept, ranks = reference.filter_identity_outermost(gen, field)
+        assert filt.identities == kept
+        assert list(filt.ranks.items()) == list(ranks.items())
+
+    @pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
+    def test_matches_identity_outermost_degree_6(self, field):
+        self.assert_matches_identity_outermost(liftgen.generate(6), field)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_identity_outermost_degree_7_sample(self, seed):
+        sample = self.stratified_sample(liftgen.generate(7), seed)
+        assert len(sample) > 20
+        self.assert_matches_identity_outermost(sample, GF101)
+
+    def test_one_partition_at_a_time(self, monkeypatch):
+        # each partition's rows arrive in one contiguous run, and when a run
+        # starts the table of the previous run has been freed
+        rows = liftgen.identity_rows
+        runs, alive = [], []
+        previous = None
+
+        def recording(poly, table):
+            nonlocal previous
+            if not runs or table.partition != runs[-1]:
+                if previous is not None:
+                    gc.collect()
+                    if previous() is not None:
+                        alive.append(runs[-1].render())
+                runs.append(table.partition)
+                previous = weakref.ref(table)
+            return rows(poly, table)
+
+        monkeypatch.setattr(liftgen, "identity_rows", recording)
+        filt = liftgen.filter_redundant(liftgen.generate(5))
+        assert [i.render_lineage() for i in filt.identities] == DEG5_KEPT
+        assert runs == list(symrep.partitions(5))
+        assert alive == []
 
     def test_degree_6_keeps_48(self):
         filt = liftgen.filter_redundant(liftgen.generate(6))

@@ -4,6 +4,7 @@ agreement, and the degree-8 sign-representation identity."""
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from lyident._data import data_text
 from lyident.exactla import GF101, QQ, FieldSpec, IncrementalReducer
 from lyident.pipeline import ExplicitIdentity, ResourceCaps
 from reference import alternation_polynomial, dense_rows
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def frow(row):
@@ -24,7 +27,8 @@ def stacked_rows(gen, pi) -> list[list[int]]:
     generation order."""
     table = symrep.RepTable(pi)
     cols, _ = liftgen._column_split(gen.degree, table.dim)
-    return [row for ident in gen.identities for row in dense_rows(liftgen.identity_rows(ident, table), cols)]
+    return [row for ident in gen.identities
+            for row in dense_rows(liftgen.identity_rows(ident.polynomial, table), cols)]
 
 
 def reduced(rows, cols: int, field) -> IncrementalReducer:
@@ -311,6 +315,13 @@ class TestCaps:
             ResourceCaps(max_rows=-1)
         with pytest.raises(ValueError, match="max_seconds must be non-negative, got -0.5"):
             ResourceCaps(max_seconds=-0.5)
+        with pytest.raises(ValueError, match="max_seconds must be non-negative, got nan"):
+            ResourceCaps(max_seconds=float("nan"))
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"max_rows must be an int, got {bad!r}"):
+                ResourceCaps(max_rows=bad)
+        # an infinite time cap is no limit
+        assert ResourceCaps(max_seconds=float("inf")).max_seconds == float("inf")
         # zero caps abort at once, and are kept for that
         assert ResourceCaps(max_rows=0, max_seconds=0.0) == ResourceCaps(0, 0.0)
 
@@ -348,6 +359,19 @@ class TestSelection:
         monkeypatch.setattr(pipeline, "default_generation", never)
         with pytest.raises(ValueError, match="is not a partition of 6"):
             pipeline.analyze_degree(6, GF101, partitions)
+
+    @pytest.mark.parametrize("partitions, message", [
+        ([], "no partition selected"),
+        (["3+1", "2^2", "3+1"], "partition 3\\+1 is selected twice"),
+        ([symrep.Partition((1,) * 4), "1^4"], "partition 1\\^4 is selected twice"),
+    ])
+    def test_empty_or_repeated_selection_rejected_before_generation(self, monkeypatch, partitions, message):
+        def never(*args, **kwargs):
+            raise AssertionError("generation ran for an unusable selection")
+
+        monkeypatch.setattr(pipeline, "default_generation", never)
+        with pytest.raises(ValueError, match=message):
+            pipeline.analyze_degree(4, GF101, partitions)
 
     def test_degree_range(self):
         with pytest.raises(ValueError, match="degrees 4 through 8"):
@@ -491,9 +515,9 @@ def expected_B8() -> list[list[Fraction]]:
 
 
 def load_golden(name: str) -> list[list[Fraction]]:
-    """A bundled matrix: a 'rows cols characteristic' header, then the
-    entries row by row."""
-    tokens = data_text(name).split()
+    """A stored matrix under tests/data: a 'rows cols characteristic'
+    header, then the entries row by row."""
+    tokens = (DATA / name).read_text(encoding="utf-8").split()
     rows, cols, char = (int(t) for t in tokens[:3])
     assert char == 0
     entries = [Fraction(t) for t in tokens[3:]]

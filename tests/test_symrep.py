@@ -12,7 +12,9 @@ import pytest
 from lyident import freealg, liftgen, pipeline, symrep
 from lyident.exactla import GF101, QQ
 from lyident.symrep import Partition
-from reference import all_perms, clifton_a_matrix_reference, clifton_matrix_reference, compose, sign
+from reference import (
+    all_perms, clifton_a_matrix_reference, clifton_matrix_reference, compose, hook_dimension, sign,
+)
 
 
 def wide(m):
@@ -45,13 +47,13 @@ def test_partition_render_parse():
     assert Partition((2, 2)).render() == "2^2"
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 def test_dimension_hook_equals_tableau_count(n):
     total = 0
     for pi in symrep.partitions(n):
         tabs = symrep.standard_tableaux(pi)
         d = symrep.dimension(pi)
-        assert d == len(tabs)
+        assert d == len(tabs) == hook_dimension(pi), pi.render()
         words = [sum(t, ()) for t in tabs]
         assert words == sorted(words)
         for t in tabs:  # standard: rows and columns strictly increase
