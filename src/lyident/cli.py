@@ -18,10 +18,8 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import repeat
 from pathlib import Path
 
 from . import evallab, freealg, liftgen, pipeline, symrep
@@ -49,9 +47,10 @@ __all__ = [
 #
 # `term INDEX PERM COEFF`: INDEX is the 1-based position of the association
 # type in the full deglex list of its degree, PERM the variable labels in
-# leaf order (one digit per variable), COEFF an exact rational. With
-# `alternating true` the file is the signed sum over all permutations of the
-# listed terms, which must be identity-permutation terms on binary types.
+# leaf order (one digit per variable, so the degree is at most 9), COEFF an
+# exact rational. With `alternating true` the file is the signed sum over
+# all permutations of the listed terms, which must be identity-permutation
+# terms on binary types.
 
 
 def identity_text(identity: pipeline.ExplicitIdentity) -> str:
@@ -78,7 +77,7 @@ def parse_identity_text(text: str):
             continue
         bits = line.split()
         try:
-            if bits[0] == "degree" and len(bits) == 2 and int(bits[1]) >= 1:
+            if bits[0] == "degree" and len(bits) == 2 and 1 <= int(bits[1]) <= 9:
                 degree = int(bits[1])
             elif bits[0] == "characteristic" and len(bits) == 2:
                 characteristic = int(bits[1])
@@ -123,20 +122,20 @@ def parse_identity_text(text: str):
 # -- bundled reference data --------------------------------------------------------
 
 _REPORT_GOLDENS = {
-    (6, 101, "all", True): "report_d6_c101_all.json",
-    (7, 101, "all", True): "report_d7_c101_all.json",
-    (8, 0, "sign", True): "report_d8_c0_sign.json",
+    (6, 101, "all"): "report_d6_c101_all.json",
+    (7, 101, "all"): "report_d7_c101_all.json",
+    (8, 0, "sign"): "report_d8_c0_sign.json",
 }
 
 
-def bundled_report(degree: int, characteristic: int, selector, filtered: bool) -> str | None:
+def bundled_report(degree: int, characteristic: int, selector) -> str | None:
     """The reference report text for this request, or None if none is bundled.
 
     A golden listed here but missing from the package raises FileNotFoundError.
     """
     if not isinstance(selector, str):
         return None
-    name = _REPORT_GOLDENS.get((degree, characteristic, selector, filtered))
+    name = _REPORT_GOLDENS.get((degree, characteristic, selector))
     return None if name is None else data_text(name)
 
 
@@ -205,32 +204,18 @@ def _log_to_stderr(enabled: bool):
 
 def _cmd_analyze(args) -> int:
     degree = args.degree
-    # the range, characteristic, worker and cap checks run before the
-    # generation set is built, which can take minutes
-    if degree not in pipeline._DEGREES:
-        raise ValueError(f"analysis covers degrees {pipeline._DEGREES[0]} through {pipeline._DEGREES[-1]}")
+    # ahead of FieldSpec, whose own message would not name the degree
     symrep.check_characteristic(args.char, degree)
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    field = QQ if args.char == 0 else FieldSpec(args.char)
     selector = _parse_selector(args.partitions)
     caps = None
     if args.max_rows is not None or args.max_seconds is not None:
         caps = pipeline.ResourceCaps(max_rows=args.max_rows, max_seconds=args.max_seconds)
-
-    partitions = pipeline.select_partitions(degree, selector)
-    generation = pipeline.default_generation(degree, filtered=args.filtered)
     with _log_to_stderr(args.verbose):
-        if args.jobs > 1 and len(partitions) > 1:
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(partitions))) as pool:
-                reports = list(pool.map(
-                    pipeline.analyze_partition,
-                    partitions, repeat(generation), repeat(field), repeat(caps),
-                ))
-        else:
-            reports = [pipeline.analyze_partition(pi, generation, field, caps) for pi in partitions]
+        reports = pipeline.analyze_degree(
+            degree, FieldSpec(args.char), selector, caps=caps, jobs=args.jobs
+        )
 
-    payload = pipeline.report_payload(degree, reports, len(generation))
+    payload = pipeline.report_payload(degree, reports, len(pipeline.default_generation(degree)))
     report_text = json.dumps(payload, indent=2) + "\n"
     if args.report:
         Path(args.report).write_text(report_text)
@@ -249,7 +234,7 @@ def _cmd_analyze(args) -> int:
     if any(rep.status != "ok" for rep in reports):
         print("analysis aborted by resource cap", file=sys.stderr)
         return 3
-    reference = bundled_report(degree, args.char, selector, args.filtered)
+    reference = bundled_report(degree, args.char, selector)
     if reference is not None:
         if report_text != reference:
             print("MISMATCH against the bundled reference report", file=sys.stderr)
@@ -358,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coefficient field characteristic (0 = rationals)")
     p.add_argument("--partitions", default="all",
                    help='"all", "sign", or comma-separated partitions like "4+2,3+1^3"')
-    p.add_argument("--filtered", action=argparse.BooleanOptionalAction, default=True,
-                   help="use rank-filtered generation sets (default)")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--timings", default=None, help="write wall-clock timings here")
     p.add_argument("--jobs", type=int, default=1, help="parallel partition workers")

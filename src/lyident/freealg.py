@@ -244,10 +244,6 @@ class Monomial(NamedTuple):
         return type_by_index(self.degree, self.type_index)
 
 
-class RepeatedVariableError(ValueError):
-    pass
-
-
 def _canon(tree):
     """Canonical (type node, leaf label tuple, sign) of a labeled tree.
 
@@ -270,7 +266,7 @@ def _canon(tree):
         sign *= sc
     if ta is tb:
         if la == lb:
-            raise RepeatedVariableError(f"swap children carry equal labels in {tree!r}")
+            raise ValueError(f"swap children carry equal labels in {tree!r}")
         swap = la > lb
     else:
         swap = ta.degree < tb.degree or (ta.degree == tb.degree and ta.key > tb.key)
@@ -287,8 +283,9 @@ def canonicalize(tree):
     The tree is nested tuples: a leaf is a 1-based variable index (an int,
     not a bool), an internal node is (2, left, right) or (3, a, b, c).
     Returns (Monomial, sign) where sign is +1 or -1. A repeated variable
-    under a swap node raises RepeatedVariableError; any other repeated
-    variable raises ValueError, since the result would not be multilinear.
+    raises ValueError, since the result would not be multilinear; under a
+    swap node the message names the subtree whose children carry equal
+    labels.
     """
     node, labels, sign = _canon(tree)
     n = len(labels)

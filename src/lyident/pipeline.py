@@ -19,6 +19,7 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from . import freealg, liftgen, symrep
 from .exactla import GF101, QQ, FieldSpec, IncrementalReducer
@@ -179,33 +180,32 @@ def _skew_reducer(table: symrep.RepTable, degree: int, field: FieldSpec) -> Incr
 # the degrees analyze_degree covers
 _DEGREES = range(4, 9)
 
-# default_generation's sets, built once per process and keyed by (degree,
-# filtered); a GenerationSet is frozen, so every caller can share one
-_GENERATIONS: dict[tuple[int, bool], liftgen.GenerationSet] = {}
+# default_generation's sets, built once per process and keyed by degree; a
+# GenerationSet is frozen, so every caller can share one
+_GENERATIONS: dict[int, liftgen.GenerationSet] = {}
 
 
-def default_generation(n: int, filtered: bool = True) -> liftgen.GenerationSet:
+def default_generation(n: int) -> liftgen.GenerationSet:
     """The identities analyze_degree works from.
 
-    Degrees 6 and 7 filter the full 252/2016 sets; degree 8 lifts the two
-    filtered sets, giving the 1616 generators. filtered=False returns the
-    full lifting sets everywhere. Each set is built once per process, and
-    the degree-8 set reuses the degree-6 and degree-7 ones.
+    Degrees 4 and 5 take the full lifting sets, degrees 6 and 7 filter the
+    full 252/2016 sets to 48/154 that span the same row space in every
+    partition, and degree 8 lifts those two, giving 1616 generators. Each
+    set is built once per process.
 
     Raises ValueError above degree 8, where no filtered set is defined.
     """
     if n > _DEGREES[-1]:
         raise ValueError(f"no generation set above degree {_DEGREES[-1]}, got {n}")
-    key = (n, bool(filtered))
-    if key not in _GENERATIONS:
-        if n <= 5 or not filtered:
+    if n not in _GENERATIONS:
+        if n <= 5:
             gen = liftgen.generate(n)
         elif n == 8:
             gen = liftgen.generate(8, {6: default_generation(6), 7: default_generation(7)})
         else:
             gen = liftgen.filter_redundant(liftgen.generate(n))
-        _GENERATIONS[key] = gen
-    return _GENERATIONS[key]
+        _GENERATIONS[n] = gen
+    return _GENERATIONS[n]
 
 
 def analyze_partition(
@@ -265,17 +265,27 @@ def analyze_degree(
     partitions="all",
     generation: liftgen.GenerationSet | None = None,
     caps: ResourceCaps | None = None,
+    jobs: int = 1,
 ) -> list[PartitionReport]:
     """Run the A_pi against B_pi comparison for the requested partitions,
-    on the filtered default_generation(n) unless a generation set is given.
-    The arguments are checked before any generation set is built."""
+    on default_generation(n) unless a generation set is given, in up to
+    jobs worker processes; the reports keep the selection's order. The
+    arguments are checked before any generation set is built."""
     if n not in _DEGREES:
         raise ValueError(f"analysis covers degrees {_DEGREES[0]} through {_DEGREES[-1]}")
     symrep.check_characteristic(field.characteristic, n)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     pis = select_partitions(n, partitions)
     gen = generation if generation is not None else default_generation(n)
     if gen.degree != n:
         raise ValueError(f"degree-{gen.degree} generation set for a degree-{n} analysis")
+    if jobs > 1 and len(pis) > 1:
+        # imported on use: at module level it costs every run 1 MB of peak RSS
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pis))) as pool:
+            return list(pool.map(analyze_partition, pis, repeat(gen), repeat(field), repeat(caps)))
     return [analyze_partition(pi, gen, field, caps) for pi in pis]
 
 

@@ -22,6 +22,7 @@ homomorphism.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -77,13 +78,14 @@ class Partition:
 
 
 def parse_partition(s: str) -> Partition:
+    """Read a rendering like '3+2+1^3': every part is k or k^e with integers
+    k, e >= 1; anything else raises ValueError naming the whole text."""
     parts: list[int] = []
     for bit in s.split("+"):
-        if "^" in bit:
-            base, exp = bit.split("^")
-            parts.extend([int(base)] * int(exp))
-        else:
-            parts.append(int(bit))
+        m = re.fullmatch(r"([1-9]\d*)(?:\^([1-9]\d*))?", bit.strip(), re.ASCII)
+        if m is None:
+            raise ValueError(f"cannot parse partition {s!r}")
+        parts += [int(m[1])] * int(m[2] or 1)
     return Partition(tuple(parts))
 
 

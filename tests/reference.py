@@ -178,9 +178,7 @@ def _canon_reference(tree, path: str):
         sign = -sign
     elif ta is tb:
         if la == lb:
-            raise freealg.RepeatedVariableError(
-                f"swap children carry equal labels at {path or 'root'}"
-            )
+            raise ValueError(f"swap children carry equal labels at {path or 'root'}")
         if la > lb:
             parts[0], parts[1] = parts[1], parts[0]
             sign = -sign

@@ -202,13 +202,14 @@ class TestAnalyze:
         assert code == 1 and "error" in err and "degrees 4 through 8" in err
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--jobs", "0", "--jobs must be at least 1, got 0"),
-        ("--jobs", "-3", "--jobs must be at least 1, got -3"),
+        ("--jobs", "0", "jobs must be at least 1, got 0"),
+        ("--jobs", "-3", "jobs must be at least 1, got -3"),
         ("--max-rows", "-1", "max_rows must be non-negative, got -1"),
         ("--max-seconds", "-5", "max_seconds must be non-negative, got -5.0"),
         ("--max-seconds", "nan", "max_seconds must be non-negative, got nan"),
         ("--partitions", ",", "no partition selected"),
         ("--partitions", "3+1,3+1", "partition 3+1 is selected twice"),
+        ("--partitions", "2^0+4", "cannot parse partition '2^0+4'"),
     ])
     def test_bad_jobs_and_caps_rejected_before_generation(self, capsys, monkeypatch, flag, value, message):
         def never(*args, **kwargs):
@@ -238,7 +239,7 @@ class TestAnalyze:
             raise FileNotFoundError(f"no bundled file {name}")
 
         monkeypatch.setattr(cli, "data_text", missing)
-        monkeypatch.setitem(cli._REPORT_GOLDENS, (4, 101, "all", True), "report_d4.json")
+        monkeypatch.setitem(cli._REPORT_GOLDENS, (4, 101, "all"), "report_d4.json")
         code, out, err = run(capsys, "analyze", "--degree", "4", "--char", "101")
         assert code == 1 and "matches" not in out
         assert err == "error: no bundled file report_d4.json\n"
@@ -322,6 +323,16 @@ class TestIdentityFormat:
             cli.parse_identity_text("degree 3\nterm 2 123 1/0\n")
         with pytest.raises(ValueError, match="line 1: cannot parse 'degree 0'"):
             cli.parse_identity_text("degree 0\nterm 1 1 1\n")
+
+    def test_degree_above_nine_rejected_at_its_line(self, monkeypatch):
+        # PERM has one digit per variable, so no file can hold degree 10 or
+        # more; the header fails before any type of that degree is counted
+        def never(n):
+            raise AssertionError(f"types of degree {n} were counted")
+
+        monkeypatch.setattr(freealg, "count_types", never)
+        with pytest.raises(ValueError, match="line 1: cannot parse 'degree 40'"):
+            cli.parse_identity_text("degree 40\nterm 1 1 1\n")
 
 
 class TestVerify:
@@ -527,6 +538,20 @@ def test_every_exported_name_is_used_outside_tests():
         if name not in used and not re.search(rf"\b{name}\b", pyproject)
     ]
     assert unused == []
+
+
+def test_cli_reads_only_public_names_of_other_modules():
+    # the command line is a client of the library: it reads no
+    # <module>._<name> of another lyident module
+    root = Path(__file__).resolve().parents[1]
+    modules = {info.name for info in pkgutil.iter_modules(lyident.__path__)} - {"cli"}
+    tree = ast.parse((root / "src" / "lyident" / "cli.py").read_text(encoding="utf-8"))
+    private = sorted({
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_") and not node.attr.startswith("__")
+    })
+    assert private == []
 
 
 def test_every_bundled_data_file_is_used_by_the_package():

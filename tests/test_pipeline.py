@@ -373,6 +373,21 @@ class TestSelection:
         with pytest.raises(ValueError, match=message):
             pipeline.analyze_degree(4, GF101, partitions)
 
+    def test_jobs_give_the_serial_reports(self):
+        serial = pipeline.analyze_degree(5, GF101, "all", jobs=1)
+        pooled = pipeline.analyze_degree(5, GF101, "all", jobs=2)
+        generated = len(pipeline.default_generation(5))
+        assert pipeline.report_payload(5, pooled, generated) == pipeline.report_payload(5, serial, generated)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_bad_jobs_rejected_before_generation(self, monkeypatch, jobs):
+        def never(*args, **kwargs):
+            raise AssertionError("generation ran with an unusable worker count")
+
+        monkeypatch.setattr(pipeline, "default_generation", never)
+        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+            pipeline.analyze_degree(4, GF101, jobs=jobs)
+
     def test_degree_range(self):
         with pytest.raises(ValueError, match="degrees 4 through 8"):
             pipeline.analyze_degree(3)
@@ -411,7 +426,7 @@ class TestSelection:
         assert len(pipeline.default_generation(4)) == 6
         assert len(pipeline.default_generation(5)) == 36
         assert not pipeline.default_generation(5).filtered
-        assert len(pipeline.default_generation(6, filtered=False)) == 252
+        assert len(liftgen.generate(6)) == 252
 
     def test_default_generation_above_degree8(self, monkeypatch):
         def never(*args, **kwargs):

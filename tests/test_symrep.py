@@ -2,6 +2,7 @@
 
 import ast
 import random
+import re
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -45,6 +46,13 @@ def test_partition_render_parse():
     assert symrep.parse_partition("3+2+1^3") == pi
     assert symrep.parse_partition("8") == Partition((8,))
     assert Partition((2, 2)).render() == "2^2"
+
+
+@pytest.mark.parametrize("text", ["2^0+4", "4+2^-1", "2^2^1", "all,sign", "", "4+", "^2", "0", "3+x"])
+def test_parse_partition_rejects_malformed_parts(text):
+    # every part is k or k^e with k, e >= 1; no part is dropped
+    with pytest.raises(ValueError, match=f"^cannot parse partition {re.escape(repr(text))}$"):
+        symrep.parse_partition(text)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
