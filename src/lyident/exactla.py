@@ -7,7 +7,7 @@ membership and unique row canonical form (RCF), so the rank of a long stream
 of rows is available without ever materializing the stream.
 
 Rows come in two kinds: {column: int} dicts with nonzeros only, which
-liftgen.identity_rows writes, and lists or tuples of int or Fraction
+liftgen.block_rows writes, and lists or tuples of int or Fraction
 entries, which are cleared of denominators in integer arithmetic, so no
 Fraction is built on the way in. Any other row or entry (an array, a
 float, a bool, a string) raises ValueError naming it; a float would enter

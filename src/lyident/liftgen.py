@@ -20,7 +20,9 @@ tests and in serialized identity files.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dc_field
+from itertools import islice
 from math import factorial
 
 import numpy as np
@@ -37,6 +39,7 @@ __all__ = [
     "generate",
     "lifting_count",
     "replay",
+    "block_rows",
     "identity_rows",
     "filter_redundant",
 ]
@@ -260,24 +263,82 @@ def _column_split(degree: int, d: int) -> tuple[int, int]:
     return m * d, (m - b) * d
 
 
-def _block_rows(blocks: list[tuple[int, np.ndarray]], d: int) -> list[dict[int, int]]:
-    """The d rows {column: int}, nonzeros only, of d x d blocks given with
-    their first columns, read side by side in one np.nonzero."""
-    rows: list[dict[int, int]] = [{} for _ in range(d)]
-    if blocks:
-        colmap = [start + j for start, _ in blocks for j in range(d)]
-        side = np.hstack([block for _, block in blocks])
-        at, cols = np.nonzero(side)
-        for i, c, x in zip(at.tolist(), cols.tolist(), side[at, cols].tolist()):
-            rows[i][colmap[c]] = x
-    return rows
+# int64 entries one batch of block_rows may hold in its weighted matrices
+# and in its padded blocks; at large d a batch is about one item
+_BATCH_ENTRIES = 1 << 13
 
 
-def identity_rows(poly: freealg.Polynomial, table: symrep.RepTable) -> list[dict[int, int]]:
-    """A polynomial's d block rows {column: int} for one partition: block j holds the
-    matrix of its j-th association type's component; only touched blocks are built."""
+def block_rows(items: Iterable[list[tuple[int, dict]]], table: symrep.RepTable) -> Iterator[list[dict[int, int]]]:
+    """The d rows {column: int}, nonzeros only, of each item, in order.
+
+    An item lists (first column, {sigma: integer coefficient}) pairs: each
+    pair's d x d block is the sum of c * R(sigma), and the blocks are read
+    side by side in list order. Items are built a batch at a time: one
+    gather of the batch's matrices, one coefficient-weighted np.add.reduceat
+    into a padded (items x rows x blocks x columns) array and one
+    np.flatnonzero on it, which lists every row's entries block by block,
+    column by column, so no sort is needed.
+
+    A coefficient that is not an integer raises ValueError.
+    """
+    d2 = table.dim**2
+    batch: list[list[tuple[int, dict]]] = []
+    terms = width = 0
+    for item in items:
+        size = sum([len(elt) for _, elt in item])
+        if batch and max((terms + size) * d2, (len(batch) + 1) * max(width, len(item)) * d2) > _BATCH_ENTRIES:
+            yield from _batch_rows(batch, width, table)
+            batch, terms, width = [], 0, 0
+        batch.append(item)
+        terms += size
+        width = max(width, len(item))
+    if batch:
+        yield from _batch_rows(batch, width, table)
+
+
+def _batch_rows(batch: list[list[tuple[int, dict]]], width: int, table: symrep.RepTable) -> Iterator[list[dict[int, int]]]:
+    """block_rows for one batch whose items have at most width blocks."""
     d = table.dim
-    return _block_rows([((ti - 1) * d, table.element(perms)) for ti, perms in poly.by_type().items()], d)
+    sigmas: list[tuple[int, ...]] = []
+    coeffs: list = []
+    segments, slots, firsts = [], [], [0] * (len(batch) * width)
+    for b, item in enumerate(batch):
+        for s, (first, elt) in enumerate(item, b * width):
+            # an empty segment would make reduceat repeat the next entry
+            if elt:
+                segments.append(len(sigmas))
+                slots.append(s)
+                firsts[s] = first
+                sigmas += elt
+                coeffs += elt.values()
+    if not all(c.__class__ is int for c in coeffs):
+        for k, c in enumerate(coeffs):
+            if int(c) != c:
+                raise ValueError(f"coefficient {c} of {sigmas[k]} is not an integer")
+            coeffs[k] = int(c)
+    weighted = table.matrices(sigmas) * np.array(coeffs, dtype=np.int64)[:, None, None]
+    # padded[b, i, s, j]: row i, column j of block s of item b, so the flat
+    # order lists each row's entries block by block, column by column
+    padded = np.zeros((len(batch), d, width, d), dtype=np.int64)
+    slot = np.array(slots, dtype=np.intp)
+    padded[slot // width, :, slot % width, :] = np.add.reduceat(weighted, segments, axis=0)
+    flat = padded.reshape(-1)
+    at = np.flatnonzero(flat)
+    columns = np.array(firsts, dtype=np.int64).reshape(len(batch), 1, width, 1) + np.arange(d)
+    cols = np.broadcast_to(columns, padded.shape).reshape(-1)[at].tolist()
+    counts = np.bincount(at // (width * d), minlength=len(batch) * d).tolist()
+    entries = zip(cols, flat[at].tolist())
+    for k in range(0, len(counts), d):
+        yield [dict(islice(entries, n)) for n in counts[k : k + d]]
+
+
+def identity_rows(polys: Iterable[freealg.Polynomial], table: symrep.RepTable) -> Iterator[list[dict[int, int]]]:
+    """Each polynomial's d block rows {column: int} for one partition, in
+    order: block j holds the matrix of its j-th association type's
+    component, and only touched blocks are built (block_rows, a batch of
+    polynomials at a time)."""
+    d = table.dim
+    return block_rows(([((ti - 1) * d, perms) for ti, perms in poly.by_type().items()] for poly in polys), table)
 
 
 def filter_redundant(gen: GenerationSet, field: FieldSpec = GF101) -> GenerationSet:
@@ -294,8 +355,8 @@ def filter_redundant(gen: GenerationSet, field: FieldSpec = GF101) -> Generation
     for pi in symrep.partitions(gen.degree):
         table = symrep.RepTable(pi)
         red = IncrementalReducer(_column_split(gen.degree, table.dim)[0], field)
-        for k, ident in enumerate(gen.identities):
-            if red.append(identity_rows(ident.polynomial, table)):
+        for k, rows in enumerate(identity_rows((ident.polynomial for ident in gen.identities), table)):
+            if red.append(rows):
                 grew.add(k)
         ranks[pi] = red.rank
     kept = tuple(gen.identities[k] for k in sorted(grew))

@@ -156,8 +156,8 @@ def _reduce(gen, table: symrep.RepTable, field: FieldSpec, caps) -> tuple[Increm
     symrep.check_characteristic(field.characteristic, gen.degree)
     red = IncrementalReducer(liftgen._column_split(gen.degree, table.dim)[0], field)
     start = time.monotonic()
-    for k, ident in enumerate(gen.identities, 1):
-        red.append(liftgen.identity_rows(ident.polynomial, table))
+    for k, rows in enumerate(liftgen.identity_rows((ident.polynomial for ident in gen.identities), table), 1):
+        red.append(rows)
         if caps and caps.max_rows is not None and red.rank > caps.max_rows:
             return red, "aborted-rows", k
         if caps and caps.max_seconds is not None and time.monotonic() - start > caps.max_seconds:
@@ -171,9 +171,9 @@ def _skew_reducer(table: symrep.RepTable, degree: int, field: FieldSpec) -> Incr
     btypes = freealg.binary_types(degree)
     red = IncrementalReducer(len(btypes) * d, field)
     ident = tuple(range(1, degree + 1))
-    for j, t in enumerate(btypes):
-        for g in freealg.skew_generators(t):
-            red.append(liftgen._block_rows([(j * d, table.element({ident: 1, g.perm: 1}))], d))
+    relations = ([(j * d, {ident: 1, g.perm: 1})] for j, t in enumerate(btypes) for g in freealg.skew_generators(t))
+    for rows in liftgen.block_rows(relations, table):
+        red.append(rows)
     return red
 
 
@@ -248,7 +248,13 @@ def select_partitions(n: int, selector) -> tuple[symrep.Partition, ...]:
         return (symrep.Partition((1,) * n),)
     out = []
     for item in selector:
-        pi = symrep.parse_partition(item) if isinstance(item, str) else item
+        pi = item
+        if isinstance(item, str):
+            # the size first: an exponent in the text would otherwise build
+            # that many parts before the check
+            if sum(k * e for k, e in symrep._runs(item)) != n:
+                raise ValueError(f"partition {item.strip()} is not a partition of {n}")
+            pi = symrep.parse_partition(item)
         if pi.n != n:
             raise ValueError(f"partition {pi.render()} is not a partition of {n}")
         if pi in out:

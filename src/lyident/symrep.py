@@ -16,8 +16,10 @@ reducer the rows go to is the one place where p is applied.
 
 clifton_matrix evaluates R(sigma) directly as an integer matrix; RepTable
 composes cached matrices of adjacent transpositions instead, which is how the
-pipeline consumes representations. The two must agree (tested), since R is a
-homomorphism.
+pipeline consumes representations: it is asked for every R(sigma) a batch of
+identities needs at once, and fills the missing ones one depth at a time,
+each depth one batched matrix product. The two must agree (tested), since R
+is a homomorphism.
 """
 
 from __future__ import annotations
@@ -77,16 +79,23 @@ class Partition:
         return f"Partition({self.render()})"
 
 
-def parse_partition(s: str) -> Partition:
-    """Read a rendering like '3+2+1^3': every part is k or k^e with integers
-    k, e >= 1; anything else raises ValueError naming the whole text."""
-    parts: list[int] = []
+def _runs(s: str) -> list[tuple[int, int]]:
+    """The (k, e) pairs of a rendering like '3+2+1^3', one per bit: every
+    bit is k or k^e with integers k, e >= 1; anything else raises
+    ValueError naming the whole text. No part is built, so the size
+    sum(k * e) can be checked before the parts are."""
+    runs = []
     for bit in s.split("+"):
         m = re.fullmatch(r"([1-9]\d*)(?:\^([1-9]\d*))?", bit.strip(), re.ASCII)
         if m is None:
             raise ValueError(f"cannot parse partition {s!r}")
-        parts += [int(m[1])] * int(m[2] or 1)
-    return Partition(tuple(parts))
+        runs.append((int(m[1]), int(m[2] or 1)))
+    return runs
+
+
+def parse_partition(s: str) -> Partition:
+    """Read a rendering like '3+2+1^3' (see _runs)."""
+    return Partition(tuple(k for k, e in _runs(s) for _ in range(e)))
 
 
 @cache
@@ -211,63 +220,93 @@ def check_characteristic(characteristic: int, n: int) -> None:
         raise ValueError(f"characteristic must be 0 or a prime > {n}")
 
 
+# int64 entries one chunk of RepTable's memo fill holds in its products
+_FILL_ENTRIES = 1 << 13
+
+
 class RepTable:
     """Memoized integer matrices R(sigma) for one partition, composed from
     adjacent transpositions.
 
     __init__ stores R(iota) and each R(s_i); any other R(sigma) is
-    R(sigma s_i) R(s_i) at sigma's first descent i, memoised recursively.
+    R(sigma s_i) R(s_i) at sigma's first descent i, where sigma s_i has one
+    inversion fewer. matrices fills the memo for every sigma it is asked
+    for that is missing, one depth at a time (each depth is one batched
+    int64 matmul on the matrices of the depth below), and returns the
+    requested matrices in one gather.
 
     A(sigma) holds only 0 and +-1, so no entry of R(sigma) exceeds the
     largest absolute row sum of A(iota)^-1 in size: 16 for every partition
     of n <= 8, 44 at n = 9. __init__ checks that this bound fits int8, and
-    the memo keeps every R(sigma) as int8, composed exactly in int64: over
-    the 1,616 degree-8 generators the memo for 4+2+1^2 (d = 90) holds 3,844
-    matrices, 31 MB as int8 against 249 MB as int64. Returned arrays are
-    the memo entries themselves: treat them as read-only and cast to int64
-    before multiplying them by hand, since int8 products wrap.
+    the memo keeps every R(sigma) as int8 in one growing array, composed
+    exactly in int64: over the 1,616 degree-8 generators the memo for
+    4+2+1^2 (d = 90) holds 3,844 matrices, 31 MB as int8 against 249 MB as
+    int64. Returned arrays are copies; cast them to int64 before
+    multiplying them by hand, since int8 products wrap.
     """
 
     def __init__(self, pi: Partition):
         self.partition = pi
         self.n = pi.n
-        self.dim = dimension(pi)
+        self.dim = d = dimension(pi)
         bound = max(sum(map(abs, row)) for row in _a_iota_inverse(pi))
         if bound > np.iinfo(np.int8).max:
             raise ValueError(f"entries of R(sigma) for {pi.render()} can reach {bound}, beyond int8")
         ident = tuple(range(1, self.n + 1))
-        self._memo: dict[tuple[int, ...], np.ndarray] = {ident: np.eye(self.dim, dtype=np.int8)}
-        self._adjacent: dict[int, np.ndarray] = {}
-        for i in range(1, self.n):
-            s = ident[: i - 1] + (i + 1, i) + ident[i + 1 :]
-            m = np.array(clifton_matrix(pi, s), dtype=np.int64)
-            self._adjacent[i] = m
-            self._memo[s] = m.astype(np.int8)
+        adjacent = [ident[: i - 1] + (i + 1, i) + ident[i + 1 :] for i in range(1, self.n)]
+        # R(s_i) at position i - 1, for the compositions
+        self._adjacent = np.array([clifton_matrix(pi, s) for s in adjacent], dtype=np.int64).reshape(-1, d, d)
+        self._index = {sigma: k for k, sigma in enumerate([ident, *adjacent])}
+        self._store = np.concatenate([np.eye(d, dtype=np.int8)[None], self._adjacent.astype(np.int8)])
 
     def matrix(self, sigma: tuple[int, ...]) -> np.ndarray:
-        hit = self._memo.get(sigma)
-        return self._compose(sigma) if hit is None else hit
+        return self.matrices([sigma])[0]
 
-    def _compose(self, sigma: tuple[int, ...]) -> np.ndarray:
-        """R(sigma) for a sigma not in the memo, from tau = sigma s_i (its
-        entries at i and i + 1 swapped) at its first descent i."""
-        i = next(k for k in range(1, self.n) if sigma[k - 1] > sigma[k])
-        tau = sigma[: i - 1] + (sigma[i], sigma[i - 1]) + sigma[i + 1 :]
-        m = self._memo.get(tau)
-        if m is None:
-            m = self._compose(tau)
-        self._memo[sigma] = m = (m.astype(np.int64) @ self._adjacent[i]).astype(np.int8)
-        return m
+    def matrices(self, sigmas: list[tuple[int, ...]]) -> np.ndarray:
+        """R(sigma) for each of sigmas, in order, as one (k, d, d) int8 array."""
+        at = list(map(self._index.get, sigmas))
+        if None in at:
+            self._fill([s for s, k in zip(sigmas, at) if k is None])
+            at = list(map(self._index.__getitem__, sigmas))
+        return self._store[at]
 
-    def element(self, elt: dict[tuple[int, ...], object]) -> np.ndarray:
-        """The integer matrix sum of c * R(sigma) over elt's items, as int64.
-
-        A coefficient that is not an integer raises ValueError.
-        """
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for sigma, coeff in elt.items():
-            c = int(coeff)
-            if c != coeff:
-                raise ValueError(f"coefficient {coeff} of {sigma} is not an integer")
-            out += c * self.matrix(sigma).astype(np.int64)
-        return out
+    def _fill(self, sigmas: list[tuple[int, ...]]) -> None:
+        """Memoise R(sigma) for sigmas, none of them in the memo, and for the
+        missing links of their chains sigma -> sigma s_i -> ... down to the
+        memo, one depth (distance from the memo) at a time."""
+        index, d = self._index, self.dim
+        depth: dict[tuple[int, ...], int] = {}
+        levels: list[list[tuple[tuple[int, ...], tuple[int, ...], int]]] = []
+        for sigma in sigmas:
+            chain = []
+            while (k := depth.get(sigma)) is None and sigma not in index:
+                # the first descent; <= runs off the end of a tuple that
+                # is not a permutation of 1..n instead of looping
+                i = 1
+                while sigma[i - 1] <= sigma[i]:
+                    i += 1
+                tau = sigma[: i - 1] + (sigma[i], sigma[i - 1]) + sigma[i + 1 :]
+                chain.append((sigma, tau, i))
+                sigma = tau
+            k = k or 0
+            for link in reversed(chain):
+                if k == len(levels):
+                    levels.append([])
+                levels[k].append(link)
+                k += 1
+                depth[link[0]] = k
+        used, need = len(index), len(index) + len(depth)
+        if need > len(self._store):
+            store = np.empty((max(need, 2 * len(self._store)), d, d), dtype=np.int8)
+            store[:used] = self._store[:used]
+            self._store = store
+        step = max(1, _FILL_ENTRIES // (d * d))
+        for level in levels:
+            for a in range(0, len(level), step):
+                chunk = level[a : a + step]
+                parents = self._store[[index[tau] for _, tau, _ in chunk]].astype(np.int64)
+                composed = parents @ self._adjacent[[i - 1 for _, _, i in chunk]]
+                self._store[used : used + len(chunk)] = composed.astype(np.int8)
+                for sigma, _, _ in chunk:
+                    index[sigma] = used
+                    used += 1

@@ -2,15 +2,17 @@
 matrices entry by entry, representation dimensions by the hook length
 formula, the expansion of an explicit identity into the canonical monomial
 basis, a recursive canonicalizer and the lifting built on it, primality by
-trial division, block rows and skew relations as dense arrays, the rank
+trial division, element sums one matrix at a time, block rows and skew
+relations read off them and as dense arrays, the rank
 filter with identities as the outer loop, the row canonical form over GF(p)
 and over Q in plain Python, exact evaluation in Fraction arithmetic, and
 the identity check that evaluates every basis tuple afresh.
 
 The package builds Clifton matrices in whole numpy arrays, counts standard
 tableaux for dimensions, straightens trees in one lean walk that interns
-types as it goes, tests primality by Miller-Rabin, builds only the blocks
-an identity touches, straight into sparse rows, filters one partition at a
+types as it goes, tests primality by Miller-Rabin, builds the touched
+blocks of a batch of identities at once, straight into sparse rows,
+filters one partition at a
 time, evaluates alternating identities without expanding them, reduces
 rows over Q and mod p on one lazily cleaned sparse canonical form,
 evaluates in integers over a common denominator and reads basis tuples off
@@ -258,13 +260,41 @@ def is_prime_trial_division(n: int) -> bool:
     return True
 
 
+def element(table: symrep.RepTable, elt: dict[tuple[int, ...], object]) -> np.ndarray:
+    """The int64 matrix sum of c * R(sigma) over elt's items, one memoised
+    matrix at a time; a coefficient that is not an integer raises ValueError."""
+    out = np.zeros((table.dim, table.dim), dtype=np.int64)
+    for sigma, coeff in elt.items():
+        c = int(coeff)
+        if c != coeff:
+            raise ValueError(f"coefficient {coeff} of {sigma} is not an integer")
+        out += c * table.matrix(sigma).astype(np.int64)
+    return out
+
+
+def element_sum_rows(poly: freealg.Polynomial, table: symrep.RepTable) -> list[dict[int, int]]:
+    """A polynomial's d block rows {column: int}, one element sum per
+    touched type, read side by side in by_type order: the same rows, in the
+    same key order, as liftgen.identity_rows."""
+    d = table.dim
+    blocks = [((ti - 1) * d, element(table, perms)) for ti, perms in poly.by_type().items()]
+    rows: list[dict[int, int]] = [{} for _ in range(d)]
+    if blocks:
+        colmap = [start + j for start, _ in blocks for j in range(d)]
+        side = np.hstack([block for _, block in blocks])
+        at, cols = np.nonzero(side)
+        for i, c, x in zip(at.tolist(), cols.tolist(), side[at, cols].tolist()):
+            rows[i][colmap[c]] = x
+    return rows
+
+
 def identity_rows_dense(poly: freealg.Polynomial, table: symrep.RepTable) -> np.ndarray:
     """An identity's block rows as one dense int64 array, d x m*d: column
     block j holds the matrix of its component in the j-th association type."""
     d = table.dim
     out = np.zeros((d, freealg.count_types(poly.degree).all * d), dtype=np.int64)
     for ti, perms in poly.by_type().items():
-        out[:, (ti - 1) * d : ti * d] = table.element(perms)
+        out[:, (ti - 1) * d : ti * d] = element(table, perms)
     return out
 
 
@@ -280,7 +310,7 @@ def filter_identity_outermost(gen: liftgen.GenerationSet, field) -> tuple[tuple,
     for ident in gen.identities:
         grew = False
         for table, red in zip(tables, reducers):
-            if red.append(liftgen.identity_rows(ident.polynomial, table)):
+            if red.append(next(liftgen.identity_rows([ident.polynomial], table))):
                 grew = True
         if grew:
             kept.append(ident)
@@ -297,7 +327,7 @@ def skew_rows_dense(table: symrep.RepTable, degree: int) -> list[np.ndarray]:
     for j, t in enumerate(btypes):
         for g in freealg.skew_generators(t):
             rows = np.zeros((d, len(btypes) * d), dtype=np.int64)
-            rows[:, j * d : (j + 1) * d] = table.element({ident: 1, g.perm: 1})
+            rows[:, j * d : (j + 1) * d] = element(table, {ident: 1, g.perm: 1})
             out.append(rows)
     return out
 

@@ -8,14 +8,16 @@ import inspect
 import json
 import pkgutil
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lyident
-from lyident import cli, evallab, freealg, pipeline
+from lyident import cli, evallab, exactla, freealg, pipeline, symrep
 from lyident._data import data_text
+from lyident.exactla import GF101
 
 F = Fraction
 
@@ -515,6 +517,33 @@ def test_every_exported_name_resolves():
         mod = importlib.import_module(f"lyident.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"lyident.{info.name}.{name}"
+
+
+def test_benchmark_spans_install_and_restore():
+    # the benchmark's traced run patches library names from outside: a name
+    # it patches that the library dropped must fail here, and uninstall must
+    # put every original back
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "bench"))
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.path.remove(str(root / "bench"))
+    owners = [*spans.MODULES, symrep.RepTable, exactla.IncrementalReducer]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    uninstall = spans.install(tracer)
+    try:
+        pipeline.analyze_degree(5, GF101, "sign")
+    finally:
+        uninstall()
+    after = [dict(vars(owner)) for owner in owners]
+    for owner, old, new in zip(owners, before, after):
+        assert old.keys() == new.keys(), owner
+        assert [k for k in old if old[k] is not new[k]] == [], owner
+    names = set(tracer.names)
+    assert {"pipeline.analyze_degree", "symrep.RepTable.init", "exactla.append_gf", "exactla.tail_rows"} <= names
+    assert spans.layer_metrics(tracer, 1)["symrep.RepTable.init.calls"][0] >= 1
 
 
 def test_every_exported_name_is_used_outside_tests():

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 import reference
@@ -251,17 +252,17 @@ class TestIdentityRows:
     def test_degree_3_sign_partition(self):
         f = liftgen.seed_identities()["f"]
         tab = symrep.RepTable(symrep.Partition((1, 1, 1)))
-        assert reference.dense_rows(liftgen.identity_rows(f.polynomial, tab), 2) == [[3, 3]]
+        assert reference.dense_rows(next(liftgen.identity_rows([f.polynomial], tab)), 2) == [[3, 3]]
 
     def test_degree_3_trivial_partition(self):
         f = liftgen.seed_identities()["f"]
         tab = symrep.RepTable(symrep.Partition((3,)))
-        assert reference.dense_rows(liftgen.identity_rows(f.polynomial, tab), 2) == [[1, 1]]
+        assert reference.dense_rows(next(liftgen.identity_rows([f.polynomial], tab)), 2) == [[1, 1]]
 
     def test_degree_3_standard_partition(self):
         f = liftgen.seed_identities()["f"]
         tab = symrep.RepTable(symrep.Partition((2, 1)))
-        assert reference.dense_rows(liftgen.identity_rows(f.polynomial, tab), 4) == [
+        assert reference.dense_rows(next(liftgen.identity_rows([f.polynomial], tab)), 4) == [
             [1, 0, 1, 0],
             [-2, 0, -2, 0],
         ]
@@ -271,14 +272,14 @@ class TestIdentityRows:
         tab = symrep.RepTable(symrep.Partition((2, 1, 1)))
         cols = freealg.count_types(4).all * 3
         assert liftgen._column_split(4, 3) == (cols, (freealg.count_types(4).all - 2) * 3)
-        rows = reference.dense_rows(liftgen.identity_rows(g1.polynomial, tab), cols)
+        rows = reference.dense_rows(next(liftgen.identity_rows([g1.polynomial], tab)), cols)
         assert len(rows) == 3 and all(len(r) == cols for r in rows)
 
     @staticmethod
     def assert_matches_dense(idents, pi):
         tab = symrep.RepTable(pi)
-        for ident in idents:
-            rows = liftgen.identity_rows(ident.polynomial, tab)
+        built = liftgen.identity_rows([ident.polynomial for ident in idents], tab)
+        for ident, rows in zip(idents, built, strict=True):
             assert all(type(x) is int for row in rows for x in row.values())
             assert rows == reference.nonzero_rows(reference.identity_rows_dense(ident.polynomial, tab)), (
                 pi.render(), ident.render_lineage())
@@ -305,23 +306,69 @@ class TestIdentityRows:
         for pi in (symrep.Partition((4, 2, 1, 1)), symrep.Partition((1,) * 8)):
             self.assert_matches_dense(lifted, pi)
 
+    @staticmethod
+    def assert_matches_element_sums(polys, pis):
+        # rows equal to the element-sum reference as dicts and in key order
+        for pi in pis:
+            tab = symrep.RepTable(pi)
+            built = list(liftgen.identity_rows(polys, tab))
+            ref_tab = symrep.RepTable(pi)
+            expected = [reference.element_sum_rows(poly, ref_tab) for poly in polys]
+            assert [[list(r.items()) for r in rows] for rows in built] == [
+                [list(r.items()) for r in rows] for rows in expected], pi.render()
+
+    @staticmethod
+    def spans_batches(polys, pi) -> bool:
+        """True when polys take more than one batch and touch different numbers of types."""
+        widths = {len(poly.by_type()) for poly in polys}
+        return len(widths) > 1 and len(polys) * max(widths) * pi.dimension**2 > liftgen._BATCH_ENTRIES
+
+    def test_rows_match_element_sums_degree_6(self):
+        polys = [ident.polynomial for ident in liftgen.generate(6).identities]
+        assert len(polys) == 252 and self.spans_batches(polys, symrep.Partition((3, 2, 1)))
+        self.assert_matches_element_sums(polys, symrep.partitions(6))
+
+    def test_rows_match_element_sums_scan7(self, gen7_filtered):
+        polys = [ident.polynomial for ident in gen7_filtered.identities]
+        assert len(polys) == 154
+        pis = [symrep.parse_partition(p) for p in ("7", "6+1", "5+2", "4+1^3", "2+1^5", "1^7")]
+        self.assert_matches_element_sums(polys, pis)
+
+    def test_rows_match_element_sums_degree_8(self, gen8):
+        polys = [ident.polynomial for ident in gen8.identities]
+        sign = symrep.Partition((1,) * 8)
+        assert len(polys) == 1616 and self.spans_batches(polys, sign)
+        self.assert_matches_element_sums(polys, [sign])
+        self.assert_matches_element_sums(polys[:100], [symrep.Partition((4, 2, 1, 1))])
+
+    def test_empty_items_and_blocks_give_zero_rows(self):
+        # an empty item or block adds nothing, beside blocks that do
+        tab = symrep.RepTable(symrep.Partition((2, 1)))
+        elt = {(1, 2, 3): 2, (2, 1, 3): -1}
+        items = [[], [(0, {})], [(2, {}), (4, elt)], [(4, elt)]]
+        expected = [reference.nonzero_rows(np.hstack([np.zeros((2, 4), np.int64), reference.element(tab, elt)]))]
+        assert list(liftgen.block_rows(items, tab)) == [[{}, {}], [{}, {}]] + expected * 2
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
     def test_skew_rows_match_dense_reference(self, n):
-        # the skew relations built block by block as _skew_reducer builds
-        # them against the dense reference, and _skew_reducer's RCF against
-        # the RCF of the reference rows
+        # the skew relations built in batches as _skew_reducer builds them
+        # against the dense reference, key order included, and
+        # _skew_reducer's RCF against the RCF of the reference rows
         ident = tuple(range(1, n + 1))
         pis = symrep.partitions(n) if n < 8 else [symrep.Partition((4, 2, 1, 1)), symrep.Partition((1,) * 8)]
         for pi in pis:
             tab = symrep.RepTable(pi)
             d = tab.dim
             dense = reference.skew_rows_dense(tab, n)
-            sparse = [
-                liftgen._block_rows([(j * d, tab.element({ident: 1, g.perm: 1}))], d)
+            relations = [
+                [(j * d, {ident: 1, g.perm: 1})]
                 for j, t in enumerate(freealg.binary_types(n))
                 for g in freealg.skew_generators(t)
             ]
-            assert sparse == [reference.nonzero_rows(block) for block in dense], pi.render()
+            sparse = list(liftgen.block_rows(relations, tab))
+            expected = [reference.nonzero_rows(block) for block in dense]
+            assert [[list(r.items()) for r in rows] for rows in sparse] == [
+                [list(r.items()) for r in rows] for rows in expected], pi.render()
             field = QQ if n < 8 else GF101
             ref = IncrementalReducer(len(freealg.binary_types(n)) * d, field)
             for block in dense:
@@ -392,10 +439,10 @@ class TestFilter:
             tab = symrep.RepTable(pi)
             cols = freealg.count_types(4).all * tab.dim
             full, kept = (IncrementalReducer(cols, field) for _ in range(2))
-            for ident in g.identities:
-                full.append(liftgen.identity_rows(ident.polynomial, tab))
-            for ident in filt.identities:
-                kept.append(liftgen.identity_rows(ident.polynomial, tab))
+            for rows in liftgen.identity_rows([ident.polynomial for ident in g.identities], tab):
+                full.append(rows)
+            for rows in liftgen.identity_rows([ident.polynomial for ident in filt.identities], tab):
+                kept.append(rows)
             assert full.tail_rows(0) == kept.tail_rows(0)
 
     def test_row_space_equality_degree_5(self):
@@ -405,10 +452,10 @@ class TestFilter:
             tab = symrep.RepTable(pi)
             cols = freealg.count_types(5).all * tab.dim
             full, kept = (IncrementalReducer(cols, GF101) for _ in range(2))
-            for ident in g.identities:
-                full.append(liftgen.identity_rows(ident.polynomial, tab))
-            for ident in filt.identities:
-                kept.append(liftgen.identity_rows(ident.polynomial, tab))
+            for rows in liftgen.identity_rows([ident.polynomial for ident in g.identities], tab):
+                full.append(rows)
+            for rows in liftgen.identity_rows([ident.polynomial for ident in filt.identities], tab):
+                kept.append(rows)
             assert full.tail_rows(0) == kept.tail_rows(0)  # the same RCF, so the same pivots
 
     def test_gf101_filter_keeps_the_rational_row_space_degree_6(self, gen6_filtered):
@@ -459,11 +506,11 @@ class TestFilter:
     def test_one_partition_at_a_time(self, monkeypatch):
         # each partition's rows arrive in one contiguous run, and when a run
         # starts the table of the previous run has been freed
-        rows = liftgen.identity_rows
+        rows = liftgen.block_rows
         runs, alive = [], []
         previous = None
 
-        def recording(poly, table):
+        def recording(items, table):
             nonlocal previous
             if not runs or table.partition != runs[-1]:
                 if previous is not None:
@@ -472,9 +519,9 @@ class TestFilter:
                         alive.append(runs[-1].render())
                 runs.append(table.partition)
                 previous = weakref.ref(table)
-            return rows(poly, table)
+            return rows(items, table)
 
-        monkeypatch.setattr(liftgen, "identity_rows", recording)
+        monkeypatch.setattr(liftgen, "block_rows", recording)
         filt = liftgen.filter_redundant(liftgen.generate(5))
         assert [i.render_lineage() for i in filt.identities] == DEG5_KEPT
         assert runs == list(symrep.partitions(5))

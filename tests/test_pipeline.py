@@ -3,6 +3,7 @@ agreement, and the degree-8 sign-representation identity."""
 
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,8 +28,8 @@ def stacked_rows(gen, pi) -> list[list[int]]:
     generation order."""
     table = symrep.RepTable(pi)
     cols, _ = liftgen._column_split(gen.degree, table.dim)
-    return [row for ident in gen.identities
-            for row in dense_rows(liftgen.identity_rows(ident.polynomial, table), cols)]
+    return [row for rows in liftgen.identity_rows([ident.polynomial for ident in gen.identities], table)
+            for row in dense_rows(rows, cols)]
 
 
 def reduced(rows, cols: int, field) -> IncrementalReducer:
@@ -350,6 +351,17 @@ class TestSelection:
         with pytest.raises(ValueError, match="not a partition of"):
             pipeline.analyze_degree(4, GF101, ["2+1"], generation=liftgen.generate(4))
 
+    def test_wrong_n_partition_rejected_before_its_parts(self):
+        # the size is read off the text: a million parts are never built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^partition 1\\^3000000 is not a partition of 4$"):
+                pipeline.select_partitions(4, ["1^3000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     @pytest.mark.parametrize("partitions", [["3+2"], ["6", "4+1+1", "7"]])
     def test_wrong_n_partition_rejected_before_generation(self, monkeypatch, partitions):
         # building the degree-6 set runs the rank filter over 252 identities
@@ -592,7 +604,7 @@ class TestDegree8Sign:
         doubled = ExplicitIdentity(8, tuple((j, int(2 * c)) for j, c in THEOREM_TERMS))
         poly = alternation_polynomial(doubled)
         table = symrep.RepTable(symrep.Partition((1,) * 8))
-        (row,) = dense_rows(liftgen.identity_rows(poly, table), 354)
+        (row,) = dense_rows(next(liftgen.identity_rows([poly], table)), 354)
         assert not any(row[: 354 - 23])
         binary = row[354 - 23 :]
         lead = next(x for x in binary if x)

@@ -14,7 +14,7 @@ from lyident import freealg, liftgen, pipeline, symrep
 from lyident.exactla import GF101, QQ
 from lyident.symrep import Partition
 from reference import (
-    all_perms, clifton_a_matrix_reference, clifton_matrix_reference, compose, hook_dimension, sign,
+    all_perms, clifton_a_matrix_reference, clifton_matrix_reference, compose, dense_rows, hook_dimension, sign,
 )
 
 
@@ -157,6 +157,24 @@ def test_homomorphism_modular_large(shape):
         assert (tab.matrix(compose(s, t)) == wide(tab.matrix(s)) @ wide(tab.matrix(t))).all()
 
 
+@pytest.mark.parametrize("fill_entries", [symrep._FILL_ENTRIES, 1], ids=["default", "one-matrix-chunks"])
+def test_memo_fill_matches_clifton_s5(monkeypatch, fill_entries):
+    # every permutation of S_5 in shuffled order with repeats, asked for in
+    # two calls: chains share links within a call, and the second call
+    # finds part of its chains already memoised
+    monkeypatch.setattr(symrep, "_FILL_ENTRIES", fill_entries)
+    rng = random.Random(5)
+    perms = list(all_perms(5))
+    for pi in symrep.partitions(5):
+        tab = symrep.RepTable(pi)
+        asked = perms + rng.sample(perms, 40)
+        rng.shuffle(asked)
+        got = np.concatenate([tab.matrices(asked[:50]), tab.matrices(asked[50:])])
+        assert got.dtype == np.int8 and got.shape == (len(asked), tab.dim, tab.dim)
+        for sigma, m in zip(asked, got):
+            assert tuple(map(tuple, m.tolist())) == symrep.clifton_matrix(pi, sigma), (pi, sigma)
+
+
 def test_direct_and_composed_agree_spot_checks():
     rng = random.Random(9)
     for shape in [(3, 2), (2, 2, 2), (3, 3, 2)]:
@@ -229,29 +247,34 @@ def test_check_characteristic():
             symrep.check_characteristic(p, 4)
 
 
+def element_block(pi, elt) -> list[list[int]]:
+    """The d x d block sum of c * R(sigma) over elt, as liftgen.block_rows builds it."""
+    tab = symrep.RepTable(pi)
+    (rows,) = liftgen.block_rows([[(0, elt)]], tab)
+    return dense_rows(rows, tab.dim)
+
+
 def test_rep_of_element():
     ident = (1, 2, 3, 4)
-    assert symrep.RepTable(Partition((2, 2))).element({ident: 1}).tolist() == [[1, 0], [0, 1]]
+    assert element_block(Partition((2, 2)), {ident: 1}) == [[1, 0], [0, 1]]
     alt = {p: sign(p) for p in all_perms(4)}
-    assert symrep.RepTable(Partition((1, 1, 1, 1))).element(alt).tolist() == [[24]]
-    trivial = symrep.RepTable(Partition((4,)))
-    assert trivial.element({(2, 1, 3, 4): 1, (3, 4, 2, 1): -1}).tolist() == [[0]]
+    assert element_block(Partition((1, 1, 1, 1)), alt) == [[24]]
+    assert element_block(Partition((4,)), {(2, 1, 3, 4): 1, (3, 4, 2, 1): -1}) == [[0]]
     # integral Fractions are integers, and the result is not reduced mod anything
-    got = symrep.RepTable(Partition((2, 1))).element({(1, 2, 3): Fraction(-6, 2)})
-    assert got.tolist() == [[-3, 0], [0, -3]]
+    assert element_block(Partition((2, 1)), {(1, 2, 3): Fraction(-6, 2)}) == [[-3, 0], [0, -3]]
 
 
 @pytest.mark.parametrize("field", [QQ, GF101], ids=["QQ", "GF101"])
 def test_rep_of_element_rejects_fractions(field):
     with pytest.raises(ValueError, match="not an integer"):
-        symrep.RepTable(Partition((1, 1))).element({(1, 2): Fraction(3, 2)})
+        element_block(Partition((1, 1)), {(1, 2): Fraction(3, 2)})
     with pytest.raises(ValueError, match="not an integer"):
-        symrep.RepTable(Partition((2, 1))).element({(1, 2, 3): 1, (2, 1, 3): Fraction(-1, 2)})
+        element_block(Partition((2, 1)), {(1, 2, 3): 1, (2, 1, 3): Fraction(-1, 2)})
     # the route a polynomial takes: 1/2 [[a,b],c] used to give zero rows, and
     # over GF(p) it must not be read as (p + 1)/2 either
     half = freealg.expand([(Fraction(1, 2), (2, (2, 1, 2), 3))])
     with pytest.raises(ValueError, match="not an integer"):
-        liftgen.identity_rows(half, symrep.RepTable(Partition((2, 1))))
+        list(liftgen.identity_rows([half], symrep.RepTable(Partition((2, 1)))))
     gen = liftgen.GenerationSet(3, (liftgen.Identity(half, (("seed", "half"),)),))
     with pytest.raises(ValueError, match="not an integer"):
         pipeline.reduce_identities(gen, Partition((2, 1)), field)
@@ -259,4 +282,4 @@ def test_rep_of_element_rejects_fractions(field):
 
 def test_alternating_sum_in_sign_rep_degree8():
     alt = {p: sign(p) for p in all_perms(8)}
-    assert symrep.RepTable(Partition((1,) * 8)).element(alt).tolist() == [[factorial(8)]]
+    assert element_block(Partition((1,) * 8), alt) == [[factorial(8)]]
