@@ -12,6 +12,20 @@ one variable or by multiplying the whole identity into a new product; the
 generators of degree n are the binary liftings of degree n-1 and the ternary
 liftings of degree n-2.
 
+A lifting step maps each canonical monomial (type T, perm) to one
+canonical monomial and a sign. Apart from one case below, the result
+depends only on the degree, T and the step, a substitution being keyed by
+the leaf position of its variable in perm: a substitution changes only
+the path from that leaf to the root, and a multiplication adds a new
+root. So monomials are lifted through a step table, filled lazily by
+the tree route (_apply_step, then straightening) run once on T's tree
+labelled by leaf position. An entry holds the new type, the sign and the
+order in which the new perm gathers the old perm's entries and the new
+labels n+1 (and n+2). The one label-dependent case is a node on the path
+whose first two children end up equal types: there the canonical order
+compares their first labels, so the entry lists those nodes and the lift
+compares the actual labels.
+
 Each identity carries its lineage: the seed name followed by the lifting
 steps that produced it. Replaying a lineage from the seed terms reproduces
 the identity's polynomial exactly, which is the integrity check used in
@@ -24,6 +38,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dc_field
 from itertools import islice
 from math import factorial
+from operator import itemgetter
 
 import numpy as np
 
@@ -116,13 +131,6 @@ class GenerationSet:
         return len(self.identities)
 
 
-_tree_of = freealg.labeled_tree
-
-
-def _poly_terms(poly: freealg.Polynomial):
-    return [(c, _tree_of(m)) for m, c in poly.sorted_terms()]
-
-
 def _substitute(tree, var: int, repl):
     if tree.__class__ is int:
         return repl if tree == var else tree
@@ -132,32 +140,120 @@ def _substitute(tree, var: int, repl):
             _substitute(tree[3], var, repl))
 
 
+# the length of each kind of lifting step, its kind included
+_STEP_LENGTH = {"binary-sub": 2, "binary-mul": 1, "ternary-sub": 2, "ternary-mul": 2}
+
+
+def _check_step(step: Step, degree: int):
+    """(kind, argument) of a lifting step on an identity of the given
+    degree, argument None for binary-mul; a malformed step raises
+    ValueError naming it."""
+    kind = step[0] if step else None
+    if kind not in _STEP_LENGTH:
+        raise ValueError(f"unknown lifting step {step!r}")
+    if len(step) != _STEP_LENGTH[kind]:
+        takes = "one argument" if _STEP_LENGTH[kind] == 2 else "no argument"
+        raise ValueError(f"{kind} step takes {takes}, got {step!r}")
+    if kind == "binary-mul":
+        return kind, None
+    arg = step[1]
+    if kind == "ternary-mul":
+        if arg.__class__ is not int or arg not in (1, 3):
+            raise ValueError(f"ternary-mul position must be 1 or 3, got {arg!r}")
+    elif arg.__class__ is not int or not 1 <= arg <= degree:
+        raise ValueError(f"{kind} index must be an int in 1..{degree}, got {arg!r}")
+    return kind, arg
+
+
 def _apply_step(terms, degree: int, step: Step):
     """One lifting step on (coeff, tree) terms; returns (terms, new degree)."""
-    kind = step[0]
+    kind, i = _check_step(step, degree)
     n = degree
-    if kind in ("binary-sub", "ternary-sub", "ternary-mul") and len(step) != 2:
-        raise ValueError(f"{kind} step takes one argument, got {step!r}")
-    if kind in ("binary-sub", "ternary-sub"):
-        i = step[1]
-        if i.__class__ is not int or not 1 <= i <= n:
-            raise ValueError(f"{kind} index must be an int in 1..{n}, got {i!r}")
     if kind == "binary-sub":
-        out = [(c, _substitute(t, i, (2, i, n + 1))) for c, t in terms]
-        return out, n + 1
+        return [(c, _substitute(t, i, (2, i, n + 1))) for c, t in terms], n + 1
     if kind == "binary-mul":
         return [(c, (2, t, n + 1)) for c, t in terms], n + 1
     if kind == "ternary-sub":
-        out = [(c, _substitute(t, i, (3, i, n + 1, n + 2))) for c, t in terms]
-        return out, n + 2
-    if kind == "ternary-mul":
-        pos = step[1]
-        if pos == 1:
-            return [(c, (3, t, n + 1, n + 2)) for c, t in terms], n + 2
-        if pos == 3:
-            return [(c, (3, n + 1, n + 2, t)) for c, t in terms], n + 2
-        raise ValueError(f"ternary-mul position must be 1 or 3, got {pos}")
-    raise ValueError(f"unknown lifting step {step!r}")
+        return [(c, _substitute(t, i, (3, i, n + 1, n + 2))) for c, t in terms], n + 2
+    if i == 1:
+        return [(c, (3, t, n + 1, n + 2)) for c, t in terms], n + 2
+    return [(c, (3, n + 1, n + 2, t)) for c, t in terms], n + 2
+
+
+# (degree, type index, kind, argument) -> (type index, sign, gather, ties) of
+# the lifted monomial; filled lazily by _step_entry, at most
+# (types of degree n) x (2n + 3) entries per degree
+_STEPS: dict[tuple, tuple] = {}
+
+
+def _step_entry(n: int, t: int, kind: str, arg) -> tuple:
+    """The table entry of one lifting step on the degree-n type t, made by
+    the tree route on t's tree labelled by leaf position.
+
+    A substitution's argument is the leaf position of its variable. gather
+    picks the new leaf labels from the old perm extended by n+1 (and n+2);
+    ties lists, bottom up, each (start, k) where a node on the straightened
+    path from the changed leaf to the root has first two children of equal
+    types of degree k, at leaf positions start and start + k, one of them
+    on the path and both beginning with an old label: there the canonical
+    order compares the actual labels, which the leaf positions need not
+    share.
+    """
+    tree = freealg.labeled_tree(freealg.Monomial(n, t, tuple(range(1, n + 1))))
+    lifted, _ = _apply_step([(1, tree)], n, (kind,) if arg is None else (kind, arg))
+    mono, sign = freealg.canonicalize(lifted[0][1])
+    labels = mono.perm
+    ties = []
+
+    def walk(node, start):
+        at = start
+        for child in node.children:
+            walk(child, at)
+            at += child.degree
+        if node.arity and node.children[0] is node.children[1]:
+            k = node.children[0].degree
+            if labels[start] <= n and labels[start + k] <= n and n + 1 in labels[start : start + 2 * k]:
+                ties.append((start, k))
+
+    walk(mono.type, 0)
+    entry = (mono.type_index, sign, itemgetter(*[x - 1 for x in labels]), tuple(ties))
+    _STEPS[n, t, kind, arg] = entry
+    return entry
+
+
+def _untie(labels: tuple[int, ...], ties, sign: int):
+    """Reorder the tied blocks of a gathered perm by their first labels."""
+    out = list(labels)
+    for start, k in ties:
+        mid = start + k
+        if out[start] > out[mid]:
+            out[start : mid + k] = out[mid : mid + k] + out[start:mid]
+            sign = -sign
+    return tuple(out), sign
+
+
+def _lift_terms(terms, degree: int, step: Step) -> freealg.Polynomial:
+    """One lifting step on a polynomial's sorted (monomial, coeff) terms,
+    each term lifted through the step table."""
+    kind, arg = _check_step(step, degree)
+    new = (degree + 1,) if kind.startswith("binary") else (degree + 1, degree + 2)
+    m = degree + len(new)
+    sub = kind.endswith("sub")
+    out: dict[freealg.Monomial, object] = {}
+    for mono, c in terms:
+        perm = mono.perm
+        key = (degree, mono.type_index, kind, perm.index(arg) + 1 if sub else arg)
+        t, sign, gather, ties = _STEPS.get(key) or _step_entry(*key)
+        labels = gather(perm + new)
+        if ties:
+            labels, sign = _untie(labels, ties, sign)
+        lifted = freealg.Monomial(m, t, labels)
+        c = out.get(lifted, 0) + sign * c
+        if c:
+            out[lifted] = c
+        else:
+            del out[lifted]
+    return freealg.Polynomial(m, out)
 
 
 def seed_identities() -> dict[str, Identity]:
@@ -168,13 +264,10 @@ def seed_identities() -> dict[str, Identity]:
 
 
 def _lift(ident: Identity, steps: list[Step]) -> list[Identity]:
-    if not ident.polynomial:
-        return []
-    terms = _poly_terms(ident.polynomial)
+    terms = ident.polynomial.sorted_terms()
     out = []
     for step in steps:
-        lifted, _ = _apply_step(terms, ident.degree, step)
-        poly = freealg.expand(lifted)
+        poly = _lift_terms(terms, ident.degree, step)
         if poly:
             out.append(Identity(poly, ident.lineage + (step,)))
     return out
@@ -197,16 +290,17 @@ def lift_ternary(ident: Identity) -> list[Identity]:
 
 def replay(lineage: tuple[Step, ...]) -> freealg.Polynomial:
     """Re-execute a lineage from its seed; must reproduce Identity.polynomial."""
-    if not lineage or lineage[0][0] != "seed":
+    if not lineage or not lineage[0] or lineage[0][0] != "seed":
         raise ValueError(f"lineage must start with a seed step: {lineage!r}")
+    if len(lineage[0]) != 2:
+        raise ValueError(f"seed step takes one argument, got {lineage[0]!r}")
     name = lineage[0][1]
     if name not in _SEED_TERMS:
         raise ValueError(f"unknown seed {name!r}")
-    terms = list(_SEED_TERMS[name])
-    degree = max(_leaf_count(t) for _, t in terms)
+    poly = freealg.expand(_SEED_TERMS[name])
     for step in lineage[1:]:
-        terms, degree = _apply_step(terms, degree, step)
-    return freealg.expand(terms)
+        poly = _lift_terms(poly.sorted_terms(), poly.degree, step)
+    return poly
 
 
 def _leaf_count(tree) -> int:

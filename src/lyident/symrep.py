@@ -220,7 +220,7 @@ def check_characteristic(characteristic: int, n: int) -> None:
         raise ValueError(f"characteristic must be 0 or a prime > {n}")
 
 
-# int64 entries one chunk of RepTable's memo fill holds in its products
+# entries one chunk of RepTable's memo fill holds in its products
 _FILL_ENTRIES = 1 << 13
 
 
@@ -232,14 +232,14 @@ class RepTable:
     R(sigma s_i) R(s_i) at sigma's first descent i, where sigma s_i has one
     inversion fewer. matrices fills the memo for every sigma it is asked
     for that is missing, one depth at a time (each depth is one batched
-    int64 matmul on the matrices of the depth below), and returns the
+    float64 matmul on the matrices of the depth below), and returns the
     requested matrices in one gather.
 
     A(sigma) holds only 0 and +-1, so no entry of R(sigma) exceeds the
     largest absolute row sum of A(iota)^-1 in size: 16 for every partition
     of n <= 8, 44 at n = 9. __init__ checks that this bound fits int8, and
     the memo keeps every R(sigma) as int8 in one growing array, composed
-    exactly in int64: over the 1,616 degree-8 generators the memo for
+    exactly in float64: over the 1,616 degree-8 generators the memo for
     4+2+1^2 (d = 90) holds 3,844 matrices, 31 MB as int8 against 249 MB as
     int64. Returned arrays are copies; cast them to int64 before
     multiplying them by hand, since int8 products wrap.
@@ -254,8 +254,9 @@ class RepTable:
             raise ValueError(f"entries of R(sigma) for {pi.render()} can reach {bound}, beyond int8")
         ident = tuple(range(1, self.n + 1))
         adjacent = [ident[: i - 1] + (i + 1, i) + ident[i + 1 :] for i in range(1, self.n)]
-        # R(s_i) at position i - 1, for the compositions
-        self._adjacent = np.array([clifton_matrix(pi, s) for s in adjacent], dtype=np.int64).reshape(-1, d, d)
+        # R(s_i) at position i - 1, for the compositions: in float64, since
+        # numpy multiplies integer matrices without BLAS (see _fill)
+        self._adjacent = np.array([clifton_matrix(pi, s) for s in adjacent], dtype=np.float64).reshape(-1, d, d)
         self._index = {sigma: k for k, sigma in enumerate([ident, *adjacent])}
         self._store = np.concatenate([np.eye(d, dtype=np.int8)[None], self._adjacent.astype(np.int8)])
 
@@ -304,7 +305,10 @@ class RepTable:
         for level in levels:
             for a in range(0, len(level), step):
                 chunk = level[a : a + step]
-                parents = self._store[[index[tau] for _, tau, _ in chunk]].astype(np.int64)
+                # exact in float64: both factors' entries are at most bound
+                # (<= 127, checked in __init__) in size, so every partial sum
+                # is at most 127 * 127 * d, far below 2^53
+                parents = self._store[[index[tau] for _, tau, _ in chunk]].astype(np.float64)
                 composed = parents @ self._adjacent[[i - 1 for _, _, i in chunk]]
                 self._store[used : used + len(chunk)] = composed.astype(np.int8)
                 for sigma, _, _ in chunk:

@@ -1,10 +1,12 @@
 """Seeds, liftings, generation counts, lineage replay, and the rank filter."""
 
 import gc
+import json
 import random
 import weakref
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +248,84 @@ class TestReplay:
         for step in [("binary-sub",), ("ternary-mul",)]:
             with pytest.raises(ValueError, match="one argument"):
                 liftgen.replay((("seed", "f"), step))
+        # an extra argument is an error, not ignored, and so is a seed
+        # step without its name
+        with pytest.raises(ValueError, match=r"binary-mul step takes no argument, got \('binary-mul', 7\)"):
+            liftgen.replay((("seed", "f"), ("binary-mul", 7)))
+        with pytest.raises(ValueError, match=r"seed step takes one argument, got \('seed', 'f', 'x'\)"):
+            liftgen.replay((("seed", "f", "x"),))
+        with pytest.raises(ValueError, match=r"seed step takes one argument, got \('seed',\)"):
+            liftgen.replay((("seed",),))
+        # a position that only compares equal to 1 is not one
+        for pos in (True, 1.0):
+            with pytest.raises(ValueError, match="position must be 1 or 3"):
+                liftgen.replay((("seed", "f"), ("ternary-mul", pos)))
+
+
+def tree_route(parent: liftgen.Identity, step) -> freealg.Polynomial:
+    """One lifting step the way the step table's entries are made: the
+    parent's terms as labelled trees, the step applied to the trees, then
+    straightened."""
+    terms = [(c, freealg.labeled_tree(m)) for m, c in parent.polynomial.sorted_terms()]
+    return freealg.expand(liftgen._apply_step(terms, parent.degree, step)[0])
+
+
+def tree_generation(n: int, inputs: dict) -> list:
+    """(lineage, terms in insertion order) of the degree-n generators lifted
+    from inputs[n - 1] and inputs[n - 2] by the tree route, in the order of
+    liftgen.generate, zero lifts dropped."""
+    out = [(s.lineage, list(s.polynomial.terms.items())) for s in liftgen.seed_identities().values() if s.degree == n]
+    for parent in inputs[n - 1].identities:
+        steps = [("binary-sub", i) for i in range(1, n)] + [("binary-mul",)]
+        out += [(parent.lineage + (s,), list(q.terms.items())) for s in steps if (q := tree_route(parent, s))]
+    if n >= 5:
+        for parent in inputs[n - 2].identities:
+            steps = [("ternary-sub", i) for i in range(1, n - 1)] + [("ternary-mul", 1), ("ternary-mul", 3)]
+            out += [(parent.lineage + (s,), list(q.terms.items())) for s in steps if (q := tree_route(parent, s))]
+    return out
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_generate_matches_tree_route(self, n):
+        # every generator, its lineage, terms, coefficients and term order,
+        # lifted one step from the same parents by the tree route
+        inputs = {k: liftgen.generate(k) for k in (n - 2, n - 1) if k >= 3}
+        got = [(i.lineage, list(i.polynomial.terms.items())) for i in liftgen.generate(n).identities]
+        assert got == tree_generation(n, inputs)
+
+    def test_generate_8_matches_tree_route(self, gen6_filtered, gen7_filtered, gen8):
+        got = [(i.lineage, list(i.polynomial.terms.items())) for i in gen8.identities]
+        assert len(got) == 1616
+        assert got == tree_generation(8, {6: gen6_filtered, 7: gen7_filtered})
+
+    def test_benchmark_lineages_replay_to_generate(self):
+        doc = json.loads((Path(__file__).parents[1] / "bench" / "lineages.json").read_text(encoding="utf-8"))
+        assert sorted(doc) == ["6", "7"]
+        for n, lineages in doc.items():
+            generated = {i.lineage: i.polynomial for i in liftgen.generate(int(n)).identities}
+            for lineage in lineages:
+                lineage = tuple(tuple(step) for step in lineage)
+                assert liftgen.replay(lineage) == generated[lineage], lineage
+
+    @pytest.mark.parametrize("perm, expected", [
+        ((1, 2, 3), ((1, 2, 3, 4), 1)),
+        ((2, 3, 1), ((1, 4, 2, 3), -1)),
+    ], ids=["kept", "swapped"])
+    def test_label_dependent_entry(self, perm, expected):
+        # binary-sub at the leaf c of [[a,b],c] gives [[a,b],[c,d]]: the two
+        # children [a,b] and [c,d] are equal types, so their order depends on
+        # the labels. Leaf positions put the old pair first; the labels
+        # (2, 3, 1) put [x1,x4] before [x2,x3], with a reorientation sign.
+        [t] = [k for k, ty in enumerate(freealg.enumerate_types(3), 1) if freealg.render_type(ty) == "[[--]-]"]
+        parent = liftgen.Identity(freealg.Polynomial(3, {freealg.Monomial(3, t, perm): 1}), (("seed", "f"),))
+        step = ("binary-sub", perm[2])
+        lifted = liftgen._lift(parent, [step])[0].polynomial
+        assert lifted == tree_route(parent, step)
+        [(mono, coeff)] = lifted.terms.items()
+        assert freealg.render_type(mono.type) == "[[--][--]]"
+        assert liftgen._STEPS[3, t, "binary-sub", 3][3] == ((0, 2),)
+        assert (mono.perm, coeff) == expected
 
 
 class TestIdentityRows:

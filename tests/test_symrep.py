@@ -175,6 +175,24 @@ def test_memo_fill_matches_clifton_s5(monkeypatch, fill_entries):
             assert tuple(map(tuple, m.tolist())) == symrep.clifton_matrix(pi, sigma), (pi, sigma)
 
 
+def test_memo_fill_matches_clifton_d90():
+    # 4+2+1^2 (d = 90) on permutations of at least 20 inversions: each
+    # chain composes 20 or more products of 90 x 90 matrices in float64
+    pi = symrep.parse_partition("4+2+1^2")
+    rng = random.Random(90)
+    asked = [tuple(range(8, 0, -1))]
+    while len(asked) < 36:
+        sigma = tuple(rng.sample(range(1, 9), 8))
+        if sum(a > b for i, a in enumerate(sigma) for b in sigma[i + 1 :]) >= 20:
+            asked.append(sigma)
+    tab = symrep.RepTable(pi)
+    assert tab.dim == 90
+    got = tab.matrices(asked)
+    assert got.dtype == np.int8
+    for sigma, m in zip(asked, got):
+        assert tuple(map(tuple, m.tolist())) == symrep.clifton_matrix(pi, sigma), sigma
+
+
 def test_direct_and_composed_agree_spot_checks():
     rng = random.Random(9)
     for shape in [(3, 2), (2, 2, 2), (3, 3, 2)]:
