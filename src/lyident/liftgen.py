@@ -321,19 +321,30 @@ def generate(n: int, filtered_inputs: dict[int, GenerationSet] | None = None) ->
     degree 5 is h, then binary liftings of degree 4, then ternary liftings of
     degree 3; beyond that every generator is lifted. filtered_inputs may map
     a source degree to a (typically filtered) GenerationSet to lift instead
-    of the full one.
+    of the full one. Each source degree is built at most once per call.
     """
     if n < 3:
         raise ValueError("identities start at degree 3")
+    sets = dict(filtered_inputs or {})
+    # degree k is read by the binary liftings to k + 1 and, from degree 5
+    # on, by the ternary liftings to k + 2: a source set is built on its
+    # first read and dropped after its last
+    reads = {k: 1 + (5 <= k + 2 <= n) for k in range(3, n)}
+
+    def inputs(k: int) -> GenerationSet:
+        if k not in sets:
+            sets[k] = _generate(k, inputs)
+        reads[k] -= 1
+        return sets[k] if reads[k] else sets.pop(k)
+
+    return _generate(n, inputs)
+
+
+def _generate(n: int, inputs) -> GenerationSet:
+    """generate's degree-n set, lifted from inputs(n - 1) and inputs(n - 2)."""
     seeds = seed_identities()
     if n == 3:
         return GenerationSet(3, (seeds["f"],))
-
-    def inputs(k: int) -> GenerationSet:
-        if filtered_inputs and k in filtered_inputs:
-            return filtered_inputs[k]
-        return generate(k, filtered_inputs)
-
     out: list[Identity] = []
     if n == 4:
         out += [seeds["g1"], seeds["g2"]]
@@ -433,6 +444,34 @@ def identity_rows(polys: Iterable[freealg.Polynomial], table: symrep.RepTable) -
     polynomials at a time)."""
     d = table.dim
     return block_rows(([((ti - 1) * d, perms) for ti, perms in poly.by_type().items()] for poly in polys), table)
+
+
+def _elimination_items(polys: Iterable[freealg.Polynomial], table: symrep.RepTable) -> Iterator[list[tuple[int, dict]]]:
+    """block_rows items of polys in a fill-reducing elimination order.
+
+    The polynomials come fewest terms first, ties in the given order. The
+    nonbinary type blocks are laid out least touched first (by the number
+    of polynomials with a term of that type), ties in deglex order, and
+    the binary blocks last in deglex order, so the binary columns are
+    those of _column_split and identity_rows. One pass over polys reads
+    each one's blocks, its size and the touch counts; the items are built
+    as block_rows asks for them.
+    """
+    d = table.dim
+    m = freealg.count_types(table.n).all
+    nonbinary = m - len(freealg.binary_types(table.n))
+    blocks, sizes, touches = [], [], [0] * (m + 1)
+    for poly in polys:
+        by_type = poly.by_type()
+        for ti in by_type:
+            touches[ti] += 1
+        blocks.append(by_type)
+        sizes.append(len(poly))
+    first = [(ti - 1) * d for ti in range(m + 1)]
+    for at, ti in enumerate(sorted(range(1, nonbinary + 1), key=touches.__getitem__)):
+        first[ti] = at * d
+    for k in sorted(range(len(blocks)), key=sizes.__getitem__):
+        yield [(first[ti], perms) for ti, perms in blocks[k].items()]
 
 
 def filter_redundant(gen: GenerationSet, field: FieldSpec = GF101) -> GenerationSet:

@@ -7,8 +7,13 @@ left of it, so it is an identity involving the bilinear operation alone; the
 submatrix A_pi of such rows is measured against B_pi, the reduced
 skew-symmetry relations of the binary types. reduce_identities keeps
 RCF(L_pi) without ever holding L_pi, and A_pi is read off it with
-tail_rows from the first binary column. A row of A_pi outside the row
-space of B_pi is an identity the bilinear operation satisfies beyond
+tail_rows from the first binary column. It eliminates in a fill-reducing
+order: the identities fewest terms first, the nonbinary blocks least
+touched first. Neither order changes A_pi: the RCF does not depend on the
+order rows arrive in, and its binary tail, the RCF of the rows in the
+row space that vanish left of the binary columns, does not depend on how
+the nonbinary columns are ordered. A row of A_pi outside the row space of
+B_pi is an identity the bilinear operation satisfies beyond
 anticommutativity. In the sign representation the blocks are 1 x 1 and rows
 are alternating sums, which is where the degree-8 identity appears.
 """
@@ -61,9 +66,14 @@ class ExplicitIdentity:
         if not self.terms:
             raise ValueError("an explicit identity needs at least one term")
         b = len(freealg.binary_types(self.degree))
+        seen = set()
         for j, coeff in self.terms:
             if not 1 <= j <= b:
                 raise ValueError(f"binary type index {j} out of range 1..{b}")
+            if j in seen:
+                # one coefficient per type: evaluation would sum a repeat, certify_new keep the last
+                raise ValueError(f"binary type index {j} appears twice")
+            seen.add(j)
             if type(coeff) is not int and not isinstance(coeff, Fraction):
                 # render needs an exact number; a float would enter as its binary value
                 raise ValueError(f"coefficient {coeff!r}: give an int or a Fraction")
@@ -121,7 +131,8 @@ class PartitionReport:
     new_rows: tuple[tuple, ...]
     status: str = "ok"
     seconds: float = 0.0
-    # how far an aborted reduction got: its rank and the identities appended
+    # how far an aborted reduction got: its rank and the identities appended,
+    # counted in the elimination order
     rank_reached: int | None = None
     identities_consumed: int | None = None
 
@@ -142,7 +153,10 @@ def reduce_identities(
     """Feed every identity's block rows through an incremental reducer.
 
     Returns the reducer and a status: "ok", or an aborted marker when a
-    resource cap was hit (the reducer then holds a partial row space).
+    resource cap was hit (the reducer then holds a partial row space). The
+    identities go in fewest terms first, and the reducer's nonbinary
+    columns follow liftgen's elimination layout; its binary columns, from
+    the first binary column on, are those of identity_rows.
     """
     red, status, _ = _reduce(gen, symrep.RepTable(pi), field, caps)
     return red, status
@@ -150,13 +164,14 @@ def reduce_identities(
 
 def _reduce(gen, table: symrep.RepTable, field: FieldSpec, caps) -> tuple[IncrementalReducer, str, int]:
     """reduce_identities on one partition's table, plus the number of
-    identities appended."""
+    identities appended in the elimination order."""
     if table.n != gen.degree:
         raise ValueError(f"partition of {table.n} against degree-{gen.degree} identities")
     symrep.check_characteristic(field.characteristic, gen.degree)
     red = IncrementalReducer(liftgen._column_split(gen.degree, table.dim)[0], field)
     start = time.monotonic()
-    for k, rows in enumerate(liftgen.identity_rows((ident.polynomial for ident in gen.identities), table), 1):
+    items = liftgen._elimination_items((ident.polynomial for ident in gen.identities), table)
+    for k, rows in enumerate(liftgen.block_rows(items, table), 1):
         red.append(rows)
         if caps and caps.max_rows is not None and red.rank > caps.max_rows:
             return red, "aborted-rows", k

@@ -379,6 +379,15 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error: line 2: cannot parse 'alternating yes'")
 
+    def test_repeated_term_type_is_an_error(self, capsys, tmp_path):
+        # two term lines on one binary type: the file names the identity ambiguously
+        index = freealg.count_types(3).all
+        path = tmp_path / "identity.txt"
+        path.write_text(f"degree 3\nalternating true\nterm {index} 123 1\nterm {index} 123 2\n")
+        code, out, err = run(capsys, "verify", "--identity", str(path), "--algebra", "zero")
+        assert code == 1 and out == ""
+        assert err == "error: binary type index 1 appears twice\n"
+
     def test_alternating_check_in_full_dimension_has_no_note(self, capsys, tmp_path):
         # the alternation of [[x1,x2],x3] is twice the Jacobi sum, zero on a Lie bracket
         index = freealg.count_types(3).all

@@ -187,6 +187,22 @@ class TestGenerate:
         with pytest.raises(ValueError):
             liftgen.generate(2)
 
+    def test_each_degree_built_once(self, monkeypatch):
+        # generate(7) lifts degrees 6 and 5, which lift 5, 4 and 3 in turn;
+        # each is built once: 288 + 42 + 7 + 1 liftings of an identity
+        built, lifted = [], []
+        build, lift = liftgen._generate, liftgen._lift
+        monkeypatch.setattr(liftgen, "_generate", lambda n, inputs: built.append(n) or build(n, inputs))
+        monkeypatch.setattr(liftgen, "_lift", lambda ident, steps: lifted.append(ident) or lift(ident, steps))
+        liftgen.generate(7)
+        assert sorted(built) == [3, 4, 5, 6, 7]
+        assert len(lifted) == 338
+        # a given source degree is not built at all
+        small = liftgen.GenerationSet(4, liftgen.generate(4).identities[:2], filtered=True)
+        built.clear()
+        liftgen.generate(5, {4: small})
+        assert sorted(built) == [3, 5]
+
     @pytest.mark.parametrize("n", [6, 7])
     def test_matches_reference_lifting(self, n):
         # every generator, lifted through the recursive reference

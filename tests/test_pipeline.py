@@ -2,6 +2,7 @@
 agreement, and the degree-8 sign-representation identity."""
 
 import json
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -30,6 +31,15 @@ def stacked_rows(gen, pi) -> list[list[int]]:
     cols, _ = liftgen._column_split(gen.degree, table.dim)
     return [row for rows in liftgen.identity_rows([ident.polynomial for ident in gen.identities], table)
             for row in dense_rows(rows, cols)]
+
+
+def eliminated_rows(gen, pi) -> list[list[int]]:
+    """L_pi in the column layout and row order of reduce_identities, every
+    identity's block rows written out and stacked."""
+    table = symrep.RepTable(pi)
+    cols, _ = liftgen._column_split(gen.degree, table.dim)
+    items = liftgen._elimination_items([ident.polynomial for ident in gen.identities], table)
+    return [row for rows in liftgen.block_rows(items, table) for row in dense_rows(rows, cols)]
 
 
 def reduced(rows, cols: int, field) -> IncrementalReducer:
@@ -124,6 +134,13 @@ class TestExplicitIdentity:
         with pytest.raises(ValueError, match="out of range"):
             ExplicitIdentity(3, ((2, 1),))
 
+    def test_rejects_repeated_type_index(self):
+        # certify_new would keep the last coefficient and evaluation the sum
+        with pytest.raises(ValueError, match="binary type index 1 appears twice"):
+            ExplicitIdentity(8, ((1, 1), (1, 2)))
+        with pytest.raises(ValueError, match="binary type index 3 appears twice"):
+            ExplicitIdentity(8, ((3, 1), (2, 1), (3, -1)))
+
     def test_rejects_zero_coefficient(self):
         with pytest.raises(ValueError, match="zero coefficient"):
             ExplicitIdentity(3, ((1, 0),))
@@ -186,15 +203,47 @@ class TestAgreement:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_incremental_equals_batch(self, n):
         # the chunked feed of reduce_identities against one append of the
-        # stacked rows, over both fields
+        # stacked rows in its column layout, over both fields
         gen = liftgen.generate(n)
         m = freealg.count_types(n).all
         for pi in symrep.partitions(n):
             for field in (QQ, GF101):
                 red, status = pipeline.reduce_identities(gen, pi, field)
                 assert status == "ok"
-                batch = reduced(stacked_rows(gen, pi), m * pi.dimension, field)
+                batch = reduced(eliminated_rows(gen, pi), m * pi.dimension, field)
                 assert red.tail_rows(0) == batch.tail_rows(0), (field, pi.render())
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_elimination_order_keeps_the_binary_tail(self, n):
+        # reduce_identities appends the sparsest identities first into its
+        # own layout of the nonbinary blocks; the rank and the binary tail
+        # of the RCF are those of generation order in the deglex layout
+        gen = liftgen.generate(n)
+        polys = [ident.polynomial for ident in gen.identities]
+        for pi in symrep.partitions(n):
+            table = symrep.RepTable(pi)
+            cols, first_binary = liftgen._column_split(n, table.dim)
+            for field in (GF101, QQ):
+                red, status = pipeline.reduce_identities(gen, pi, field)
+                plain = IncrementalReducer(cols, field)
+                for rows in liftgen.identity_rows(polys, table):
+                    plain.append(rows)
+                assert status == "ok"
+                assert red.rank == plain.rank, (field, pi.render())
+                assert red.tail_rows(first_binary) == plain.tail_rows(first_binary), (field, pi.render())
+
+    def test_elimination_layout(self):
+        # degree 5: h (4 terms) follows the ten 3-term liftings of g1 and
+        # g2; nonbinary type 4 is touched by 5 generators and type 3 by 6,
+        # so block 4 comes third; the binary types 11-13 stay last
+        gen = liftgen.generate(5)
+        polys = [ident.polynomial for ident in gen.identities]
+        table = symrep.RepTable(symrep.Partition((1,) * 5))
+        order = [*range(1, 11), 0, *range(11, 36)]
+        layout = [1, 2, 4, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13]
+        assert list(liftgen._elimination_items(polys, table)) == [
+            [(layout.index(ti), perms) for ti, perms in polys[k].by_type().items()] for k in order
+        ]
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_tail_rows_match_extraction(self, n):
@@ -257,6 +306,14 @@ class TestLowDegrees:
             assert rep.status == "ok"
             assert rep.contains is True, rep.partition.render()
 
+    def test_degree6_shuffled_generation_matches_golden(self, gen6_filtered):
+        # the report does not depend on the order the generators come in
+        shuffled = list(gen6_filtered.identities)
+        random.Random(0).shuffle(shuffled)
+        gen = liftgen.GenerationSet(6, tuple(shuffled), filtered=True)
+        reports = pipeline.analyze_degree(6, GF101, "all", generation=gen)
+        assert pipeline.report_payload(6, reports, len(gen)) == json.loads(data_text("report_d6_c101_all.json"))
+
     def test_degree6_sign_over_QQ(self, gen6_filtered):
         (rep,) = pipeline.analyze_degree(6, QQ, "sign", generation=gen6_filtered)
         assert rep.contains is True
@@ -291,12 +348,14 @@ class TestCaps:
 
     def test_aborted_report_records_progress(self):
         gen = liftgen.generate(4)
+        # the elimination order: fewest terms first, ties in generation order
+        order = sorted(gen.identities, key=lambda ident: len(ident.polynomial))
         reports = pipeline.analyze_degree(4, GF101, "all", generation=gen, caps=ResourceCaps(max_rows=1))
         for rep in reports:
             # the abort follows the first identity that takes the rank past the cap
             k = rep.identities_consumed
             before, after = (
-                pipeline.reduce_identities(liftgen.GenerationSet(4, gen.identities[:j]), rep.partition, GF101)[0]
+                pipeline.reduce_identities(liftgen.GenerationSet(4, tuple(order[:j])), rep.partition, GF101)[0]
                 for j in (k - 1, k)
             )
             assert before.rank <= 1 < after.rank == rep.rank_reached
