@@ -31,19 +31,25 @@ recursion over variable subsets: the alternation of [A, B] is a signed sum
 over the shuffles of its variables, which keeps the n!-term sum exact and
 cheap.
 
-One sweep walks the basis tuples in itertools.product order and reports
-the first at which a sum of labelled trees is nonzero. validate runs each
-axiom's trees through it as written, from_leibniz the derivation identity
-(the product held as the bracket of an algebra whose triple product is
-zero), and check_identity the trees of a non-alternating identity. Each
-tree shape, the tree without its leaf labels, is evaluated once per sweep
-on all basis sub-tuples of its leaves, keeping only the nonzero values as
-sparse vectors, so a tuple costs one lookup per child of each term's root
-and one product. An alternating identity vanishes on a tuple with a
-repeated index and is ± its value on the sorted tuple on any other, so
-check_identity evaluates it once per set of distinct indices, through the
-alternation recursion on basis vectors with one memo for the whole walk,
-and reports the first nonzero set at the position of its sorted tuple.
+One sweep finds the first basis tuple, in itertools.product order, at
+which a sum of labelled trees is nonzero. validate runs each axiom's trees
+through it as written, from_leibniz the derivation identity (the product
+held as the bracket of an algebra whose triple product is zero), and
+check_identity the trees of a non-alternating identity. Each tree shape,
+the tree without its leaf labels, is evaluated once per sweep on all basis
+sub-tuples of its leaves, keeping only the nonzero values as sparse
+vectors. A term is nonzero only where each child of its root has a table
+entry, so the sweep walks each term over the product of its children's
+entries, one operation per combination, and adds the result to the tuple
+the combination's keys spell; a term with an empty table costs nothing.
+It sums one value of the first index at a time, so at most dimension^(n-1)
+partial sums are alive, and the smallest tuple with a nonzero sum in the
+first value that has one is the witness. An alternating identity vanishes
+on a tuple with a repeated index and is ± its value on the sorted tuple on
+any other, so check_identity evaluates it once per set of distinct
+indices, through the alternation recursion on basis vectors with one memo
+for the whole walk, and reports the first nonzero set at the position of
+its sorted tuple.
 """
 
 from __future__ import annotations
@@ -154,6 +160,12 @@ def _nested(flat: dict, scale: int) -> dict:
     return table
 
 
+def _check_dimension(dimension) -> None:
+    """Raise ValueError unless dimension is a positive int (bool excluded)."""
+    if type(dimension) is not int or dimension < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dimension!r}")
+
+
 class AlgebraSC:
     """Structure constants for one bilinear and one trilinear operation.
 
@@ -169,8 +181,7 @@ class AlgebraSC:
     def __init__(self, dimension: int, bilinear=(), trilinear=(), name: str = ""):
         """From 1-based sparse entries (i, j, k, coeff) and (i, j, k, l, coeff);
         a missing table is zero."""
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
+        _check_dimension(dimension)
         bilinear = _from_entries(dimension, bilinear, 3, "bilinear")
         trilinear = _from_entries(dimension, trilinear, 4, "trilinear")
         D = _common_denominator(bilinear, trilinear)
@@ -318,43 +329,71 @@ def _table(shape, alg: AlgebraSC, memo: dict) -> dict:
 
 def _sweep(terms, alg: AlgebraSC, n: int):
     """The first tuple of n basis indices, in itertools.product order, at
-    which Σ c·tree over the (integer coefficient, labelled tree) terms is
-    nonzero, as (1-based position, tuple, sparse integer value); None if
-    there is none. Each term combines the tables of its root's children on
-    a tuple: a key missing from one of them makes the term zero there."""
+    which Σ c·tree over the (integer coefficient, labelled tree) terms of a
+    multilinear sum is nonzero, as (1-based position, tuple, sparse integer
+    value); None if there is none.
+
+    A term c·op(children) is nonzero only where every child's table has an
+    entry, so each term walks the product of its children's tables, one
+    operation per combination of nonzero entries, and adds c·op(values) to
+    the partial sum of the tuple their keys spell. Tuples are summed one
+    value of the first index at a time, at most dimension^(n-1) partial
+    sums alive, and the smallest nonzero one of the first chunk that has
+    one is the witness.
+    """
+    d = alg.dimension
     memo: dict = {}
     plan = []
     for c, tree in terms:
         children = (tree,) if tree.__class__ is int else tree[1:]  # a leaf is its own factor
-        parts = []
-        for child in children:
-            first, *rest = (v - 1 for v in _leaves(child))
-            # the key's indices, as a tuple even for one leaf, which a slice keeps
-            key = itemgetter(first, *rest) if rest else itemgetter(slice(first, first + 1))
-            parts.append((_table(_shape(child), alg, memo), key))
-        plan.append((c, parts))
-    for position, combo in enumerate(itertools.product(range(alg.dimension), repeat=n), start=1):
-        out: dict = {}
-        for c, parts in plan:
-            factors = []
-            for table, key in parts:
-                factor = table.get(key(combo))
-                if factor is None:
-                    break
-                factors.append(factor)
-            else:
-                value = factors[0] if len(factors) == 1 else _operate(alg, factors)
-                for k, x in value.items():
-                    out[k] = out.get(k, 0) + c * x
-        if any(out.values()):
-            return position, combo, {k: x for k, x in out.items() if x}
+        tables = [_table(_shape(child), alg, memo) for child in children]
+        if not all(tables):
+            continue  # an empty table makes the term zero on every tuple
+        leaves = [_leaves(child) for child in children]
+        labels = [v - 1 for part in leaves for v in part]
+        # the tuple's indices in variable order, from the children's joined keys
+        order = sorted(range(n), key=labels.__getitem__)
+        place = itemgetter(*order) if n > 1 else itemgetter(slice(0, 1))
+        # the child holding variable 1, split by the index at that variable
+        lead = next(a for a, part in enumerate(leaves) if 1 in part)
+        at = leaves[lead].index(1)
+        chunks: list[list] = [[] for _ in range(d)]
+        for entry in tables[lead].items():
+            chunks[entry[0][at]].append(entry)
+        plan.append((c, place, lead, chunks, [list(table.items()) for table in tables]))
+    for first in range(d):
+        sums: dict = {}
+        for c, place, lead, chunks, parts in plan:
+            if not chunks[first]:
+                continue
+            factors = parts[:lead] + [chunks[first]] + parts[lead + 1:]
+            for picked in itertools.product(*factors):
+                if len(picked) == 1:
+                    value = picked[0][1]
+                else:
+                    value = _operate(alg, [v for _, v in picked])
+                    if not value:
+                        continue
+                combo = place(sum((k for k, _ in picked), ()))
+                out = sums.get(combo)
+                if out is None:
+                    sums[combo] = {k: c * x for k, x in value.items()}
+                else:
+                    for k, x in value.items():
+                        out[k] = out.get(k, 0) + c * x
+        hits = [combo for combo, out in sums.items() if any(out.values())]
+        if hits:
+            combo = min(hits)
+            position = 1 + sum(i * d ** (n - 1 - k) for k, i in enumerate(combo))
+            return position, combo, {k: x for k, x in sums[combo].items() if x}
     return None
 
 
 def _violations(alg: AlgebraSC, axioms) -> list[Violation]:
     """The first basis tuple, in itertools.product order, at which each
-    axiom's sum is nonzero. Axioms of degree 5 walk dimension^5 tuples, so
-    dimensions beyond 16 are rejected."""
+    axiom's sum is nonzero. A degree-5 axiom holds up to dimension^4
+    partial sums at a time and subtree tables of up to dimension^3 entries,
+    so dimensions beyond 16 are rejected."""
     if alg.dimension > MAX_VALIDATE_DIM:
         raise ValueError(f"validation supports dimension <= {MAX_VALIDATE_DIM}, got {alg.dimension}")
     out: list[Violation] = []
@@ -387,6 +426,7 @@ def from_leibniz(dimension: int, product=(), name: str = "") -> AlgebraSC:
     form used here. Raises InvalidProduct at the first basis triple where
     the product fails the derivation identity.
     """
+    _check_dimension(dimension)
     _from_entries(dimension, product, 3, "product")  # a malformed entry is named a product entry
     mul = AlgebraSC(dimension, product, name=name)
     bad = _violations(mul, (_LEIBNIZ,))
@@ -540,12 +580,15 @@ def check_identity(item, alg: AlgebraSC, trials: int = 20, seed: int = 0) -> Che
     nonzero value is returned as a witness, and assignments_checked counts
     the trials plus the basis tuples walked up to it.
 
-    The basis tuples are walked in itertools.product order. A
+    The witness is the first basis tuple in itertools.product order. A
     non-alternating identity runs its terms' labelled trees through _sweep,
-    an alternating one its terms' binary types through _alternating_sweep.
-    No trials with dimension^degree out of reach would evaluate nothing,
-    and raises ValueError.
+    which sums each term over its subtree tables' nonzero entries, an
+    alternating one its terms' binary types through _alternating_sweep. No
+    trials with dimension^degree out of reach would evaluate nothing, and
+    raises ValueError, as does a trials count that is not an int.
     """
+    if type(trials) is not int:
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
     degree = item.degree
@@ -605,8 +648,7 @@ def load_algebra(text: str) -> AlgebraSC:
     dim, construction = doc["dimension"], doc["construction"]
     if not isinstance(construction, str) or construction not in _TABLES:
         raise ValueError(f"unknown construction {construction!r}")
-    if type(dim) is not int or dim < 1:
-        raise ValueError(f"dimension must be a positive integer, got {dim!r}")
+    _check_dimension(dim)
     unread = sorted(set(doc) - {"name", "dimension", "construction", *_TABLES[construction]})
     if unread:
         raise ValueError(f"the {construction} construction does not read {', '.join(unread)}")

@@ -20,6 +20,7 @@ are alternating sums, which is where the degree-8 identity appears.
 
 from __future__ import annotations
 
+import json
 import logging
 import time
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import freealg, liftgen, symrep
+from ._data import data_text
 from .exactla import GF101, QQ, FieldSpec, IncrementalReducer
 
 __all__ = [
@@ -203,12 +205,15 @@ _GENERATIONS: dict[int, liftgen.GenerationSet] = {}
 def default_generation(n: int) -> liftgen.GenerationSet:
     """The identities analyze_degree works from.
 
-    Degrees 4 and 5 take the full lifting sets, degrees 6 and 7 filter the
-    full 252/2016 sets to 48/154 that span the same row space in every
-    partition, and degree 8 lifts those two, giving 1616 generators. Each
+    Degrees 4 and 5 take the full lifting sets. Degrees 6 and 7 take the
+    48/154 identities that filter_redundant keeps of the full 252/2016 sets,
+    which span the same row space in every partition; their lineages ship
+    as package data (data/lineages.json) and are replayed, so no process
+    runs the filter. Degree 8 lifts those two, giving 1616 generators. Each
     set is built once per process.
 
-    Raises ValueError above degree 8, where no filtered set is defined.
+    Raises ValueError above degree 8, where no filtered set is defined, and
+    when a stored lineage does not replay to its degree.
     """
     if n > _DEGREES[-1]:
         raise ValueError(f"no generation set above degree {_DEGREES[-1]}, got {n}")
@@ -218,9 +223,21 @@ def default_generation(n: int) -> liftgen.GenerationSet:
         elif n == 8:
             gen = liftgen.generate(8, {6: default_generation(6), 7: default_generation(7)})
         else:
-            gen = liftgen.filter_redundant(liftgen.generate(n))
+            gen = _stored_generation(n)
         _GENERATIONS[n] = gen
     return _GENERATIONS[n]
+
+
+def _stored_generation(n: int) -> liftgen.GenerationSet:
+    """The filtered degree-n set replayed from its packaged lineages."""
+    identities = []
+    for steps in json.loads(data_text("lineages.json"))[str(n)]:
+        lineage = tuple(tuple(step) for step in steps)
+        poly = liftgen.replay(lineage)
+        if poly.degree != n:
+            raise ValueError(f"stored lineage {lineage!r} does not replay to degree {n}")
+        identities.append(liftgen.Identity(poly, lineage))
+    return liftgen.GenerationSet(n, tuple(identities), filtered=True)
 
 
 def analyze_partition(

@@ -5,8 +5,9 @@ basis, a recursive canonicalizer and the lifting built on it, primality by
 trial division, element sums one matrix at a time, block rows and skew
 relations read off them and as dense arrays, the rank
 filter with identities as the outer loop, the row canonical form over GF(p)
-and over Q in plain Python, exact evaluation in Fraction arithmetic, and
-the identity check that evaluates every basis tuple afresh.
+and over Q in plain Python, exact evaluation in Fraction arithmetic, the
+basis sweep that looks every basis tuple up in the subtree tables, and the
+identity check that evaluates every basis tuple afresh.
 
 The package builds Clifton matrices in whole numpy arrays, counts standard
 tableaux for dimensions, straightens trees in one lean walk that interns
@@ -15,9 +16,9 @@ blocks of a batch of identities at once, straight into sparse rows,
 filters one partition at a
 time, evaluates alternating identities without expanding them, reduces
 rows over Q and mod p on one lazily cleaned sparse canonical form,
-evaluates in integers over a common denominator and reads basis tuples off
-memoised subtree tables; the routes here are the independent ones the
-tests compare against.
+evaluates in integers over a common denominator and sums each term over
+the nonzero entries of memoised subtree tables, one first index at a time;
+the routes here are the independent ones the tests compare against.
 """
 
 import functools
@@ -25,6 +26,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -642,3 +644,37 @@ def check_identity_per_tuple(item, alg: FractionAlgebra, trials: int = 20, seed:
             if any(value):
                 return evallab.CheckResult(False, checked, vectors, value)
     return evallab.CheckResult(True, checked)
+
+
+def sweep(terms, alg: evallab.AlgebraSC, n: int):
+    """evallab._sweep tuple by tuple: every tuple of n basis indices in
+    itertools.product order, each term's root children looked up in the
+    same subtree tables on it, until the first nonzero sum, returned as
+    (1-based position, tuple, sparse integer value); None if there is none."""
+    memo: dict = {}
+    plan = []
+    for c, tree in terms:
+        children = (tree,) if tree.__class__ is int else tree[1:]  # a leaf is its own factor
+        parts = []
+        for child in children:
+            first, *rest = (v - 1 for v in evallab._leaves(child))
+            # the key's indices, as a tuple even for one leaf, which a slice keeps
+            key = itemgetter(first, *rest) if rest else itemgetter(slice(first, first + 1))
+            parts.append((evallab._table(evallab._shape(child), alg, memo), key))
+        plan.append((c, parts))
+    for position, combo in enumerate(itertools.product(range(alg.dimension), repeat=n), start=1):
+        out: dict = {}
+        for c, parts in plan:
+            factors = []
+            for table, key in parts:
+                factor = table.get(key(combo))
+                if factor is None:
+                    break
+                factors.append(factor)
+            else:
+                value = factors[0] if len(factors) == 1 else evallab._operate(alg, factors)
+                for k, x in value.items():
+                    out[k] = out.get(k, 0) + c * x
+        if any(out.values()):
+            return position, combo, {k: x for k, x in out.items() if x}
+    return None

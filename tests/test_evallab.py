@@ -4,6 +4,9 @@ construction, and exact evaluation of identities."""
 import itertools
 import json
 import random
+import re
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -167,6 +170,14 @@ class TestValidate:
             AlgebraSC(2, bilinear={(1, 2, 1): 1})
         with pytest.raises(ValueError, match="positive"):
             AlgebraSC(0)
+
+    @pytest.mark.parametrize("dimension", [2.0, True, "2"])
+    def test_non_integer_dimension_rejected(self, dimension):
+        message = re.escape(f"dimension must be a positive integer, got {dimension!r}")
+        with pytest.raises(ValueError, match=message):
+            AlgebraSC(dimension, [(1, 2, 1, 1), (2, 1, 1, -1)])
+        with pytest.raises(ValueError, match=message):
+            from_leibniz(dimension, [(1, 1, 2, 1)])
 
     def test_float_constants_rejected(self):
         # 0.1 would be read as its binary value 3602879701896397/2**55
@@ -585,6 +596,12 @@ class TestCheckIdentity:
                     res = check_identity(ident.polynomial, alg, trials=2, seed=5)
                     assert res.passed, (n, ident.render_lineage(), alg.name)
 
+    @pytest.mark.parametrize("trials", [1.5, True, "2"])
+    def test_non_integer_trials_rejected(self, cross, trials):
+        poly = freealg.expand([(1, (2, (2, 1, 2), 3))])
+        with pytest.raises(ValueError, match=re.escape(f"trials must be an int, got {trials!r}")):
+            check_identity(poly, cross, trials=trials)
+
     def test_negative_trials_rejected(self, cross):
         poly = freealg.expand([(1, (2, (2, 1, 2), 3))])
         with pytest.raises(ValueError, match="trials must be non-negative, got -3"):
@@ -670,6 +687,171 @@ class TestBasisSweep:
             got = self.assert_matches_reference(pipeline.ExplicitIdentity(n, terms), alg)
             assert got.passed == (position is None)
             assert got.assignments_checked == (position or 6 ** n)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_workloads():
+    """The benchmark's workloads module, which builds the oracle's inputs."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+
+    return workloads
+
+
+def sparse_entries(dimension, seed):
+    """Seeded random sparse constants, no axiom imposed: bilinear ones in
+    halves, trilinear ones in thirds, fewer per slot as the dimension grows."""
+    rng = random.Random(seed)
+    indices = range(1, dimension + 1)
+    bilinear = [(*ijk, F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))))
+                for ijk in itertools.product(indices, repeat=3) if rng.random() < 0.6 / dimension]
+    trilinear = [(*ijkl, F(rng.choice((-2, 1, 3)), rng.choice((1, 3))))
+                 for ijkl in itertools.product(indices, repeat=4) if rng.random() < 0.3 / dimension ** 2]
+    return bilinear, trilinear
+
+
+def with_first_term_dropped(poly):
+    first = poly.sorted_terms()[0][0]
+    return freealg.Polynomial(poly.degree, {m: c for m, c in poly.terms.items() if m != first})
+
+
+def so5_direct_sum():
+    """so(5) > Cartan ⊕ so(5) > Cartan, a valid 16-dimensional algebra."""
+    doc = json.loads((BENCH / "so5_cartan.json").read_text())
+    d = doc["dimension"]
+
+    def both(entries):
+        return [tuple(e) for e in entries] + [(*(i + d for i in e[:-1]), e[-1]) for e in entries]
+
+    return AlgebraSC(2 * d, both(doc["bilinear"]), both(doc["trilinear"]))
+
+
+class TestChunkedSweep:
+    """The sweep over nonzero table entries, one first index at a time,
+    against the tuple walk of tests/reference.py and the Fraction routes:
+    the same witness, position and value, so the same violations, verdicts
+    and CheckResults."""
+
+    def test_matches_tuple_walk_on_sparse_algebras(self):
+        polys = [i.polynomial for i in liftgen.generate(4).identities]
+        polys += [i.polynomial for i in liftgen.generate(5).identities[::6]]
+        sums = [(terms, liftgen._leaf_count(terms[0][1])) for _, terms in (*evallab._AXIOMS, evallab._LEIBNIZ)]
+        for poly in polys:  # the (integer coefficient, labelled tree) terms check_identity sweeps
+            for p in (poly, with_first_term_dropped(poly)):
+                sums.append(([(int(c), freealg.labeled_tree(m)) for m, c in p.sorted_terms()], p.degree))
+        hits, late, passed = 0, 0, 0
+        for seed in range(16):
+            dimension = 2 + seed % 4
+            alg = AlgebraSC(dimension, *sparse_entries(dimension, seed))
+            for terms, n in sums:
+                got = evallab._sweep(terms, alg, n)
+                assert got == reference.sweep(terms, alg, n), (seed, terms)
+                if got is None:
+                    passed += 1
+                else:
+                    hits += 1
+                    late += got[1][0] > 0
+        # failures and passes, and witnesses past the first index's first value
+        assert hits >= 100 and late >= 20 and passed >= 20, (hits, late, passed)
+
+    def test_public_routes_match_fraction_references(self):
+        polys = [i.polynomial for i in liftgen.generate(4).identities[::2]]
+        for seed in range(8):
+            dimension = 2 + seed % 4
+            bilinear, trilinear = sparse_entries(dimension, seed)
+            alg, ref = AlgebraSC(dimension, bilinear, trilinear), FractionAlgebra(dimension, bilinear, trilinear)
+            assert validate(alg) == reference.validate(ref), seed
+            witness = reference.leibniz_witness(dimension, bilinear)
+            if witness is None:
+                from_leibniz(dimension, bilinear)
+            else:
+                render = evallab.Violation("leibniz", witness).render()
+                with pytest.raises(InvalidProduct, match=re.escape(render)):
+                    from_leibniz(dimension, bilinear)
+            if dimension > 4:
+                continue  # the Fraction reference evaluates every tuple afresh
+            for poly in polys:
+                for item in (poly, with_first_term_dropped(poly)):
+                    for trials in (0, 2):
+                        got = check_identity(item, alg, trials=trials, seed=seed)
+                        assert got == check_identity_per_tuple(item, ref, trials=trials, seed=seed), seed
+
+    def test_cancelling_terms_before_the_witness(self):
+        (_, ly1), = (axiom for axiom in evallab._AXIOMS if axiom[0] == "LY1")
+        # [e1,e2] = e3 = -[e2,e1]: LY1's two terms cancel at (1, 2); the
+        # witness is (1, 3), later in the same first index
+        alg = AlgebraSC(3, [(1, 2, 3, 1), (2, 1, 3, -1), (1, 3, 2, 1), (3, 1, 2, 1)])
+        assert evallab._sweep(ly1, alg, 2) == reference.sweep(ly1, alg, 2) == (3, (0, 2), {1: 2})
+        # here every tuple with first index 1 cancels, and (2, 3) is the witness
+        alg = AlgebraSC(3, [(1, 2, 3, 1), (2, 1, 3, -1), (2, 3, 1, F(1, 2))])
+        assert evallab._sweep(ly1, alg, 2) == reference.sweep(ly1, alg, 2) == (6, (1, 2), {0: 1})
+        assert validate(alg)[0] == evallab.Violation("LY1", (2, 3))
+
+    def test_oracle_generators(self, monkeypatch):
+        workloads = bench_workloads()
+        failed = 0
+        for seed in (1, 2, 3):
+            inp = workloads.oracle_setup(seed)
+            for poly in inp["generators"]:
+                for alg in inp["algebras"].values():
+                    for item, trials in ((poly, workloads.ORACLE_TRIALS), (with_first_term_dropped(poly), 0)):
+                        got = check_identity(item, alg, trials=trials, seed=workloads.ORACLE_CHECK_SEED)
+                        with monkeypatch.context() as m:
+                            m.setattr(evallab, "_sweep", reference.sweep)
+                            want = check_identity(item, alg, trials=trials, seed=workloads.ORACLE_CHECK_SEED)
+                        assert got == want, (seed, alg.name)
+                        assert got.passed or item is not poly
+                        failed += not got.passed
+        assert failed > 0  # a dropped term shows on the bundled algebras now and then
+
+    def test_zero_algebra_makes_no_products(self, bundled, monkeypatch):
+        zero = bundled["zero"]
+        calls, depth = [], [0]
+        real_operate, real_table = evallab._operate, evallab._table
+
+        def operate(alg, factors):
+            if not depth[0]:
+                calls.append(factors)
+            return real_operate(alg, factors)
+
+        def table(shape, alg, memo):
+            depth[0] += 1
+            try:
+                return real_table(shape, alg, memo)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(evallab, "_operate", operate)
+        monkeypatch.setattr(evallab, "_table", table)
+        for poly in lifted_generators() + [liftgen.generate(6).identities[0].polynomial]:
+            assert check_identity(poly, zero, trials=2) == evallab.CheckResult(True, 2 + 3 ** poly.degree)
+        assert calls == []
+        # only a term whose root's children are all leaves has no empty table
+        assert validate(zero) == []
+        leaf_terms = [tree for _, terms in evallab._AXIOMS for _, tree in terms
+                      if all(child.__class__ is int for child in tree[1:])]
+        assert len(calls) == sum(3 ** (len(tree) - 1) for tree in leaf_terms)
+
+    def test_validate_memory_is_bounded(self):
+        # a 16-dimensional valid algebra walks every tuple of every axiom:
+        # under 0.04 MiB traced with the tuple walk and 0.08 MiB chunked, but
+        # 0.31 MiB when one accumulator holds the whole tuple space
+        alg = so5_direct_sum()
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert validate(alg) == []
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 0.16 * 2 ** 20
 
 
 def fractional_entries(seed):

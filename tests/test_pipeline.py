@@ -6,6 +6,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -508,23 +509,43 @@ class TestSelection:
         with pytest.raises(ValueError, match="above degree 8"):
             pipeline.default_generation(9)
 
-    def test_default_generation_filters_once(self, monkeypatch):
-        # a stand-in filter keeps the first three identities, so the degree-8
-        # set stays small; each degree must still be filtered only once
-        calls = []
-
-        def first_three(gen, field=GF101):
-            calls.append(gen.degree)
-            return liftgen.GenerationSet(gen.degree, gen.identities[:3], filtered=True)
+    def test_default_generation_never_filters(self, monkeypatch):
+        # degrees 6 and 7 replay the packaged lineages, and degree 8 lifts them
+        def never(*args, **kwargs):
+            raise AssertionError("filter_redundant ran")
 
         monkeypatch.setattr(pipeline, "_GENERATIONS", {})
-        monkeypatch.setattr(liftgen, "filter_redundant", first_three)
-        (report,) = pipeline.analyze_degree(8, QQ, "sign")
-        assert report.status == "ok"
-        pipeline.certify_new(cli.bundled_identity(), 8, QQ)
-        assert pipeline.analyze_degree(7, GF101, ["7"])[0].status == "ok"
-        assert sorted(calls) == [6, 7]
+        monkeypatch.setattr(liftgen, "filter_redundant", never)
+        assert {n: len(pipeline.default_generation(n)) for n in (6, 7, 8)} == {6: 48, 7: 154, 8: 1616}
+        assert pipeline.default_generation(6).filtered and pipeline.default_generation(7).filtered
         assert pipeline.default_generation(8) is pipeline.default_generation(8)
+
+    def test_stored_lineage_must_replay_to_its_degree(self, monkeypatch):
+        doc = json.loads(data_text("lineages.json"))
+        doc["7"][3] = doc["6"][0]
+        monkeypatch.setattr(pipeline, "_GENERATIONS", {})
+        monkeypatch.setattr(pipeline, "data_text", lambda name: json.dumps(doc))
+        with pytest.raises(ValueError, match="does not replay to degree 7"):
+            pipeline.default_generation(7)
+
+
+class TestStoredLineages:
+    """The packaged lineages default_generation replays cannot drift from
+    bench/lineages.json or from what the filter keeps."""
+
+    def test_packaged_copy_is_the_bench_file(self):
+        packaged = resources.files("lyident") / "data" / "lineages.json"
+        assert packaged.read_bytes() == (Path(__file__).parents[1] / "bench" / "lineages.json").read_bytes()
+
+    def test_lineages_are_the_filters(self, gen6_filtered, gen7_filtered, monkeypatch):
+        stored = json.loads(data_text("lineages.json"))
+        assert sorted(stored) == ["6", "7"]
+        for gen in (gen6_filtered, gen7_filtered):
+            lineages = [tuple(tuple(step) for step in steps) for steps in stored[str(gen.degree)]]
+            assert lineages == [ident.lineage for ident in gen.identities], gen.degree
+        monkeypatch.setattr(pipeline, "_GENERATIONS", {})
+        assert pipeline.default_generation(6) == gen6_filtered
+        assert pipeline.default_generation(7) == gen7_filtered
 
 
 # -- reports ------------------------------------------------------------------------
