@@ -34,6 +34,7 @@ tests and in serialized identity files.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dc_field
 from itertools import islice
@@ -453,44 +454,83 @@ def _elimination_items(polys: Iterable[freealg.Polynomial], table: symrep.RepTab
     nonbinary type blocks are laid out least touched first (by the number
     of polynomials with a term of that type), ties in deglex order, and
     the binary blocks last in deglex order, so the binary columns are
-    those of _column_split and identity_rows. One pass over polys reads
-    each one's blocks, its size and the touch counts; the items are built
-    as block_rows asks for them.
+    those of _column_split and identity_rows. One pass over the terms
+    counts the touches; each item's blocks (by_type) are built only when
+    block_rows asks for that item.
     """
     d = table.dim
     m = freealg.count_types(table.n).all
     nonbinary = m - len(freealg.binary_types(table.n))
-    blocks, sizes, touches = [], [], [0] * (m + 1)
+    polys = list(polys)
+    touches = [0] * (m + 1)
     for poly in polys:
-        by_type = poly.by_type()
-        for ti in by_type:
+        for ti in {mono.type_index for mono in poly.terms}:
             touches[ti] += 1
-        blocks.append(by_type)
-        sizes.append(len(poly))
     first = [(ti - 1) * d for ti in range(m + 1)]
     for at, ti in enumerate(sorted(range(1, nonbinary + 1), key=touches.__getitem__)):
         first[ti] = at * d
-    for k in sorted(range(len(blocks)), key=sizes.__getitem__):
-        yield [(first[ti], perms) for ti, perms in blocks[k].items()]
+    for poly in sorted(polys, key=len):
+        yield [(first[ti], perms) for ti, perms in poly.by_type().items()]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on (os.cpu_count() where
+    the platform has no affinity call)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_partitions(fn, pis, *args, workers: int) -> list:
+    """[fn(pi, *args) for pi in pis], in that order.
+
+    With at least two workers and two partitions the calls run in a pool of
+    up to workers processes, the largest partitions (by dimension) submitted
+    first so that the slowest does not start last. fn must be defined at
+    module level; it and its arguments are pickled, so any start method
+    works. An exception raised in a call reaches the caller, and the pool
+    is shut down before this returns.
+    """
+    if workers < 2 or len(pis) < 2:
+        return [fn(pi, *args) for pi in pis]
+    # imported on use: at module level it costs every run 1 MB of peak RSS
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(pis)))
+    try:
+        futures = [None] * len(pis)
+        for k in sorted(range(len(pis)), key=lambda k: -pis[k].dimension):
+            futures[k] = pool.submit(fn, pis[k], *args)
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _filter_partition(pi: symrep.Partition, polys: list[freealg.Polynomial], degree: int, field: FieldSpec) -> tuple[list[int], int]:
+    """filter_redundant on one partition: the positions of the polynomials
+    that raised its rank, every one appended in order, and the final rank."""
+    table = symrep.RepTable(pi)
+    red = IncrementalReducer(_column_split(degree, table.dim)[0], field)
+    grew = [k for k, rows in enumerate(identity_rows(polys, table)) if red.append(rows)]
+    return grew, red.rank
 
 
 def filter_redundant(gen: GenerationSet, field: FieldSpec = GF101) -> GenerationSet:
     """Keep the identities that grow some partition's accumulated row space.
 
-    One partition at a time, with its own table and reducer, every identity
-    is appended in order (no short circuit), so the kept set spans the same
+    Each partition gets its own table and reducer, and every identity is
+    appended in order (no short circuit), so the kept set spans the same
     row space as the input in every partition; the final ranks are returned
-    on the result.
+    on the result. The partitions run in worker processes, one per CPU this
+    process may use (serially on one CPU), largest partitions first; a
+    worker holds one table and one reducer at a time.
     """
     symrep.check_characteristic(field.characteristic, gen.degree)
-    grew: set[int] = set()
-    ranks = {}
-    for pi in symrep.partitions(gen.degree):
-        table = symrep.RepTable(pi)
-        red = IncrementalReducer(_column_split(gen.degree, table.dim)[0], field)
-        for k, rows in enumerate(identity_rows((ident.polynomial for ident in gen.identities), table)):
-            if red.append(rows):
-                grew.add(k)
-        ranks[pi] = red.rank
-    kept = tuple(gen.identities[k] for k in sorted(grew))
+    pis = symrep.partitions(gen.degree)
+    polys = [ident.polynomial for ident in gen.identities]
+    results = _map_partitions(_filter_partition, pis, polys, gen.degree, field, workers=_usable_cpus())
+    grew = sorted(set().union(*(rows for rows, _ in results)))
+    kept = tuple(gen.identities[k] for k in grew)
+    ranks = {pi: rank for pi, (_, rank) in zip(pis, results)}
     return GenerationSet(gen.degree, kept, filtered=True, ranks=ranks)

@@ -25,7 +25,6 @@ import logging
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from . import freealg, liftgen, symrep
 from ._data import data_text
@@ -164,6 +163,10 @@ def reduce_identities(
     return red, status
 
 
+# _reduce logs its progress after every this many identities
+_PROGRESS_EVERY = 256
+
+
 def _reduce(gen, table: symrep.RepTable, field: FieldSpec, caps) -> tuple[IncrementalReducer, str, int]:
     """reduce_identities on one partition's table, plus the number of
     identities appended in the elimination order."""
@@ -173,13 +176,21 @@ def _reduce(gen, table: symrep.RepTable, field: FieldSpec, caps) -> tuple[Increm
     red = IncrementalReducer(liftgen._column_split(gen.degree, table.dim)[0], field)
     start = time.monotonic()
     items = liftgen._elimination_items((ident.polynomial for ident in gen.identities), table)
+    total, next_progress = len(gen.identities), _PROGRESS_EVERY
     for k, rows in enumerate(liftgen.block_rows(items, table), 1):
         red.append(rows)
+        if k == next_progress:
+            next_progress += _PROGRESS_EVERY
+            elapsed = time.monotonic() - start
+            log.info(
+                "degree %d partition %s: %d of %d identities, rank %d (%.1fs, ETA %.1fs)",
+                gen.degree, table.partition.render(), k, total, red.rank, elapsed, elapsed * (total - k) / k,
+            )
         if caps and caps.max_rows is not None and red.rank > caps.max_rows:
             return red, "aborted-rows", k
         if caps and caps.max_seconds is not None and time.monotonic() - start > caps.max_seconds:
             return red, "aborted-time", k
-    return red, "ok", len(gen.identities)
+    return red, "ok", total
 
 
 def _skew_reducer(table: symrep.RepTable, degree: int, field: FieldSpec) -> IncrementalReducer:
@@ -307,8 +318,9 @@ def analyze_degree(
 ) -> list[PartitionReport]:
     """Run the A_pi against B_pi comparison for the requested partitions,
     on default_generation(n) unless a generation set is given, in up to
-    jobs worker processes; the reports keep the selection's order. The
-    arguments are checked before any generation set is built."""
+    jobs worker processes (largest partitions first); the reports keep the
+    selection's order. The arguments are checked before any generation set
+    is built."""
     if n not in _DEGREES:
         raise ValueError(f"analysis covers degrees {_DEGREES[0]} through {_DEGREES[-1]}")
     symrep.check_characteristic(field.characteristic, n)
@@ -318,13 +330,7 @@ def analyze_degree(
     gen = generation if generation is not None else default_generation(n)
     if gen.degree != n:
         raise ValueError(f"degree-{gen.degree} generation set for a degree-{n} analysis")
-    if jobs > 1 and len(pis) > 1:
-        # imported on use: at module level it costs every run 1 MB of peak RSS
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pis))) as pool:
-            return list(pool.map(analyze_partition, pis, repeat(gen), repeat(field), repeat(caps)))
-    return [analyze_partition(pi, gen, field, caps) for pi in pis]
+    return liftgen._map_partitions(analyze_partition, pis, gen, field, caps, workers=jobs)
 
 
 def reconstruct_identity(row, degree: int) -> ExplicitIdentity:

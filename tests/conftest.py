@@ -1,5 +1,6 @@
 """Shared fixtures: the filtered generation sets are expensive (the degree-7
-filter takes a few minutes), so they are computed once per session."""
+filter takes about 20 s on two CPUs and 40 s on one), so they are computed
+once per session."""
 
 import pytest
 

@@ -1,11 +1,15 @@
 """Seeds, liftings, generation counts, lineage replay, and the rank filter."""
 
+import concurrent.futures
 import gc
 import json
+import multiprocessing
+import os
 import random
 import weakref
 from fractions import Fraction
 from math import factorial
+from multiprocessing import resource_tracker
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +514,20 @@ DEG5_RANKS = {
 }
 
 
+def count_pools(monkeypatch) -> list:
+    """Record every ProcessPoolExecutor built from now on; returns the list
+    the pools are appended to."""
+    pools = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    return pools
+
+
 class TestFilter:
     def test_degree_4(self):
         filt = liftgen.filter_redundant(liftgen.generate(4))
@@ -583,25 +601,33 @@ class TestFilter:
         return liftgen.GenerationSet(gen.degree, tuple(gen.identities[k] for k in picked))
 
     @staticmethod
-    def assert_matches_identity_outermost(gen, field):
-        filt = liftgen.filter_redundant(gen, field)
+    def assert_matches_identity_outermost(gen, field, monkeypatch):
+        # serially on one CPU and in a pool of two worker processes
         kept, ranks = reference.filter_identity_outermost(gen, field)
-        assert filt.identities == kept
-        assert list(filt.ranks.items()) == list(ranks.items())
+        pools = count_pools(monkeypatch)
+        for cpus in (1, 2):
+            monkeypatch.setattr(liftgen, "_usable_cpus", lambda: cpus)
+            filt = liftgen.filter_redundant(gen, field)
+            assert filt.identities == kept
+            assert list(filt.ranks.items()) == list(ranks.items())
+            assert len(pools) == cpus - 1
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("field", [GF101, QQ], ids=["GF101", "QQ"])
-    def test_matches_identity_outermost_degree_6(self, field):
-        self.assert_matches_identity_outermost(liftgen.generate(6), field)
+    def test_matches_identity_outermost_degree_6(self, field, monkeypatch):
+        self.assert_matches_identity_outermost(liftgen.generate(6), field, monkeypatch)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_identity_outermost_degree_7_sample(self, seed):
+    def test_matches_identity_outermost_degree_7_sample(self, seed, monkeypatch):
         sample = self.stratified_sample(liftgen.generate(7), seed)
         assert len(sample) > 20
-        self.assert_matches_identity_outermost(sample, GF101)
+        self.assert_matches_identity_outermost(sample, GF101, monkeypatch)
 
     def test_one_partition_at_a_time(self, monkeypatch):
         # each partition's rows arrive in one contiguous run, and when a run
-        # starts the table of the previous run has been freed
+        # starts the table of the previous run has been freed; on one CPU,
+        # so that the rows are built in this process
+        monkeypatch.setattr(liftgen, "_usable_cpus", lambda: 1)
         rows = liftgen.block_rows
         runs, alive = [], []
         previous = None
@@ -626,3 +652,73 @@ class TestFilter:
     def test_degree_6_keeps_48(self):
         filt = liftgen.filter_redundant(liftgen.generate(6))
         assert len(filt) == 48
+
+
+class TestPartitionPool:
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        # block_rows rejects a non-integer coefficient in every partition
+        (mono, _), *rest = liftgen.generate(4).identities[0].polynomial.terms.items()
+        poly = freealg.Polynomial(4, {mono: Fraction(1, 2), **dict(rest)})
+        gen = liftgen.GenerationSet(4, (liftgen.Identity(poly, (("seed", "g1"),)),))
+        pools = count_pools(monkeypatch)
+        for cpus in (1, 2):
+            monkeypatch.setattr(liftgen, "_usable_cpus", lambda: cpus)
+            with pytest.raises(ValueError, match=r"^coefficient 1/2 of \(.*\) is not an integer$"):
+                liftgen.filter_redundant(gen)
+            assert len(pools) == cpus - 1
+            assert multiprocessing.active_children() == []
+
+    def test_no_process_left_running(self, monkeypatch):
+        monkeypatch.setattr(liftgen, "_usable_cpus", lambda: 2)
+        pools = count_pools(monkeypatch)
+        filt = liftgen.filter_redundant(liftgen.generate(5))
+        assert [i.render_lineage() for i in filt.identities] == DEG5_KEPT
+        assert multiprocessing.active_children() == []
+        reports = pipeline.analyze_degree(5, GF101, "all", jobs=2)
+        assert [rep.partition for rep in reports] == list(symrep.partitions(5))
+        assert multiprocessing.active_children() == []
+        assert len(pools) == 2
+
+    def test_spawned_workers_give_the_same_result(self, monkeypatch):
+        # workers that start from a fresh import, not a fork of this
+        # process, see only what the map pickles for them
+        real = concurrent.futures.ProcessPoolExecutor
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda max_workers: real(max_workers, mp_context=spawn))
+        monkeypatch.setattr(liftgen, "_usable_cpus", lambda: 2)
+        try:
+            filt = liftgen.filter_redundant(liftgen.generate(4))
+        finally:
+            # a spawned pool starts multiprocessing's resource tracker, which
+            # would otherwise run until this process exits
+            gc.collect()
+            resource_tracker._resource_tracker._stop()
+        assert [i.render_lineage() for i in filt.identities] == DEG4_KEPT
+        assert {pi.render(): r for pi, r in filt.ranks.items()} == DEG4_RANKS
+        assert multiprocessing.active_children() == []
+
+    def test_largest_partitions_submitted_first(self, monkeypatch):
+        submitted = []
+        real = concurrent.futures.ProcessPoolExecutor
+
+        class Recording(real):
+            def submit(self, fn, pi, *args):
+                submitted.append(pi)
+                return super().submit(fn, pi, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        pis = symrep.partitions(5)
+        assert liftgen._map_partitions(symrep.dimension, pis, workers=2) == [pi.dimension for pi in pis]
+        assert [pi.render() for pi in submitted] == ["3+1^2", "3+2", "2^2+1", "4+1", "2+1^3", "5", "1^5"]
+        assert multiprocessing.active_children() == []
+
+    def test_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert liftgen._usable_cpus() == 3
+        # without the affinity call, the machine's count; none known is one
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert liftgen._usable_cpus() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert liftgen._usable_cpus() == 1

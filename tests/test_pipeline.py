@@ -2,6 +2,7 @@
 agreement, and the degree-8 sign-representation identity."""
 
 import json
+import logging
 import random
 import re
 import tracemalloc
@@ -642,6 +643,23 @@ class TestDegree8Sign:
         red, status = pipeline.reduce_identities(gen8, sign, QQ)
         assert status == "ok"
         assert red.tail_rows(354 - 23) == expected_A8()
+
+    def test_progress_every_256_identities(self, gen8, caplog):
+        sign = symrep.Partition((1,) * 8)
+        caplog.set_level(logging.INFO, logger=pipeline.log.name)
+        red, _ = pipeline.reduce_identities(gen8, sign, GF101)
+        line = re.compile(r"^degree 8 partition 1\^8: (\d+) of 1616 identities, rank (\d+) \(\d+\.\ds, ETA \d+\.\ds\)$")
+        progress = [line.match(record.getMessage()) for record in caplog.records]
+        assert all(progress)
+        assert [int(m[1]) for m in progress] == [256, 512, 768, 1024, 1280, 1536]
+        ranks = [int(m[2]) for m in progress]
+        assert ranks == sorted(ranks) and ranks[-1] <= red.rank
+        # a line at each multiple of 256 consumed, none in between
+        caplog.clear()
+        for k in (255, 256):
+            pipeline.reduce_identities(liftgen.GenerationSet(8, gen8.identities[:k]), sign, GF101)
+        assert [record.getMessage().split(",")[0] for record in caplog.records] == [
+            "degree 8 partition 1^8: 256 of 256 identities"]
 
     def test_skew_matrix(self):
         B = pipeline._skew_reducer(symrep.RepTable(symrep.Partition((1,) * 8)), 8, QQ)
